@@ -7,23 +7,8 @@ trained parameters anywhere; every step is a closed form over sparse matrix
 products, so runs are fast and exactly reproducible from their seeds.
 """
 
-from .classifier import (
-    Prediction,
-    SpectralComponents,
-    Split,
-    TrainingParams,
-    embed,
-    exact_weights,
-    make_assumption_data,
-    normalize_cols,
-    normalize_rows,
-    predict,
-    sse_gradient,
-    sse_loss,
-    tcs_error_bound,
-    tcs_weights,
-    train_weights_gd,
-)
+import importlib
+
 from .errors import (
     ConfigError,
     DatasetError,
@@ -34,56 +19,40 @@ from .errors import (
     SplitError,
     ZenError,
 )
-from .harness import (
-    Dataset,
-    RunResult,
-    SeedResult,
-    SimplexGrid,
-    WeightReport,
-    config_weights,
-    evaluate_accuracy,
-    explain_weights,
-    grid_search,
-    load_dataset,
-    make_kshot_split,
-    run_config,
-    simplex_grid,
-)
-from .hypergraph import (
-    DegreeProfile,
-    Hypergraph,
-    LabelSet,
-    degrees,
-    incidence_matrix,
-    load_features,
-    load_hypergraph,
-    load_labels,
-    parse_hypergraph,
-    serialize_hypergraph,
-)
-from .propagation import (
-    BaselineRecipe,
-    NormalizationKind,
-    PropagationConfig,
-    build_A1_hat,
-    build_A1_star,
-    build_A2_hat,
-    build_A2_star,
-    build_baseline_adjacency,
-    build_P_star,
-    plain_adjacency,
-    restart_coefficients,
-    rsi_diag_1,
-    rsi_diag_2,
-)
-from .rsi_approx import (
-    HutchinsonParams,
-    WalkParams,
-    dense_diag_oracle,
-    hutchinson_diag,
-    random_walk_return_prob,
-    walk_transition_matrix,
-)
+
+# Every other export is loaded on first access (PEP 562), so importing the
+# package, or zen.cli, does not import numpy: ``zen run --threads`` can still
+# set the BLAS thread variables before numpy loads.
+_LAZY_EXPORTS = {
+    "classifier": (
+        "Prediction", "SpectralComponents", "Split", "TrainingParams", "embed",
+        "exact_weights", "make_assumption_data", "normalize_cols",
+        "normalize_rows", "predict", "sse_gradient", "sse_loss",
+        "tcs_error_bound", "tcs_weights", "train_weights_gd",
+    ),
+    "harness": (
+        "Dataset", "RunResult", "SeedResult", "SimplexGrid", "WeightReport",
+        "config_weights", "evaluate_accuracy", "explain_weights",
+        "grid_search", "load_dataset", "make_kshot_split", "run_config",
+        "simplex_grid",
+    ),
+    "hypergraph": (
+        "DegreeProfile", "Hypergraph", "LabelSet", "degrees",
+        "incidence_matrix", "load_features", "load_hypergraph", "load_labels",
+        "parse_hypergraph", "serialize_hypergraph",
+    ),
+    "propagation": (
+        "BaselineRecipe", "NormalizationKind", "PropagationConfig",
+        "build_A1_hat", "build_A1_star", "build_A2_hat", "build_A2_star",
+        "build_baseline_adjacency", "build_P_star", "plain_adjacency",
+        "restart_coefficients", "rsi_diag_1", "rsi_diag_2",
+    ),
+    "rsi_approx": (
+        "HutchinsonParams", "WalkParams", "dense_diag_oracle",
+        "hutchinson_diag", "random_walk_return_prob", "walk_transition_matrix",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _LAZY_EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -154,3 +123,16 @@ __all__ = [
     "train_weights_gd",
     "walk_transition_matrix",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

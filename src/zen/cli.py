@@ -5,9 +5,10 @@ exact or estimated), ``explain`` (feature-importance CSV for the
 best-validation configuration), ``errbound`` (closed-form vs exact weight gap
 in the idealized geometry).
 
-Exit codes: 0 success, 1 computation error, 2 usage or I/O error. Heavy
-imports happen inside the handlers so ``--threads`` can pin the BLAS pool
-size through the environment before numpy loads.
+Exit codes: 0 success, 1 computation error, 2 usage or I/O error. The
+package loads its exports lazily and the handlers do their heavy imports
+themselves, so numpy is not loaded until a handler runs and ``--threads``
+pins the BLAS pool size through the environment before it is.
 """
 
 from __future__ import annotations

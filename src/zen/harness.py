@@ -5,9 +5,18 @@ configuration on the validation nodes, keep the configuration with the best
 validation accuracy (ties to the earliest in enumeration order), and report
 its test accuracy; aggregate mean and sample standard deviation over seeds.
 
-``run_config`` and ``grid_search`` share one evaluation path built on a
-precomputed per-hop feature basis (X, A1 X, A2 X), so re-running any selected
-configuration reproduces the grid's numbers bit for bit.
+Every configuration goes through one function, ``_eval_config``, over a
+precomputed per-hop feature basis (X, A1 X, A2 X). Mixing and row
+normalization act on each row alone and the class weights read only the
+training rows, so selection needs only the labeled rows: once per seed the
+training and validation rows of each basis block are gathered, and each
+configuration is weighted on the former and scored on the latter. The
+winner's test rows are mixed and scored once per seed. Embedding rows and
+weights equal those of the full n-row embedding bit for bit; only the score
+products run over fewer rows, which can move the last bit of a score and so,
+in principle, break an exact tie between two classes differently. ``run_config``,
+``config_weights`` and ``grid_search`` share this path, so re-running any
+selected configuration reproduces the grid's numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -48,9 +57,7 @@ from .propagation import (
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 
-# which variants mix hops with alphas, and which train weights by descent
-_ALPHA_MIXING = {"full": True, "no_rap": True, "no_tcs": True, "no_both": True,
-                 "linearized_hgnn": False}
+# which variants train weights by descent
 _GD_WEIGHTS = {"full": False, "no_rap": False, "no_tcs": True, "no_both": True,
                "linearized_hgnn": True}
 
@@ -176,9 +183,13 @@ def make_kshot_split(labels: LabelSet, k: int, seed: int) -> Split:
 def evaluate_accuracy(pred: Prediction, mask: np.ndarray, labels: LabelSet) -> float:
     """Fraction of masked nodes whose hard label matches the truth."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    return _accuracy(pred.hard_labels[mask], labels.labels[mask])
+
+
+def _accuracy(hard_labels: np.ndarray, truth: np.ndarray) -> float:
+    if truth.size == 0:
         raise SplitError("cannot evaluate accuracy on an empty mask")
-    return float(np.mean(pred.hard_labels[mask] == labels.labels[mask]))
+    return float(np.mean(hard_labels == truth))
 
 
 def _variant_basis(
@@ -206,12 +217,17 @@ def _variant_basis(
     return [np.asarray(A @ (A @ X))]
 
 
-def _mixed_embedding(basis: list[np.ndarray], alphas) -> np.ndarray:
+def _mixed_embedding(basis: list[np.ndarray], alphas, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the row-normalized alpha mix of the basis blocks.
+
+    Each row is mixed and normalized on its own, so the result equals the
+    same rows of the full n-row embedding bit for bit.
+    """
     if len(basis) == 1:
-        mixed = basis[0]
-    else:
-        a0, a1, a2 = alphas
-        mixed = a0 * basis[0] + a1 * basis[1] + a2 * basis[2]
+        return normalize_rows(basis[0][rows])
+    mixed = alphas[0] * basis[0][rows]
+    for a, block in zip(alphas[1:], basis[1:]):
+        mixed += a * block[rows]
     return normalize_rows(mixed)
 
 
@@ -221,22 +237,68 @@ def _weights_for(Z, split, labels, variant, training):
     return tcs_weights(Z, split, labels)
 
 
+@dataclass(frozen=True)
+class _LabeledRows:
+    """One split's training and validation rows of every basis block.
+
+    ``split`` and ``labels`` are restricted to the same rows, in ascending
+    node order, so the weights see exactly the training rows of the full
+    embedding, in the same order.
+    """
+
+    blocks: list[np.ndarray]
+    split: Split
+    labels: LabelSet
+
+
+def _labeled_rows(basis: list[np.ndarray], split: Split, labels: LabelSet) -> _LabeledRows:
+    n = basis[0].shape[0]
+    if split.num_nodes != n or labels.num_nodes != n:
+        raise SplitError(
+            f"inconsistent sizes: basis has {n} rows, split {split.num_nodes}, "
+            f"labels {labels.num_nodes}"
+        )
+    # raise the weights' SplitError before the restricted LabelSet can
+    # reject a class with neither training nor validation nodes
+    untrained = np.setdiff1d(np.arange(labels.num_classes), labels.labels[split.train_mask])
+    if untrained.size:
+        raise SplitError(f"classes with no training node: {untrained.tolist()}")
+    rows = np.flatnonzero(split.train_mask | split.val_mask)
+    return _LabeledRows(
+        blocks=[block[rows] for block in basis],
+        split=Split(split.train_mask[rows], split.val_mask[rows],
+                    np.zeros(rows.size, dtype=bool)),
+        labels=LabelSet(labels.labels[rows], labels.num_classes),
+    )
+
+
 def _eval_config(
-    basis: list[np.ndarray],
+    labeled: _LabeledRows,
     alphas: tuple[float, float, float],
-    split: Split,
-    labels: LabelSet,
     variant: str,
     training: TrainingParams | None,
-) -> tuple[float, float]:
-    """One (alphas, variant) evaluation; the single arithmetic path everywhere."""
-    Z = _mixed_embedding(basis, alphas)
-    W = _weights_for(Z, split, labels, variant, training)
-    pred = predict(Z, W)
-    return (
-        evaluate_accuracy(pred, split.val_mask, labels),
-        evaluate_accuracy(pred, split.test_mask, labels),
-    )
+) -> tuple[float, np.ndarray]:
+    """Validation accuracy and weights of one (alphas, variant) configuration.
+
+    The single evaluation path everywhere: weights come from the training
+    rows and only the validation rows are scored. Scoring skips ``predict``,
+    so its zero-row warning fires at most once per seed, from the test
+    scoring of the winner.
+    """
+    Z = _mixed_embedding(labeled.blocks, alphas)
+    W = _weights_for(Z, labeled.split, labeled.labels, variant, training)
+    val = labeled.split.val_mask
+    pred = Prediction.from_scores(Z[val] @ W)
+    return _accuracy(pred.hard_labels, labeled.labels.labels[val]), W
+
+
+def _test_accuracy(
+    basis: list[np.ndarray], alphas, W: np.ndarray, split: Split, labels: LabelSet
+) -> float:
+    """Test accuracy of one configuration's weights, mixing only the test rows."""
+    rows = np.flatnonzero(split.test_mask)
+    pred = predict(_mixed_embedding(basis, alphas, rows), W)
+    return _accuracy(pred.hard_labels, labels.labels[rows])
 
 
 def config_weights(
@@ -248,8 +310,8 @@ def config_weights(
 ) -> np.ndarray:
     """The weight matrix run_config would use for this configuration."""
     basis = _variant_basis(dataset, config.normalization, variant)
-    Z = _mixed_embedding(basis, config.alphas)
-    return _weights_for(Z, split, dataset.labels, variant, training)
+    labeled = _labeled_rows(basis, split, dataset.labels)
+    return _eval_config(labeled, config.alphas, variant, training)[1]
 
 
 def run_config(
@@ -269,7 +331,9 @@ def run_config(
     route follows the variant.
     """
     basis = _variant_basis(dataset, config.normalization, variant)
-    return _eval_config(basis, config.alphas, split, dataset.labels, variant, training)
+    labeled = _labeled_rows(basis, split, dataset.labels)
+    val_acc, W = _eval_config(labeled, config.alphas, variant, training)
+    return val_acc, _test_accuracy(basis, config.alphas, W, split, dataset.labels)
 
 
 @dataclass(frozen=True)
@@ -330,10 +394,12 @@ def grid_search(
 ) -> RunResult:
     """Best-validation selection over the grid, independently per seed.
 
-    Every configuration is evaluated for every seed; within a seed the
-    configuration with the highest validation accuracy wins, earliest first
-    on ties. The reported spread is the sample standard deviation (ddof=1)
-    over seeds, or 0.0 for a single seed.
+    Every configuration is evaluated for every seed on the split's labeled
+    rows alone: weights from the training rows, accuracy on the validation
+    rows. Within a seed the configuration with the highest validation
+    accuracy wins, earliest first on ties, and only the winner is scored on
+    the test rows, once per seed. The reported spread is the sample standard
+    deviation (ddof=1) over seeds, or 0.0 for a single seed.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(grid) == 0 or len(seeds) == 0:
@@ -344,18 +410,18 @@ def grid_search(
     per_seed = []
     for seed in seeds:
         split = make_kshot_split(dataset.labels, k, seed)
-        best_idx, best_val, best_test = -1, -np.inf, 0.0
+        labeled = _labeled_rows(basis, split, dataset.labels)
+        best_idx, best_val, best_W = -1, -np.inf, None
         for idx, alphas in enumerate(grid):
-            val_acc, test_acc = _eval_config(
-                basis, alphas, split, dataset.labels, variant, training
-            )
+            val_acc, W = _eval_config(labeled, alphas, variant, training)
             if val_acc > best_val:
-                best_idx, best_val, best_test = idx, val_acc, test_acc
+                best_idx, best_val, best_W = idx, val_acc, W
+        alphas = grid.alphas[best_idx]
         per_seed.append(SeedResult(
             seed=seed,
-            selected_alphas=grid.alphas[best_idx],
+            selected_alphas=alphas,
             val_acc=float(best_val),
-            test_acc=float(best_test),
+            test_acc=_test_accuracy(basis, alphas, best_W, split, dataset.labels),
         ))
     t2 = time.perf_counter()
     tests = np.array([r.test_acc for r in per_seed], dtype=np.float64)

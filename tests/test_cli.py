@@ -336,3 +336,13 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout == "0.53%\n"
+
+    def test_import_leaves_numpy_unloaded(self):
+        # --threads sets the BLAS variables in main(); they only take effect
+        # if numpy has not been imported by then
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, zen.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zen import (
     ConfigError,
@@ -26,8 +27,15 @@ from zen import (
     run_config,
     simplex_grid,
 )
-from zen.classifier import Prediction, embed, tcs_weights
-from zen.harness import SeedResult, RunResult
+from zen.classifier import (
+    Prediction,
+    embed,
+    normalize_rows,
+    predict,
+    tcs_weights,
+    train_weights_gd,
+)
+from zen.harness import SeedResult, RunResult, _variant_basis
 from zen.hypergraph import serialize_hypergraph
 
 
@@ -84,6 +92,18 @@ def noisy_dataset(seed=0, n=24, c=3, d=5) -> Dataset:
         features=X,
         labels=LabelSet(labels=labels, num_classes=c),
     )
+
+
+def isolated_nodes_dataset(seed=0, n=24, c=3, d=5, isolated=6) -> Dataset:
+    """noisy_dataset with its last ``isolated`` nodes in no edge, so every
+    mixture without identity weight embeds them at the origin."""
+    ds = noisy_dataset(seed, n, c, d)
+    rng = np.random.default_rng(seed + 1)
+    edges = tuple(
+        tuple(sorted(rng.choice(n - isolated, size=3, replace=False))) for _ in range(20)
+    )
+    return Dataset(name="isolated", hypergraph=Hypergraph(n, edges),
+                   features=ds.features, labels=ds.labels)
 
 
 class TestDataset:
@@ -362,6 +382,73 @@ class TestGridSearch:
         assert 0.0 <= result.mean_test <= 1.0
 
 
+    def test_zero_row_warning_at_most_once_per_seed(self, caplog):
+        ds = isolated_nodes_dataset()
+        with caplog.at_level("WARNING", logger="zen.classifier"):
+            grid_search(ds, simplex_grid(9), k=2, seeds=[0, 1, 2])
+        records = [r for r in caplog.records if r.name == "zen.classifier"]
+        assert len(records) <= 3
+
+
+def full_matrix_search(ds, grid, k, seeds, variant, training):
+    """Reference selection that mixes, normalizes and scores all n rows per config."""
+    basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant)
+    picks = []
+    for seed in seeds:
+        split = make_kshot_split(ds.labels, k, seed)
+        best = (-1, -np.inf, 0.0)
+        for idx, (a0, a1, a2) in enumerate(grid):
+            if len(basis) == 1:
+                Z = normalize_rows(basis[0])
+            else:
+                Z = normalize_rows(a0 * basis[0] + a1 * basis[1] + a2 * basis[2])
+            if variant == "linearized_hgnn":
+                W = train_weights_gd(Z, split, ds.labels, training)
+            else:
+                W = tcs_weights(Z, split, ds.labels)
+            pred = predict(Z, W)
+            val = evaluate_accuracy(pred, split.val_mask, ds.labels)
+            if val > best[1]:
+                best = (idx, val, evaluate_accuracy(pred, split.test_mask, ds.labels))
+        picks.append(best)
+    return picks
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """Small instances with isolated nodes, duplicate and singleton edges, and
+    small-integer features, so zero rows and tied validation scores are common."""
+    c = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(5, 8), min_size=c, max_size=c))
+    n = sum(sizes)
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(c), sizes).tolist())))
+    isolated = draw(st.integers(1, 4))
+    member = st.integers(0, n - isolated - 1)
+    edges = draw(st.lists(st.lists(member, min_size=1, max_size=5), min_size=1, max_size=n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n * d, max_size=n * d))
+    return Dataset(name="drawn", hypergraph=Hypergraph(n, tuple(map(tuple, edges))),
+                   features=np.array(values).reshape(n, d),
+                   labels=LabelSet(labels=labels, num_classes=c))
+
+
+class TestLabeledRowSearch:
+    @pytest.mark.parametrize("variant", ["full", "no_rap", "linearized_hgnn"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ds=degenerate_datasets(), denominator=st.integers(1, 4))
+    def test_matches_full_matrix_scoring(self, variant, ds, denominator):
+        grid = simplex_grid(denominator)
+        training = TrainingParams(epochs=20)
+        result = grid_search(ds, grid, k=2, seeds=[0, 1], variant=variant,
+                             training=training)
+        reference = full_matrix_search(ds, grid, 2, [0, 1], variant, training)
+        for r, (idx, val, test) in zip(result.per_seed, reference):
+            assert r.selected_alphas == grid.alphas[idx]
+            assert r.val_acc == val
+            assert r.test_acc == test
+
+
 class TestRunResultJson:
     def test_schema_and_key_order(self):
         ds = cross_pair_dataset()
@@ -398,7 +485,7 @@ class TestConfigWeights:
         split = make_kshot_split(ds.labels, 2, seed=4)
         cfg = PropagationConfig((0.5, 0.25, 0.25))
         W = config_weights(ds, cfg, split)
-        from zen.harness import _variant_basis, _mixed_embedding
+        from zen.harness import _mixed_embedding
         basis = _variant_basis(ds, cfg.normalization, "full")
         Z = _mixed_embedding(basis, cfg.alphas)
         npt.assert_array_equal(W, tcs_weights(Z, split, ds.labels))

@@ -32,9 +32,8 @@ _LAZY_EXPORTS = {
     ),
     "harness": (
         "Dataset", "RunResult", "SeedResult", "SimplexGrid", "WeightReport",
-        "config_weights", "evaluate_accuracy", "explain_weights",
-        "grid_search", "load_dataset", "make_kshot_split", "run_config",
-        "simplex_grid",
+        "evaluate_accuracy", "explain_weights", "grid_search", "load_dataset",
+        "make_kshot_split", "run_config", "simplex_grid",
     ),
     "hypergraph": (
         "DegreeProfile", "Hypergraph", "LabelSet", "degrees",
@@ -43,9 +42,9 @@ _LAZY_EXPORTS = {
     ),
     "propagation": (
         "BaselineRecipe", "NormalizationKind", "PropagationConfig",
-        "build_A1_hat", "build_A1_star", "build_A2_hat", "build_A2_star",
-        "build_baseline_adjacency", "build_P_star", "plain_adjacency",
-        "restart_coefficients", "rsi_diag_1", "rsi_diag_2",
+        "build_A1_hat", "build_A1_star", "build_baseline_adjacency",
+        "plain_adjacency", "propagated_basis", "restart_coefficients",
+        "rsi_diag_1", "rsi_diag_2",
     ),
     "rsi_approx": (
         "HutchinsonParams", "WalkParams", "dense_diag_oracle",
@@ -84,11 +83,7 @@ __all__ = [
     "ZenError",
     "build_A1_hat",
     "build_A1_star",
-    "build_A2_hat",
-    "build_A2_star",
-    "build_P_star",
     "build_baseline_adjacency",
-    "config_weights",
     "degrees",
     "dense_diag_oracle",
     "embed",
@@ -109,6 +104,7 @@ __all__ = [
     "parse_hypergraph",
     "plain_adjacency",
     "predict",
+    "propagated_basis",
     "random_walk_return_prob",
     "restart_coefficients",
     "rsi_diag_1",

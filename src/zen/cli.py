@@ -226,8 +226,8 @@ def _cmd_rsi(args) -> int:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
         if l in (1, 2):
             target = "rap-hop"
-            A1h = build_A1_hat(hg, kind)
             if l == 1:
+                A1h = build_A1_hat(hg, kind)
                 matvec = lambda z: A1h @ z
             else:
                 A1s = build_A1_star(hg, kind)
@@ -265,30 +265,20 @@ def _cmd_rsi(args) -> int:
 
 def _cmd_explain(args) -> int:
     from .harness import (
-        config_weights,
+        _select_config,
+        _variant_basis,
         explain_weights,
-        grid_search,
         load_dataset,
         make_kshot_split,
         simplex_grid,
     )
-    from .propagation import NormalizationKind, PropagationConfig
+    from .propagation import NormalizationKind
 
     dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
-    kind = NormalizationKind.from_string(args.norm)
-    grid = simplex_grid(args.grid_denominator)
-    result = grid_search(
-        dataset, grid, args.k, [args.seed], variant=args.variant, normalization=kind
-    )
-    alphas = result.per_seed[0].selected_alphas
+    basis = _variant_basis(dataset, NormalizationKind.from_string(args.norm), args.variant)
     split = make_kshot_split(dataset.labels, args.k, args.seed)
-    W = config_weights(
-        dataset,
-        PropagationConfig(alphas=alphas, normalization=kind,
-                          rap_enabled=args.variant == "full"),
-        split,
-        variant=args.variant,
-    )
+    _, _, W = _select_config(basis, split, dataset.labels,
+                             simplex_grid(args.grid_denominator), args.variant, None)
     report = explain_weights(W, dataset.feature_names, dataset.labels.class_names)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:

@@ -14,9 +14,14 @@ configuration is weighted on the former and scored on the latter. The
 winner's test rows are mixed and scored once per seed. Embedding rows and
 weights equal those of the full n-row embedding bit for bit; only the score
 products run over fewer rows, which can move the last bit of a score and so,
-in principle, break an exact tie between two classes differently. ``run_config``,
-``config_weights`` and ``grid_search`` share this path, so re-running any
-selected configuration reproduces the grid's numbers bit for bit.
+in principle, break an exact tie between two classes differently.
+``run_config`` and ``grid_search`` share this path, so re-running any
+selected configuration reproduces the grid's numbers bit for bit. The
+per-split selection loop, ``_select_config``, also gives ``zen explain`` the
+winner's weights without a second propagation.
+
+The redundancy-removed variants take their basis from
+``propagation.propagated_basis``, which never forms the two-hop matrix.
 """
 
 from __future__ import annotations
@@ -49,10 +54,9 @@ from .propagation import (
     BaselineRecipe,
     NormalizationKind,
     PropagationConfig,
-    build_A1_star,
-    build_A2_star,
     build_baseline_adjacency,
     plain_adjacency,
+    propagated_basis,
 )
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
@@ -206,9 +210,7 @@ def _variant_basis(
     X = dataset.features
     hg = dataset.hypergraph
     if variant in ("full", "no_tcs"):
-        A1 = build_A1_star(hg, kind)
-        A2 = build_A2_star(hg, kind, A1)
-        return [X, np.asarray(A1 @ X), np.asarray(A2 @ X)]
+        return propagated_basis(hg, X, kind)
     if variant in ("no_rap", "no_both"):
         A = plain_adjacency(hg, kind)
         X1 = np.asarray(A @ X)
@@ -292,6 +294,27 @@ def _eval_config(
     return _accuracy(pred.hard_labels, labeled.labels.labels[val]), W
 
 
+def _select_config(
+    basis: list[np.ndarray],
+    split: Split,
+    labels: LabelSet,
+    grid: SimplexGrid,
+    variant: str,
+    training: TrainingParams | None,
+) -> tuple[int, float, np.ndarray]:
+    """Grid index, validation accuracy and weights of one split's winner.
+
+    The highest validation accuracy wins, the earliest in grid order on ties.
+    """
+    labeled = _labeled_rows(basis, split, labels)
+    best_idx, best_val, best_W = -1, -np.inf, None
+    for idx, alphas in enumerate(grid):
+        val_acc, W = _eval_config(labeled, alphas, variant, training)
+        if val_acc > best_val:
+            best_idx, best_val, best_W = idx, val_acc, W
+    return best_idx, float(best_val), best_W
+
+
 def _test_accuracy(
     basis: list[np.ndarray], alphas, W: np.ndarray, split: Split, labels: LabelSet
 ) -> float:
@@ -299,19 +322,6 @@ def _test_accuracy(
     rows = np.flatnonzero(split.test_mask)
     pred = predict(_mixed_embedding(basis, alphas, rows), W)
     return _accuracy(pred.hard_labels, labels.labels[rows])
-
-
-def config_weights(
-    dataset: Dataset,
-    config: PropagationConfig,
-    split: Split,
-    variant: str = "full",
-    training: TrainingParams | None = None,
-) -> np.ndarray:
-    """The weight matrix run_config would use for this configuration."""
-    basis = _variant_basis(dataset, config.normalization, variant)
-    labeled = _labeled_rows(basis, split, dataset.labels)
-    return _eval_config(labeled, config.alphas, variant, training)[1]
 
 
 def run_config(
@@ -410,18 +420,13 @@ def grid_search(
     per_seed = []
     for seed in seeds:
         split = make_kshot_split(dataset.labels, k, seed)
-        labeled = _labeled_rows(basis, split, dataset.labels)
-        best_idx, best_val, best_W = -1, -np.inf, None
-        for idx, alphas in enumerate(grid):
-            val_acc, W = _eval_config(labeled, alphas, variant, training)
-            if val_acc > best_val:
-                best_idx, best_val, best_W = idx, val_acc, W
-        alphas = grid.alphas[best_idx]
+        idx, val_acc, W = _select_config(basis, split, dataset.labels, grid, variant, training)
+        alphas = grid.alphas[idx]
         per_seed.append(SeedResult(
             seed=seed,
             selected_alphas=alphas,
-            val_acc=float(best_val),
-            test_acc=_test_accuracy(basis, alphas, best_W, split, dataset.labels),
+            val_acc=val_acc,
+            test_acc=_test_accuracy(basis, alphas, W, split, dataset.labels),
         ))
     t2 = time.perf_counter()
     tests = np.array([r.test_acc for r in per_seed], dtype=np.float64)

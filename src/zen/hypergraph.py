@@ -78,7 +78,11 @@ class DegreeProfile:
     def __post_init__(self):
         # Membership is counted once per (node, edge) pair, so both views of
         # the incidence must sum to the same total.
-        assert int(self.node_degrees.sum()) == int(self.edge_sizes.sum())
+        node_total, edge_total = int(self.node_degrees.sum()), int(self.edge_sizes.sum())
+        if node_total != edge_total:
+            raise DatasetError(
+                f"node degrees sum to {node_total} but edge sizes sum to {edge_total}"
+            )
 
 
 def degrees(hg: Hypergraph) -> DegreeProfile:

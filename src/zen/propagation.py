@@ -1,15 +1,19 @@
 """Normalized hop adjacencies for linear hypergraph propagation.
 
-The two-hop propagation operator used by the classifier is built here:
+The two-hop propagation used by the classifier is built here:
 
 * ``build_A1_hat``: one-hop adjacency normalized so that each node's expected
   incoming mass excludes its own contribution inside every shared edge, via
   edge weights 1/(size - 1) instead of 1/size.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops.
-* ``build_A1_star`` / ``build_A2_star``: the hop matrices with that diagonal
-  removed, so only information from other nodes flows.
-* ``build_P_star``: the convex combination alpha0*I + alpha1*A1* + alpha2*A2*.
+* ``build_A1_star``: the one-hop matrix with that diagonal removed, so only
+  information from other nodes flows.
+* ``propagated_basis``: the blocks [X, A1* X, A2* X] the mixing weights
+  combine. The two-hop matrix A2* = A1* diag(d/(d-1)) A1* - diag(rsi_2) is
+  never formed: its product with X is A1* (m * (A1* X)) - rsi_2 * X, two
+  sparse-times-dense products and the closed-form diagonal, so memory stays
+  proportional to nnz(A1*) and the size of X.
 
 Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
@@ -55,14 +59,12 @@ class PropagationConfig:
     """Mixing weights and normalization for the propagation operator.
 
     ``alphas`` must be a length-3 tuple of nonnegative weights on the
-    probability simplex (sum 1 within 1e-9). ``rap_enabled=False`` swaps in
-    the plain normalization with self-information kept, which is the ablation
-    used to isolate the effect of redundancy removal.
+    probability simplex (sum 1 within 1e-9). Whether self-information is
+    removed is a property of the harness variant, not of the configuration.
     """
 
     alphas: tuple[float, float, float]
     normalization: NormalizationKind = NormalizationKind.SYMMETRIC
-    rap_enabled: bool = True
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -161,9 +163,7 @@ def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMME
 
 def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> sp.csr_matrix:
     """One-hop propagation matrix: build_A1_hat with its diagonal removed exactly."""
-    A = build_A1_hat(hg, kind)
-    assert np.allclose(A.diagonal(), rsi_diag_1(hg, kind), atol=1e-10)
-    return _drop_diagonal(A)
+    return _drop_diagonal(build_A1_hat(hg, kind))
 
 
 def rsi_diag_2(
@@ -180,32 +180,29 @@ def rsi_diag_2(
     """
     if a1_star is None:
         a1_star = build_A1_star(hg, kind)
-    m = _middle_degree_factor(degrees(hg).node_degrees)
+    return _two_hop_diag(a1_star, _middle_degree_factor(degrees(hg).node_degrees))
+
+
+def _two_hop_diag(a1_star: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     prod = a1_star.multiply(a1_star.T.tocsr())
     return np.asarray(prod @ m).ravel()
 
 
-def build_A2_hat(
+def propagated_basis(
     hg: Hypergraph,
+    X: np.ndarray,
     kind: NormalizationKind = NormalizationKind.SYMMETRIC,
-    a1_star: sp.csr_matrix | None = None,
-) -> sp.csr_matrix:
-    """Two-hop adjacency A1* diag(d/(d-1)) A1*, diagonal included."""
-    if a1_star is None:
-        a1_star = build_A1_star(hg, kind)
-    m = sp.diags(_middle_degree_factor(degrees(hg).node_degrees))
-    A2 = compact((a1_star @ m) @ a1_star)
-    assert np.allclose(A2.diagonal(), rsi_diag_2(hg, kind, a1_star), atol=1e-10)
-    return A2
+) -> list[np.ndarray]:
+    """The blocks [X, A1* X, A2* X] of the redundancy-removed propagation.
 
-
-def build_A2_star(
-    hg: Hypergraph,
-    kind: NormalizationKind = NormalizationKind.SYMMETRIC,
-    a1_star: sp.csr_matrix | None = None,
-) -> sp.csr_matrix:
-    """Two-hop propagation matrix with its diagonal removed exactly."""
-    return _drop_diagonal(build_A2_hat(hg, kind, a1_star))
+    The two-hop block is A1* (m * (A1* X)) - rsi_2 * X with m = d/(d-1),
+    which equals A2* X without building the two-hop matrix.
+    """
+    A1 = build_A1_star(hg, kind)
+    m = _middle_degree_factor(degrees(hg).node_degrees)
+    X1 = np.asarray(A1 @ X)
+    X2 = np.asarray(A1 @ (m[:, None] * X1)) - _two_hop_diag(A1, m)[:, None] * X
+    return [X, X1, X2]
 
 
 def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
@@ -218,25 +215,6 @@ def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
     recipe = BaselineRecipe.HGNN if kind is NormalizationKind.SYMMETRIC \
         else BaselineRecipe.ALLDEEPSET
     return build_baseline_adjacency(hg, recipe, 1)
-
-
-def build_P_star(hg: Hypergraph, config: PropagationConfig) -> sp.csr_matrix:
-    """Mixing operator alpha0*I + alpha1*A1 + alpha2*A2 in canonical CSR form.
-
-    With ``rap_enabled`` the hop matrices are the diagonal-free A1*, A2*.
-    Without it (the ablation) they are the plain normalization of
-    :func:`plain_adjacency` with the two-hop term as its square, diagonal kept.
-    """
-    a0, a1, a2 = config.alphas
-    n = hg.num_nodes
-    if config.rap_enabled:
-        A1 = build_A1_star(hg, config.normalization)
-        A2 = build_A2_star(hg, config.normalization, A1)
-    else:
-        A1 = plain_adjacency(hg, config.normalization)
-        A2 = compact(A1 @ A1)
-    P = a0 * sp.identity(n, format="csr") + a1 * A1 + a2 * A2
-    return compact(P)
 
 
 class BaselineRecipe(Enum):

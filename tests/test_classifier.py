@@ -11,8 +11,7 @@ from zen import (
     LabelSet,
     SplitError,
     Hypergraph,
-    PropagationConfig,
-    build_P_star,
+    build_A1_star,
 )
 from zen.classifier import (
     Prediction,
@@ -75,14 +74,12 @@ class TestEmbedding:
         npt.assert_allclose(Z, [[0.6, 0.8], [1.0, 0.0]], atol=1e-15)
 
     def test_triangle_one_hop_mixes_neighbors(self, triangle_hg):
-        P = build_P_star(triangle_hg, PropagationConfig((0.0, 1.0, 0.0)))
-        Z = embed(P, np.eye(3))
+        Z = embed(build_A1_star(triangle_hg), np.eye(3))
         s = 1.0 / np.sqrt(2.0)
         npt.assert_allclose(Z, [[0, s, s], [s, 0, s], [s, s, 0]], atol=1e-15)
 
     def test_isolated_node_row_is_zero(self, singleton_hg):
-        P = build_P_star(singleton_hg, PropagationConfig((0.0, 1.0, 0.0)))
-        Z = embed(P, np.ones((2, 3)))
+        Z = embed(build_A1_star(singleton_hg), np.ones((2, 3)))
         npt.assert_allclose(Z, np.zeros((2, 3)), atol=0)
 
     def test_shape_mismatch(self):
@@ -354,6 +351,20 @@ class TestAssumptionData:
         expected = np.where(same, 0.9, 0.1)
         np.fill_diagonal(expected, 1.0)
         npt.assert_allclose(G, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n, c, eps, seed, rotate", [
+        (24, 2, 0.45, 0, True),
+        (50, 7, 0.01, 4, True),
+        (200, 5, 1e-3, 6, True),
+        (9, 9, 0.3, 8, False),
+    ])
+    def test_realized_geometry_across_shapes(self, n, c, eps, seed, rotate):
+        Z, labels = make_assumption_data(n, c, eps, seed=seed, rotate=rotate)
+        G = Z @ Z.T
+        same = labels.labels[:, None] == labels.labels[None, :]
+        expected = np.where(same, 1.0 - eps, eps)
+        np.fill_diagonal(expected, 1.0)
+        npt.assert_allclose(G, expected, rtol=0, atol=1e-8)
 
     def test_balanced_classes(self):
         _, labels = make_assumption_data(30, 3, 0.2, seed=3)

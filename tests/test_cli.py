@@ -228,6 +228,23 @@ class TestRsi:
         assert payload["target"] == "rap-hop"
         assert abs(payload["value"] - payload["exact"]) < 0.08
 
+    def test_hutchinson_two_hops_builds_one_one_hop_matrix(
+        self, triangle_file, capsys, monkeypatch
+    ):
+        # the two-hop estimate needs A1* only; build_A1_star itself makes
+        # the single build_A1_hat call
+        import zen.propagation as propagation
+        calls = []
+        real = propagation.build_A1_hat
+        monkeypatch.setattr(propagation, "build_A1_hat",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        code = main(["rsi", "--edges", str(triangle_file), "--node", "1",
+                     "--hops", "2", "--method", "hutchinson",
+                     "--probes", "16", "--seed", "6"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
+
     def test_hutchinson_long_horizon(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0",
                      "--hops", "3", "--method", "hutchinson",

@@ -18,7 +18,6 @@ from zen import (
     PropagationConfig,
     SplitError,
     TrainingParams,
-    config_weights,
     evaluate_accuracy,
     explain_weights,
     grid_search,
@@ -35,7 +34,7 @@ from zen.classifier import (
     tcs_weights,
     train_weights_gd,
 )
-from zen.harness import SeedResult, RunResult, _variant_basis
+from zen.harness import SeedResult, RunResult, _mixed_embedding, _select_config, _variant_basis
 from zen.hypergraph import serialize_hypergraph
 
 
@@ -479,21 +478,25 @@ class TestRunResultJson:
         assert a == b
 
 
-class TestConfigWeights:
+class TestSelectedWeights:
     def test_matches_the_closed_form_route(self):
         ds = noisy_dataset()
         split = make_kshot_split(ds.labels, 2, seed=4)
-        cfg = PropagationConfig((0.5, 0.25, 0.25))
-        W = config_weights(ds, cfg, split)
-        from zen.harness import _mixed_embedding
-        basis = _variant_basis(ds, cfg.normalization, "full")
-        Z = _mixed_embedding(basis, cfg.alphas)
+        grid = simplex_grid(4)
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        idx, val_acc, W = _select_config(basis, split, ds.labels, grid, "full", None)
+        Z = _mixed_embedding(basis, grid.alphas[idx])
         npt.assert_array_equal(W, tcs_weights(Z, split, ds.labels))
+        # the same winner grid_search reports for that seed
+        seed_result = grid_search(ds, grid, k=2, seeds=[4]).per_seed[0]
+        assert seed_result.selected_alphas == grid.alphas[idx]
+        assert seed_result.val_acc == val_acc
 
     def test_weight_shape(self):
         ds = noisy_dataset()
         split = make_kshot_split(ds.labels, 2, seed=4)
-        W = config_weights(ds, PropagationConfig((1.0, 0.0, 0.0)), split)
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_rap")
+        _, _, W = _select_config(basis, split, ds.labels, simplex_grid(2), "no_rap", None)
         assert W.shape == (ds.num_features, ds.labels.num_classes)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from zen import (
     DatasetError,
+    DegreeProfile,
     Hypergraph,
     HypergraphParseError,
     LabelSet,
@@ -118,6 +119,10 @@ class TestDegrees:
             hg = random_hypergraph(rng)
             prof = degrees(hg)
             assert prof.node_degrees.sum() == prof.edge_sizes.sum() == hg.nnz
+
+    def test_inconsistent_profile_rejected(self):
+        with pytest.raises(DatasetError, match="sum to 3 but edge sizes sum to 2"):
+            DegreeProfile(node_degrees=np.array([1, 2]), edge_sizes=np.array([2]))
 
 
 class TestIncidence:

@@ -8,33 +8,77 @@ builders.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zen import (
     ConfigError,
     BaselineRecipe,
+    Dataset,
+    LabelSet,
     NormalizationKind,
     PropagationConfig,
     build_A1_hat,
     build_A1_star,
-    build_A2_hat,
-    build_A2_star,
     build_baseline_adjacency,
-    build_P_star,
     degrees,
     Hypergraph,
     incidence_matrix,
     plain_adjacency,
+    propagated_basis,
     restart_coefficients,
     rsi_diag_1,
     rsi_diag_2,
 )
+from zen.harness import _variant_basis
 from zen.rsi_approx import dense_diag_oracle
 from zen.sparsetools import is_symmetric
-from conftest import random_hypergraph
+from conftest import random_hypergraph, two_hop_reference
 
 SYM = NormalizationKind.SYMMETRIC
 ROW = NormalizationKind.ROW
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def two_hop_operator(hg, kind=SYM):
+    """A2* as a dense array: the two-hop block of the basis of X = I."""
+    return propagated_basis(hg, np.eye(hg.num_nodes), kind)[2]
+
+
+def two_hop_hat(hg, kind=SYM):
+    """A1* diag(d/(d-1)) A1* with its diagonal, from the basis and rsi_2."""
+    return two_hop_operator(hg, kind) + np.diag(rsi_diag_2(hg, kind))
+
+
+def mixed_operator(hg, alphas, variant="full", kind=SYM):
+    """alpha0*I + alpha1*A1 + alpha2*A2 as the harness propagates it, densely.
+
+    ``full`` uses the redundancy-removed hops, ``no_rap`` the plain
+    normalization with the two-hop term as its square.
+    """
+    n = hg.num_nodes
+    ds = Dataset("op", hg, np.eye(n), LabelSet(np.zeros(n, dtype=np.int64), 1))
+    basis = _variant_basis(ds, kind, variant)
+    return sum(a * block for a, block in zip(alphas, basis))
+
+
+@st.composite
+def adversarial_hypergraphs(draw):
+    """Small instances that mix singletons, duplicate edges, isolated and
+    degree-1 nodes, and optionally one edge holding every covered node."""
+    n = draw(st.integers(1, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    edges = [tuple(sorted(e)) for e in draw(st.lists(edge, max_size=10))]
+    if edges and draw(st.booleans()):
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    if draw(st.booleans()):
+        edges.append(tuple(range(n)))
+    isolated = draw(st.integers(0, 2))
+    return Hypergraph(n + isolated, tuple(edges))
+
+
+# every degenerate case at once: a singleton edge, a duplicated edge, a giant
+# edge, degree-1 nodes (5, 6) and isolated nodes (7, 8)
+_DEGENERATE = Hypergraph(9, ((0,), (1, 2), (1, 2), (0, 1, 2, 3, 4, 5, 6), (3, 4)))
 
 
 class TestOneHop:
@@ -149,9 +193,10 @@ class TestStarredMatrices:
             hg = random_hypergraph(rng)
             for kind in (SYM, ROW):
                 A1 = build_A1_star(hg, kind).tocoo()
-                A2 = build_A2_star(hg, kind).tocoo()
                 assert not np.any(A1.row == A1.col)
-                assert not np.any(A2.row == A2.col)
+                # the two-hop block subtracts the closed-form diagonal, so
+                # only roundoff of the two summation orders is left
+                npt.assert_allclose(np.diag(two_hop_operator(hg, kind)), 0.0, atol=1e-12)
 
     def test_off_diagonal_untouched(self, triangle_hg):
         hat = build_A1_hat(triangle_hg, SYM).toarray()
@@ -161,33 +206,29 @@ class TestStarredMatrices:
         npt.assert_allclose(star, 0.5 * (np.ones((3, 3)) - np.eye(3)), atol=1e-15)
 
     def test_two_hop_path_links_endpoints(self, path_hg):
-        A2 = build_A2_star(path_hg, SYM).toarray()
+        A2 = two_hop_operator(path_hg)
         npt.assert_allclose(A2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]], atol=1e-15)
 
     def test_two_hop_hat_examples(self, path_hg, triangle_hg, star_hg):
         npt.assert_allclose(
-            build_A2_hat(path_hg, SYM).toarray(),
-            [[1, 0, 1], [0, 0, 0], [1, 0, 1]],
-            atol=1e-15,
+            two_hop_hat(path_hg), [[1, 0, 1], [0, 0, 0], [1, 0, 1]], atol=1e-15
         )
         npt.assert_allclose(
-            build_A2_hat(triangle_hg, SYM).toarray(),
-            0.5 * (np.ones((3, 3)) + np.eye(3)),
-            atol=1e-15,
+            two_hop_hat(triangle_hg), 0.5 * (np.ones((3, 3)) + np.eye(3)), atol=1e-15
         )
         # all nodes have degree 1, so the middle factor clamps to zero
-        assert build_A2_hat(star_hg, SYM).nnz == 0
+        assert not two_hop_hat(star_hg).any()
 
     def test_hat_minus_star_is_diagonal(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             hg = random_hypergraph(rng, max_nodes=25)
             for kind in (SYM, ROW):
-                d1 = build_A1_hat(hg, kind) - build_A1_star(hg, kind)
-                d2 = build_A2_hat(hg, kind) - build_A2_star(hg, kind)
-                for d in (d1, d2):
-                    coo = d.tocoo()
-                    assert np.all(coo.row == coo.col)
+                d1 = (build_A1_hat(hg, kind) - build_A1_star(hg, kind)).tocoo()
+                assert np.all(d1.row == d1.col)
+                d2 = two_hop_reference(hg, kind, keep_diagonal=True).toarray() \
+                    - two_hop_operator(hg, kind)
+                npt.assert_allclose(d2 - np.diag(np.diag(d2)), 0.0, atol=1e-12)
 
     def test_sparse_two_hop_matches_dense_product(self):
         rng = np.random.default_rng(12)
@@ -198,8 +239,10 @@ class TestStarredMatrices:
                 d = degrees(hg).node_degrees.astype(float)
                 mid = np.where(d >= 2, d / np.where(d >= 2, d - 1.0, 1.0), 0.0)
                 dense = A1 @ (mid[:, None] * A1)
+                npt.assert_allclose(two_hop_hat(hg, kind), dense, atol=1e-10)
                 npt.assert_allclose(
-                    build_A2_hat(hg, kind).toarray(), dense, atol=1e-10
+                    two_hop_reference(hg, kind, keep_diagonal=True).toarray(),
+                    dense, atol=1e-10,
                 )
 
     def test_symmetric_kind_yields_symmetric_matrices(self):
@@ -207,40 +250,64 @@ class TestStarredMatrices:
         for _ in range(15):
             hg = random_hypergraph(rng)
             assert is_symmetric(build_A1_star(hg, SYM))
-            assert is_symmetric(build_A2_star(hg, SYM))
+            A2 = two_hop_operator(hg, SYM)
+            npt.assert_allclose(A2, A2.T, atol=1e-12)
+
+
+class TestPropagatedBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5))
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, width=3)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, width=3)
+    def test_matches_materialized_two_hop_product(self, hg, kind, seed, width):
+        X = np.random.default_rng(seed).standard_normal((hg.num_nodes, width))
+        basis = propagated_basis(hg, X, kind)
+        assert basis[0] is X
+        npt.assert_allclose(basis[1], build_A1_star(hg, kind) @ X, rtol=0, atol=1e-12)
+        npt.assert_allclose(basis[2], two_hop_reference(hg, kind) @ X, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]))
+    @example(hg=_DEGENERATE, kind=SYM)
+    @example(hg=_DEGENERATE, kind=ROW)
+    def test_closed_form_diagonals_on_adversarial_instances(self, hg, kind):
+        diag = build_A1_hat(hg, kind).diagonal()
+        npt.assert_allclose(diag, rsi_diag_1(hg, kind), atol=1e-12)
+        npt.assert_allclose(diag, dense_diag_oracle(hg, kind, 1), atol=1e-12)
+        npt.assert_allclose(rsi_diag_2(hg, kind), dense_diag_oracle(hg, kind, 2), atol=1e-12)
 
 
 class TestPropagationOperator:
     def test_identity_at_alpha0(self, triangle_hg):
-        P = build_P_star(triangle_hg, PropagationConfig((1.0, 0.0, 0.0)))
-        npt.assert_allclose(P.toarray(), np.eye(3), atol=1e-15)
+        P = mixed_operator(triangle_hg, (1.0, 0.0, 0.0))
+        npt.assert_allclose(P, np.eye(3), atol=1e-15)
 
     def test_triangle_uniform_mix_is_flat(self, triangle_hg):
-        P = build_P_star(triangle_hg, PropagationConfig((1 / 3, 1 / 3, 1 / 3)))
-        npt.assert_allclose(P.toarray(), np.full((3, 3), 1 / 3), atol=1e-15)
+        P = mixed_operator(triangle_hg, (1 / 3, 1 / 3, 1 / 3))
+        npt.assert_allclose(P, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_symmetric_operator(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             hg = random_hypergraph(rng, max_nodes=25)
-            P = build_P_star(hg, PropagationConfig((0.2, 0.5, 0.3)))
-            assert is_symmetric(P)
+            P = mixed_operator(hg, (0.2, 0.5, 0.3))
+            npt.assert_allclose(P, P.T, atol=1e-12)
 
     def test_ablation_keeps_plain_normalization(self, triangle_hg):
-        cfg = PropagationConfig((0.0, 1.0, 0.0), rap_enabled=False)
-        P = build_P_star(triangle_hg, cfg)
+        P = mixed_operator(triangle_hg, (0.0, 1.0, 0.0), variant="no_rap")
         npt.assert_allclose(
-            P.toarray(),
+            P,
             [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
             atol=1e-15,
         )
-        full = build_P_star(triangle_hg, PropagationConfig((0.0, 1.0, 0.0)))
-        assert np.abs(P.toarray() - full.toarray()).max() > 0.1
+        full = mixed_operator(triangle_hg, (0.0, 1.0, 0.0))
+        assert np.abs(P - full).max() > 0.1
 
     def test_ablation_two_hop_is_square(self, path_hg):
         base = plain_adjacency(path_hg, SYM).toarray()
-        cfg = PropagationConfig((0.0, 0.0, 1.0), rap_enabled=False)
-        npt.assert_allclose(build_P_star(path_hg, cfg).toarray(), base @ base, atol=1e-12)
+        P = mixed_operator(path_hg, (0.0, 0.0, 1.0), variant="no_rap")
+        npt.assert_allclose(P, base @ base, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="sum to 1"):

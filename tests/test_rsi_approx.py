@@ -14,7 +14,6 @@ from zen import (
     Hypergraph,
     IsolatedNodeError,
     NormalizationKind,
-    build_A2_hat,
 )
 from zen.rsi_approx import (
     HutchinsonParams,
@@ -24,7 +23,7 @@ from zen.rsi_approx import (
     random_walk_return_prob,
     walk_transition_matrix,
 )
-from conftest import random_hypergraph
+from conftest import random_hypergraph, two_hop_reference
 
 
 class TestTransitionMatrix:
@@ -119,12 +118,12 @@ class TestProbeEstimator:
         npt.assert_allclose(est, d, atol=0)
 
     def test_triangle_two_hop_diagonal(self, triangle_hg):
-        A2 = build_A2_hat(triangle_hg)
+        A2 = two_hop_reference(triangle_hg, keep_diagonal=True)
         est = hutchinson_diag(lambda z: A2 @ z, 3, HutchinsonParams(2000, 5))
         npt.assert_allclose(est, np.ones(3), atol=0.05)
 
     def test_error_shrinks_with_probes(self, triangle_hg):
-        A2 = build_A2_hat(triangle_hg)
+        A2 = two_hop_reference(triangle_hg, keep_diagonal=True)
         errs = []
         for m in (4, 1024):
             est = hutchinson_diag(lambda z: A2 @ z, 3, HutchinsonParams(m, 9))

@@ -25,7 +25,7 @@ from .errors import (
 # set the BLAS thread variables before numpy loads.
 _LAZY_EXPORTS = {
     "classifier": (
-        "Prediction", "SpectralComponents", "Split", "TrainingParams", "embed",
+        "Prediction", "SpectralComponents", "Split", "TrainingParams",
         "exact_weights", "make_assumption_data", "normalize_cols",
         "normalize_rows", "predict", "sse_gradient", "sse_loss",
         "tcs_error_bound", "tcs_weights", "train_weights_gd",
@@ -41,10 +41,9 @@ _LAZY_EXPORTS = {
         "parse_hypergraph", "serialize_hypergraph",
     ),
     "propagation": (
-        "BaselineRecipe", "NormalizationKind", "PropagationConfig",
-        "build_A1_hat", "build_A1_star", "build_baseline_adjacency",
-        "plain_adjacency", "propagated_basis", "restart_coefficients",
-        "rsi_diag_1", "rsi_diag_2",
+        "NormalizationKind", "PropagationConfig", "build_A1_hat",
+        "build_A1_star", "plain_adjacency", "propagated_basis", "rsi_diag_1",
+        "rsi_diag_2",
     ),
     "rsi_approx": (
         "HutchinsonParams", "WalkParams", "dense_diag_oracle",
@@ -55,70 +54,11 @@ _MODULE_OF = {name: mod for mod, names in _LAZY_EXPORTS.items() for name in name
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineRecipe",
-    "ConfigError",
-    "Dataset",
-    "DatasetError",
-    "DegreeProfile",
-    "DivergenceError",
-    "GuardError",
-    "HutchinsonParams",
-    "Hypergraph",
-    "HypergraphParseError",
-    "IsolatedNodeError",
-    "LabelSet",
-    "NormalizationKind",
-    "Prediction",
-    "PropagationConfig",
-    "RunResult",
-    "SeedResult",
-    "SimplexGrid",
-    "SpectralComponents",
-    "Split",
-    "SplitError",
-    "TrainingParams",
-    "WalkParams",
-    "WeightReport",
-    "ZenError",
-    "build_A1_hat",
-    "build_A1_star",
-    "build_baseline_adjacency",
-    "degrees",
-    "dense_diag_oracle",
-    "embed",
-    "evaluate_accuracy",
-    "exact_weights",
-    "explain_weights",
-    "grid_search",
-    "hutchinson_diag",
-    "incidence_matrix",
-    "load_dataset",
-    "load_features",
-    "load_hypergraph",
-    "load_labels",
-    "make_assumption_data",
-    "make_kshot_split",
-    "normalize_cols",
-    "normalize_rows",
-    "parse_hypergraph",
-    "plain_adjacency",
-    "predict",
-    "propagated_basis",
-    "random_walk_return_prob",
-    "restart_coefficients",
-    "rsi_diag_1",
-    "rsi_diag_2",
-    "run_config",
-    "serialize_hypergraph",
-    "simplex_grid",
-    "sse_gradient",
-    "sse_loss",
-    "tcs_error_bound",
-    "tcs_weights",
-    "train_weights_gd",
-    "walk_transition_matrix",
-]
+__all__ = sorted([
+    "ConfigError", "DatasetError", "DivergenceError", "GuardError",
+    "HypergraphParseError", "IsolatedNodeError", "SplitError", "ZenError",
+    *_MODULE_OF,
+])
 
 
 def __getattr__(name):

@@ -48,20 +48,6 @@ def normalize_cols(M: np.ndarray) -> np.ndarray:
     return M / safe
 
 
-def embed(P, X: np.ndarray) -> np.ndarray:
-    """Propagate features and row-normalize: Z = rownorm(P @ X).
-
-    P is (n, n) sparse or dense, X is (n, d); cost is one sparse-dense product.
-    Nodes receiving no mass (e.g. isolated ones under a diagonal-free operator
-    with zero identity weight) end up as zero rows.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or P.shape[1] != X.shape[0]:
-        raise ConfigError(f"shape mismatch: P is {P.shape}, X is {X.shape}")
-    Z = np.asarray(P @ X, dtype=np.float64)
-    return normalize_rows(Z)
-
-
 @dataclass(frozen=True)
 class Split:
     """Boolean node masks for train/validation/test; pairwise disjoint."""

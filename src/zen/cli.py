@@ -169,7 +169,7 @@ def _cmd_rsi(args) -> int:
 
     import numpy as np
 
-    from .hypergraph import load_hypergraph
+    from .hypergraph import degrees, load_hypergraph
     from .propagation import (
         NormalizationKind,
         _middle_degree_factor,
@@ -178,7 +178,6 @@ def _cmd_rsi(args) -> int:
         rsi_diag_1,
         rsi_diag_2,
     )
-    from .hypergraph import degrees
     from .rsi_approx import (
         HutchinsonParams,
         WalkParams,

@@ -51,10 +51,8 @@ from .hypergraph import (
     load_labels,
 )
 from .propagation import (
-    BaselineRecipe,
     NormalizationKind,
     PropagationConfig,
-    build_baseline_adjacency,
     plain_adjacency,
     propagated_basis,
 )
@@ -215,7 +213,7 @@ def _variant_basis(
         A = plain_adjacency(hg, kind)
         X1 = np.asarray(A @ X)
         return [X, X1, np.asarray(A @ X1)]
-    A = build_baseline_adjacency(hg, BaselineRecipe.HGNN, 1)
+    A = plain_adjacency(hg, NormalizationKind.SYMMETRIC)
     return [np.asarray(A @ (A @ X))]
 
 

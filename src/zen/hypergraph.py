@@ -1,4 +1,16 @@
-"""Hypergraph container, text-format parsing, and incidence/degree construction.
+"""Hypergraph container, text-format parsing, and the CSV loaders.
+
+Stored form
+-----------
+A ``Hypergraph`` keeps only its node count, its node-by-edge incidence matrix
+H and the ``DegreeProfile`` read off H. H is canonical CSR: float64 0/1
+values, column indices sorted within each row, no duplicate entries, and one
+column per edge in input order, so verbatim duplicate edges stay distinct
+columns. The constructor is the one place that sorts and de-duplicates edge
+members and checks ids and empty edges; it builds H and the degrees once,
+without a per-edge Python loop. ``incidence_matrix`` and ``degrees`` return
+those stored objects, whose arrays are read-only because every caller shares
+them. ``Hypergraph.hyperedges`` derives the member tuples from H on access.
 
 File formats
 ------------
@@ -22,6 +34,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,43 +42,80 @@ import scipy.sparse as sp
 from .errors import DatasetError, HypergraphParseError
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    """An undirected hypergraph on nodes 0..num_nodes-1.
+    """An undirected hypergraph on nodes 0..num_nodes-1, stored as its incidence.
 
-    Hyperedges are stored as sorted, duplicate-free tuples of node ids. Edges
-    of any size >= 1 are allowed, including singletons; nodes may be isolated.
+    ``hyperedges`` is an iterable of node-id collections, one per edge, in any
+    order and possibly with repeated ids. Edges of any size >= 1 are allowed,
+    including singletons and verbatim duplicates; nodes may be isolated.
     """
 
-    num_nodes: int
-    hyperedges: tuple[tuple[int, ...], ...]
+    __slots__ = ("num_nodes", "_incidence", "_degrees")
 
-    def __post_init__(self):
-        if self.num_nodes < 0:
-            raise DatasetError(f"num_nodes must be nonnegative, got {self.num_nodes}")
-        normalized = []
-        for e in self.hyperedges:
-            if len(e) == 0:
-                raise DatasetError("empty hyperedge")
-            t = tuple(sorted(set(int(v) for v in e)))
-            if t[0] < 0 or t[-1] >= self.num_nodes:
-                raise DatasetError(
-                    f"hyperedge {t} references a node outside [0, {self.num_nodes})"
-                )
-            normalized.append(t)
-        object.__setattr__(self, "hyperedges", tuple(normalized))
+    def __init__(self, num_nodes: int, hyperedges):
+        num_nodes = int(num_nodes)
+        if num_nodes < 0:
+            raise DatasetError(f"num_nodes must be nonnegative, got {num_nodes}")
+        edges = tuple(hyperedges)
+        lengths = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        if lengths.size and lengths.min() == 0:
+            raise DatasetError("empty hyperedge")
+        members = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                              count=int(lengths.sum()))
+        cols = np.repeat(np.arange(len(edges)), lengths)
+        outside = (members < 0) | (members >= num_nodes)
+        if outside.any():
+            bad = tuple(sorted(set(int(v) for v in edges[cols[outside.argmax()]])))
+            raise DatasetError(
+                f"hyperedge {bad} references a node outside [0, {num_nodes})"
+            )
+        H = sp.csr_matrix((np.ones(members.size), (members, cols)),
+                          shape=(num_nodes, len(edges)))
+        H.sum_duplicates()  # a repeated id inside an edge is one membership
+        H.sort_indices()
+        H.data[:] = 1.0
+        prof = DegreeProfile(
+            node_degrees=np.diff(H.indptr).astype(np.int64),
+            edge_sizes=np.bincount(H.indices, minlength=len(edges)),
+        )
+        for a in (H.data, H.indices, H.indptr, prof.node_degrees, prof.edge_sizes):
+            a.setflags(write=False)
+        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "_incidence", H)
+        object.__setattr__(self, "_degrees", prof)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hypergraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        a, b = self._incidence, other._incidence
+        return (self.num_nodes == other.num_nodes and a.shape == b.shape
+                and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph({self.num_nodes}, {self.hyperedges!r})"
+
+    @property
+    def hyperedges(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted, duplicate-free member tuples, one per edge, read off the incidence."""
+        Hc = self._incidence.tocsc()
+        members, ptr = Hc.indices.tolist(), Hc.indptr.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @property
     def num_edges(self) -> int:
-        return len(self.hyperedges)
+        return self._incidence.shape[1]
 
     @property
     def nnz(self) -> int:
         """Total number of (node, edge) memberships."""
-        return sum(len(e) for e in self.hyperedges)
+        return self._incidence.nnz
 
     def isolated_nodes(self) -> np.ndarray:
-        return np.flatnonzero(degrees(self).node_degrees == 0)
+        return np.flatnonzero(self._degrees.node_degrees == 0)
 
 
 @dataclass(frozen=True)
@@ -86,41 +136,23 @@ class DegreeProfile:
 
 
 def degrees(hg: Hypergraph) -> DegreeProfile:
-    """Count node degrees and edge sizes in one pass over the memberships."""
-    sizes = np.fromiter((len(e) for e in hg.hyperedges), dtype=np.int64, count=hg.num_edges)
-    if hg.nnz:
-        members = np.concatenate([np.asarray(e, dtype=np.int64) for e in hg.hyperedges])
-        node_deg = np.bincount(members, minlength=hg.num_nodes).astype(np.int64)
-    else:
-        node_deg = np.zeros(hg.num_nodes, dtype=np.int64)
-    return DegreeProfile(node_degrees=node_deg, edge_sizes=sizes)
+    """The stored node degrees and edge sizes (read-only arrays)."""
+    return hg._degrees
 
 
 def incidence_matrix(hg: Hypergraph) -> sp.csr_matrix:
-    """Binary incidence matrix H (num_nodes x num_edges) in canonical CSR form.
+    """The stored binary incidence matrix H (num_nodes x num_edges).
 
-    H[i, j] = 1 iff node i belongs to hyperedge j. Allocation is proportional
-    to the membership count, not to num_nodes * num_edges.
+    H[i, j] = 1 iff node i belongs to hyperedge j. It is canonical CSR
+    (float64, sorted indices, no duplicates) with read-only arrays; its
+    storage is proportional to the membership count.
     """
-    nnz = hg.nnz
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    pos = 0
-    for j, e in enumerate(hg.hyperedges):
-        k = len(e)
-        rows[pos:pos + k] = e
-        cols[pos:pos + k] = j
-        pos += k
-    data = np.ones(nnz, dtype=np.float64)
-    H = sp.csr_matrix((data, (rows, cols)), shape=(hg.num_nodes, hg.num_edges))
-    H.sum_duplicates()
-    H.sort_indices()
-    return H
+    return hg._incidence
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the hyperedge text format. Raises HypergraphParseError with line numbers."""
-    edges: list[tuple[int, ...]] = []
+    edges: list[list[int]] = []
     edge_lines: list[int] = []
     declared: int | None = None
     dup_edges = 0
@@ -159,12 +191,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
             ids.append(v)
         if not ids:
             raise HypergraphParseError("empty hyperedge", line=lineno)
-        uniq = tuple(sorted(set(ids)))
-        if len(uniq) < len(ids):
+        if len(set(ids)) < len(ids):
             dup_edges += 1
-        edges.append(uniq)
+        edges.append(ids)
         edge_lines.append(lineno)
-        max_id = max(max_id, uniq[-1])
+        max_id = max(max_id, max(ids))
     if dup_edges:
         warnings.warn(
             f"{dup_edges} hyperedge(s) contained duplicate node ids; duplicates removed",
@@ -172,12 +203,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
         )
     num_nodes = declared if declared is not None else max_id + 1
     if declared is not None and max_id >= declared:
-        bad = next(i for i, e in enumerate(edges) if e[-1] >= declared)
+        bad = next(i for i, e in enumerate(edges) if max(e) >= declared)
         raise HypergraphParseError(
-            f"node id {edges[bad][-1]} outside declared range [0, {declared})",
+            f"node id {max(edges[bad])} outside declared range [0, {declared})",
             line=edge_lines[bad],
         )
-    return Hypergraph(num_nodes=num_nodes, hyperedges=tuple(edges))
+    return Hypergraph(num_nodes, edges)
 
 
 def serialize_hypergraph(hg: Hypergraph) -> str:

@@ -19,10 +19,8 @@ Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
 (d - 1) or d would be inverted.
 
-``build_baseline_adjacency`` provides the reference one-hop recipes of several
-published message-passing normalizations, all expressed as powers of a
-node-to-node matrix, plus the restart-style coefficient schedule used to mix
-hop powers.
+``plain_adjacency`` gives the standard one-hop forms (HGNN and AllDeepSets)
+that the ablation variants propagate with instead.
 """
 
 from __future__ import annotations
@@ -208,91 +206,17 @@ def propagated_basis(
 def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
     """Standard (self-information kept) one-hop normalization for the ablation.
 
-    Symmetric uses D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}; row uses
-    D_v^{-1} H D_e^{-1} H^T. These are the usual message-passing forms with
-    plain 1/size edge averaging and no diagonal removal.
+    Symmetric is the HGNN form D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}; row is the
+    AllDeepSets form D_v^{-1} H D_e^{-1} H^T. These are the usual
+    message-passing forms with plain 1/size edge averaging and no diagonal
+    removal.
     """
-    recipe = BaselineRecipe.HGNN if kind is NormalizationKind.SYMMETRIC \
-        else BaselineRecipe.ALLDEEPSET
-    return build_baseline_adjacency(hg, recipe, 1)
-
-
-class BaselineRecipe(Enum):
-    """Reference one-hop normalizations from published hypergraph models."""
-
-    HGNN = "hgnn"               # D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}
-    HNHN = "hnhn"               # D_{v,a}^{-1} H D_e^a D_{e,b}^{-1} H^T D_v^b
-    UNIGCNII = "unigcnii"       # D_v^{-1} H  Dtilde_e^{-1} H^T
-    ALLDEEPSET = "alldeepset"   # D_v^{-1} H D_e^{-1} H^T
-    EDHNN = "alldeepset"        # alias: identical linearized form
-
-
-def build_baseline_adjacency(
-    hg: Hypergraph,
-    recipe: BaselineRecipe,
-    l: int,
-    hnhn_alpha: float = 0.0,
-    hnhn_beta: float = 0.0,
-) -> sp.csr_matrix:
-    """l-th power of a baseline one-hop matrix; l = 0 gives the identity.
-
-    The HNHN recipe takes its two exponents as keywords; at the default
-    (0, 0) it coincides with the ALLDEEPSET row normalization.
-    """
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ConfigError(f"hop count must be a nonnegative integer, got {l!r}")
-    n = hg.num_nodes
-    if l == 0:
-        return sp.identity(n, format="csr")
-    base = _baseline_base(hg, recipe, hnhn_alpha, hnhn_beta)
-    P = base
-    for _ in range(l - 1):
-        P = P @ base
-    return compact(P)
-
-
-def _baseline_base(hg, recipe, hnhn_alpha, hnhn_beta) -> sp.csr_matrix:
     H = incidence_matrix(hg)
     prof = degrees(hg)
-    d = prof.node_degrees.astype(np.float64)
-    sz = prof.edge_sizes.astype(np.float64)
-    if recipe is BaselineRecipe.HGNN:
+    inv_sz = sp.diags(_safe_inv(prof.edge_sizes.astype(np.float64)))
+    if kind is NormalizationKind.SYMMETRIC:
         s = sp.diags(_safe_inv_sqrt(prof.node_degrees))
-        return compact(s @ H @ sp.diags(_safe_inv(sz)) @ H.T @ s)
-    if recipe is BaselineRecipe.ALLDEEPSET:
-        return compact(sp.diags(_safe_inv(prof.node_degrees)) @ H @ sp.diags(_safe_inv(sz)) @ H.T)
-    if recipe is BaselineRecipe.UNIGCNII:
-        # per-edge mean member degree; members always have degree >= 1
-        mean_deg = np.asarray(H.T @ d).ravel() * _safe_inv(sz)
-        return compact(
-            sp.diags(_safe_inv(prof.node_degrees)) @ H @ sp.diags(_safe_inv(mean_deg)) @ H.T
-        )
-    if recipe is BaselineRecipe.HNHN:
-        # 0^beta is clamped to 0 for isolated nodes; their rows/columns of the
-        # product are structurally zero anyway.
-        d_beta = np.zeros_like(d)
-        np.power(d, hnhn_beta, out=d_beta, where=d > 0)
-        sz_alpha = np.power(sz, hnhn_alpha)  # sizes are >= 1
-        dva = np.asarray(H @ sz_alpha).ravel()
-        deb = np.asarray(H.T @ d_beta).ravel()
-        mid = sz_alpha * _safe_inv(deb)
-        return compact(
-            sp.diags(_safe_inv(dva)) @ H @ sp.diags(mid) @ H.T @ sp.diags(d_beta)
-        )
-    raise ConfigError(f"unknown baseline recipe {recipe!r}")
-
-
-def restart_coefficients(alpha: float, num_hops: int) -> np.ndarray:
-    """Restart-style mixing schedule over hop powers 0..num_hops.
-
-    Returns [alpha, alpha*(1-alpha), ..., alpha*(1-alpha)^(num_hops-1),
-    (1-alpha)^num_hops]; the entries are nonnegative and sum to 1 exactly in
-    real arithmetic (telescoping).
-    """
-    if not isinstance(num_hops, (int, np.integer)) or num_hops < 1:
-        raise ConfigError(f"num_hops must be a positive integer, got {num_hops!r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"restart weight must lie in [0, 1], got {alpha!r}")
-    coeffs = [alpha * (1.0 - alpha) ** i for i in range(num_hops)]
-    coeffs.append((1.0 - alpha) ** num_hops)
-    return np.asarray(coeffs, dtype=np.float64)
+        return compact(s @ H @ inv_sz @ H.T @ s)
+    if kind is NormalizationKind.ROW:
+        return compact(sp.diags(_safe_inv(prof.node_degrees)) @ H @ inv_sz @ H.T)
+    raise ConfigError(f"bad normalization kind {kind!r}")

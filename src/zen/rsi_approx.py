@@ -150,7 +150,8 @@ def dense_diag_oracle(
     Everything is computed with dense numpy arrays built straight from the
     hyperedge lists, deliberately sharing no code with the sparse builders, so
     this function can serve as an independent oracle. Guarded by node count
-    (ZEN_DENSE_GUARD overrides the default limit).
+    (ZEN_DENSE_GUARD overrides the default limit). The lists are read off the
+    stored incidence, which the tests check against raw edge lists.
     """
     from .propagation import NormalizationKind  # local import avoids a cycle
 

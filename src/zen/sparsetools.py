@@ -1,10 +1,9 @@
-"""Small helpers around scipy CSR matrices: canonical form, symmetry, triplets."""
+"""Small helpers around scipy CSR matrices: canonical form and the dense-size guard."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardError
@@ -50,50 +49,3 @@ def compact(mat) -> sp.csr_matrix:
     out.eliminate_zeros()
     out.sort_indices()
     return out
-
-
-def is_symmetric(mat, tol: float = 1e-12) -> bool:
-    """True when max |M - M^T| <= tol. Non-square matrices are never symmetric."""
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    diff = (mat - mat.T).tocoo()
-    if diff.nnz == 0:
-        return True
-    return float(np.max(np.abs(diff.data))) <= tol
-
-
-def to_triplet_text(mat) -> str:
-    """Serialize a sparse matrix as one `row col value` line per stored entry.
-
-    Entries appear in row-major, column-sorted order; values use repr so the
-    round trip is exact. The first line is a `% shape rows cols` header.
-    """
-    m = compact(mat).tocoo()
-    lines = [f"% shape {m.shape[0]} {m.shape[1]}"]
-    for r, c, v in zip(m.row, m.col, m.data):
-        lines.append(f"{int(r)} {int(c)} {float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def from_triplet_text(text: str) -> sp.csr_matrix:
-    """Inverse of :func:`to_triplet_text`."""
-    rows, cols, vals = [], [], []
-    shape = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%"):
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == "shape":
-                shape = (int(parts[2]), int(parts[3]))
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'row col value', got {raw!r}")
-        rows.append(int(parts[0]))
-        cols.append(int(parts[1]))
-        vals.append(float(parts[2]))
-    if shape is None:
-        shape = (max(rows) + 1 if rows else 0, max(cols) + 1 if cols else 0)
-    return compact(sp.coo_matrix((vals, (rows, cols)), shape=shape))

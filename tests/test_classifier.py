@@ -18,7 +18,6 @@ from zen.classifier import (
     SpectralComponents,
     Split,
     TrainingParams,
-    embed,
     exact_weights,
     make_assumption_data,
     normalize_cols,
@@ -68,23 +67,14 @@ class TestNormalization:
 
 
 class TestEmbedding:
-    def test_identity_operator_normalizes_only(self):
-        X = np.array([[3.0, 4.0], [1.0, 0.0]])
-        Z = embed(np.eye(2), X)
-        npt.assert_allclose(Z, [[0.6, 0.8], [1.0, 0.0]], atol=1e-15)
-
     def test_triangle_one_hop_mixes_neighbors(self, triangle_hg):
-        Z = embed(build_A1_star(triangle_hg), np.eye(3))
+        Z = normalize_rows(build_A1_star(triangle_hg) @ np.eye(3))
         s = 1.0 / np.sqrt(2.0)
         npt.assert_allclose(Z, [[0, s, s], [s, 0, s], [s, s, 0]], atol=1e-15)
 
     def test_isolated_node_row_is_zero(self, singleton_hg):
-        Z = embed(build_A1_star(singleton_hg), np.ones((2, 3)))
+        Z = normalize_rows(build_A1_star(singleton_hg) @ np.ones((2, 3)))
         npt.assert_allclose(Z, np.zeros((2, 3)), atol=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError, match="shape"):
-            embed(np.eye(3), np.ones((4, 2)))
 
 
 class TestSplit:

@@ -28,7 +28,6 @@ from zen import (
 )
 from zen.classifier import (
     Prediction,
-    embed,
     normalize_rows,
     predict,
     tcs_weights,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zen import (
     DatasetError,
@@ -148,14 +149,54 @@ class TestIncidence:
             tuple(sorted(rng.choice(n, size=5, replace=False).tolist()))
             for _ in range(m)
         )
-        hg = Hypergraph(n, edges)
-        nnz = hg.nnz
+        nnz = sum(map(len, edges))
         tracemalloc.start()
-        H = incidence_matrix(hg)
+        hg = Hypergraph(n, edges)  # H and the degrees are built here
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert H.nnz == nnz
+        assert incidence_matrix(hg).nnz == nnz
         assert peak < 150 * nnz + 10_000_000
+
+    def test_built_once_and_read_only(self, path_hg):
+        H, prof = incidence_matrix(path_hg), degrees(path_hg)
+        assert incidence_matrix(path_hg) is H
+        assert degrees(path_hg) is prof
+        for arr in (H.data, H.indices, H.indptr, prof.node_degrees, prof.edge_sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(num_nodes, edges) with repeated ids inside an edge, singletons,
+    verbatim duplicate edges, and trailing isolated nodes."""
+    core = draw(st.integers(1, 8))
+    num_nodes = core + draw(st.integers(0, 3))
+    edge = st.lists(st.integers(0, core - 1), min_size=1, max_size=6)
+    edges = draw(st.lists(edge, max_size=10))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return num_nodes, draw(st.permutations(edges))
+
+
+class TestStoredForm:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_edge_lists())
+    def test_matches_raw_edge_lists(self, raw):
+        num_nodes, edges = raw
+        hg = Hypergraph(num_nodes, edges)
+        assert parse_hypergraph(serialize_hypergraph(hg)) == hg
+        dense = np.zeros((num_nodes, len(edges)))
+        for j, e in enumerate(edges):
+            for v in e:
+                dense[v, j] = 1.0
+        H = incidence_matrix(hg)
+        assert H.dtype == np.float64 and H.has_canonical_format
+        npt.assert_array_equal(H.toarray(), dense)
+        prof = degrees(hg)
+        npt.assert_array_equal(prof.node_degrees, dense.sum(axis=1))
+        npt.assert_array_equal(prof.edge_sizes, dense.sum(axis=0))
+        assert hg.hyperedges == tuple(tuple(sorted(set(e))) for e in edges)
 
 
 class TestLabelSet:

@@ -2,11 +2,14 @@
 
 Invariants are explicit checks that raise ``ZenError`` subclasses: an
 ``assert`` statement vanishes under ``python -O``, so none may appear in
-``src/zen``.
+``src/zen``. Every name the package exports must resolve, so deleting a
+function cannot leave a dangling export behind.
 """
 
 import ast
 from pathlib import Path
+
+import zen
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zen"
 
@@ -20,3 +23,8 @@ def test_package_has_no_assert_statements():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in zen.__all__ if not hasattr(zen, name)]
+    assert not missing, f"exported but not defined: {', '.join(missing)}"

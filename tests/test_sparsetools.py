@@ -1,4 +1,4 @@
-"""Canonical-form, symmetry, and triplet-export helpers."""
+"""Canonical-form and dense-guard helpers."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,13 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from zen import GuardError
-from zen.sparsetools import (
-    compact,
-    dense_guard,
-    from_triplet_text,
-    is_symmetric,
-    to_triplet_text,
-)
+from zen.sparsetools import compact, dense_guard
 
 
 def test_compact_merges_duplicates_and_drops_zeros():
@@ -21,37 +15,6 @@ def test_compact_merges_duplicates_and_drops_zeros():
     assert out.nnz == 1
     npt.assert_allclose(out.toarray(), [[0, 3], [0, 0]])
     assert out.has_canonical_format
-
-
-def test_is_symmetric():
-    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 5.0]]))
-    assert is_symmetric(a)
-    b = sp.csr_matrix(np.array([[1.0, 2.0], [2.0 + 1e-6, 5.0]]))
-    assert not is_symmetric(b)
-    assert is_symmetric(b, tol=1e-3)
-    assert not is_symmetric(sp.csr_matrix(np.ones((2, 3))))
-
-
-def test_triplet_roundtrip_is_exact():
-    rng = np.random.default_rng(3)
-    dense = rng.normal(size=(7, 5))
-    dense[rng.random(size=dense.shape) < 0.6] = 0.0
-    m = compact(sp.csr_matrix(dense))
-    back = from_triplet_text(to_triplet_text(m))
-    assert back.shape == m.shape
-    assert (back != m).nnz == 0
-
-
-def test_triplet_keeps_empty_trailing_rows():
-    m = sp.csr_matrix((3, 4))
-    back = from_triplet_text(to_triplet_text(m))
-    assert back.shape == (3, 4)
-    assert back.nnz == 0
-
-
-def test_triplet_rejects_malformed_lines():
-    with pytest.raises(ValueError, match="line 1"):
-        from_triplet_text("0 1\n")
 
 
 def test_dense_guard_env_override(monkeypatch):

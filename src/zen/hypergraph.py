@@ -21,7 +21,10 @@ isolated nodes survive a round trip. Node count otherwise defaults to
 1 + the largest id seen.
 
 Features: CSV with one row per node (row i = node i), optional header row of
-feature names. Values must be finite.
+feature names; rows whose fields are all blank are skipped. Values are what
+``numpy.loadtxt`` reads as float64 (``3``, ``-0.0``, ``.5``, ``1e-310``, with
+optional surrounding spaces or double quotes) and must be finite. Python-only
+spellings that ``float()`` takes, such as ``1_000``, are an error.
 
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
@@ -271,39 +274,50 @@ class LabelSet:
         return np.bincount(self.labels, minlength=self.num_classes)
 
 
-def _looks_numeric(row: list[str]) -> bool:
-    for tok in row:
-        try:
-            float(tok)
-        except ValueError:
-            return False
+def _parses(conv, tok: str) -> bool:
+    """True when ``conv(tok)`` accepts the token (conv is float or int)."""
+    try:
+        conv(tok)
+    except ValueError:
+        return False
     return True
+
+
+def _blank(line: str) -> bool:
+    """True for a CSV row whose fields are all empty or whitespace."""
+    head = line.lstrip(' \t,"')[:1]
+    if head and not head.isspace():
+        return False  # some field holds a visible character
+    return not any(tok.strip() for tok in next(csv.reader([line])))
 
 
 def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a feature CSV. Returns (matrix, feature_names or None).
 
     Values are taken as-is: no scaling, centering, or binarization happens at
-    ingestion. Row i belongs to node i.
+    ingestion. Row i belongs to node i. ``numpy.loadtxt`` parses the numbers.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().split("\n") if not _blank(ln)]
+    if not lines:
         raise DatasetError(f"{path}: no feature rows")
     names = None
-    if not _looks_numeric(rows[0]):
-        names = tuple(tok.strip() for tok in rows[0])
-        rows = rows[1:]
-        if not rows:
+    first = next(csv.reader(lines[:1]))
+    if not all(_parses(float, tok) for tok in first):
+        names = tuple(tok.strip() for tok in first)
+        lines = lines[1:]
+        if not lines:
             raise DatasetError(f"{path}: header but no feature rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise DatasetError(f"{path}: row {i} has {len(r)} fields, expected {width}")
     try:
-        X = np.array([[float(tok) for tok in r] for r in rows], dtype=np.float64)
+        X = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                       ndmin=2, dtype=np.float64)
     except ValueError as exc:
-        raise DatasetError(f"{path}: non-numeric feature value ({exc})") from exc
+        # loadtxt counts a ragged row from 1, so find it and name its 0-based index.
+        widths = [len(r) for r in csv.reader(lines)]
+        bad = [i for i, w in enumerate(widths) if w != widths[0]]
+        why = (f"row {bad[0]} has {widths[bad[0]]} fields, expected {widths[0]}" if bad
+               else f"non-numeric feature value ({exc})")
+        raise DatasetError(f"{path}: {why}") from exc
     if not np.all(np.isfinite(X)):
         raise DatasetError(f"{path}: features contain NaN or infinity")
     if names is not None and len(names) != X.shape[1]:
@@ -315,13 +329,13 @@ def load_labels(path, num_nodes: int) -> LabelSet:
     """Read a node_id,label CSV covering every node exactly once."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
-    if rows and not _is_int(rows[0][0]):
+    if rows and not _parses(int, rows[0][0]):
         rows = rows[1:]  # header
     raw: dict[int, str] = {}
     for r in rows:
         if len(r) != 2:
             raise DatasetError(f"{path}: expected 'node_id,label' rows, got {r!r}")
-        if not _is_int(r[0]):
+        if not _parses(int, r[0]):
             raise DatasetError(f"{path}: node id is not an integer: {r[0]!r}")
         node = int(r[0])
         if node < 0 or node >= num_nodes:
@@ -333,16 +347,9 @@ def load_labels(path, num_nodes: int) -> LabelSet:
     if missing:
         raise DatasetError(f"{path}: {len(missing)} unlabeled node(s), first is {missing[0]}")
     values = [raw[i] for i in range(num_nodes)]
-    distinct = sorted(set(values), key=int) if all(_is_int(v) for v in values) \
+    distinct = sorted(set(values), key=int) if all(_parses(int, v) for v in values) \
         else sorted(set(values))
     index = {v: i for i, v in enumerate(distinct)}
     labels = np.fromiter((index[v] for v in values), dtype=np.int64, count=num_nodes)
     return LabelSet(labels=labels, num_classes=len(distinct), class_names=tuple(distinct))
 
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-    except ValueError:
-        return False
-    return True

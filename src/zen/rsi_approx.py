@@ -26,7 +26,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, IsolatedNodeError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import check_guard, compact
+from .propagation import NormalizationKind, plain_adjacency
+from .sparsetools import check_guard
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -39,12 +40,7 @@ def walk_transition_matrix(hg: Hypergraph) -> sp.csr_matrix:
     Row i is the single-step distribution of the edge-then-member walk from
     node i (self-transitions included). Rows of isolated nodes are zero.
     """
-    H = incidence_matrix(hg)
-    prof = degrees(hg)
-    inv_d = np.zeros(hg.num_nodes)
-    np.divide(1.0, prof.node_degrees, out=inv_d, where=prof.node_degrees > 0)
-    inv_sz = 1.0 / prof.edge_sizes.astype(np.float64)  # edges are nonempty
-    return compact(sp.diags(inv_d) @ H @ sp.diags(inv_sz) @ H.T)
+    return plain_adjacency(hg, NormalizationKind.ROW)
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def hutchinson_diag(matvec, n: int, params: HutchinsonParams) -> np.ndarray:
 
 def dense_diag_oracle(
     hg: Hypergraph,
-    kind=None,
+    kind: NormalizationKind = NormalizationKind.SYMMETRIC,
     l: int = 1,
     family: str = "rap",
     guard: int | None = None,
@@ -153,10 +149,6 @@ def dense_diag_oracle(
     (ZEN_DENSE_GUARD overrides the default limit). The lists are read off the
     stored incidence, which the tests check against raw edge lists.
     """
-    from .propagation import NormalizationKind  # local import avoids a cycle
-
-    if kind is None:
-        kind = NormalizationKind.SYMMETRIC
     check_guard(hg.num_nodes, "dense diagonal oracle", guard)
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ConfigError(f"hop count must be a nonnegative integer, got {l!r}")

@@ -1,5 +1,6 @@
 """Parsing, serialization, degrees, incidence, and the CSV loaders."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,40 @@ class TestLoaders:
         with pytest.raises(DatasetError):
             load_features(p)
 
+    @pytest.mark.parametrize("text, match", [
+        ("1,2\n3,x\n", "non-numeric"),
+        ("1,2,3\n4,,6\n", "non-numeric"),
+        ("1,2\n3,4\n5\n", "row 2 has 1 fields, expected 2"),
+        ("a,b\n\n1,2\n3\n", "row 1 has 1 fields, expected 2"),  # counts data rows
+        ("a,b\n\n , \n", "header but no feature rows"),
+        ("", "no feature rows"),
+        ("\n,\n", "no feature rows"),
+        ("a,b,c\n1,2\n", "3 header names for 2 columns"),
+        ("1,inf\n", "NaN or infinity"),
+        ("1e400\n", "NaN or infinity"),
+        ("a,b\n1_000,2\n", "non-numeric.*1_000"),  # float() takes it, loadtxt does not
+    ])
+    def test_features_bad_file_raises_dataset_error(self, tmp_path, text, match):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=match):
+            load_features(p)
+
+    def test_features_allocation_is_a_small_multiple_of_the_matrix(self, tmp_path):
+        # X is 8 MB and the file 2 MB. A csv.reader + float() parse peaks at
+        # 49 MB here (4.9x X + file); one loadtxt pass at 11.5 MB (1.15x).
+        rng = np.random.default_rng(11)
+        dense = (rng.random((2000, 500)) < 0.1).astype(np.int8)
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in dense.tolist()) + "\n")
+        file_bytes = p.stat().st_size
+        tracemalloc.start()
+        X, _ = load_features(p)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        npt.assert_array_equal(X, dense)
+        assert peak < 2 * (X.nbytes + file_bytes)
+
     def test_labels_map_strings_in_sorted_order(self, tmp_path):
         p = tmp_path / "l.csv"
         p.write_text("node_id,label\n0,wolf\n1,ant\n2,wolf\n")
@@ -276,3 +311,80 @@ class TestLoaders:
         p.write_text("0,a\n9,b\n")
         with pytest.raises(DatasetError, match="outside"):
             load_labels(p, 2)
+
+
+def reference_load_features(path):
+    """The csv.reader + per-value float() parser that load_features replaced."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
+    if not rows:
+        raise DatasetError("no feature rows")
+    names = None
+    try:
+        [float(tok) for tok in rows[0]]
+    except ValueError:
+        names = tuple(tok.strip() for tok in rows[0])
+        rows = rows[1:]
+        if not rows:
+            raise DatasetError("header but no feature rows") from None
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DatasetError("ragged row")
+    try:
+        X = np.array([[float(tok) for tok in r] for r in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from None
+    if not np.all(np.isfinite(X)):
+        raise DatasetError("NaN or infinity")
+    if names is not None and len(names) != X.shape[1]:
+        raise DatasetError("header width")
+    return X, names
+
+
+_SPECIAL_VALUES = ["0", "1", "-0.0", "+2.5", ".5", "5.", "1e5", "1E-5", "-3e+02",
+                   "5e-324", "1e-310", "2.2250738585072014e-308", "1.7976931348623157e308",
+                   "-1e-300", "1e300", "007", "123456789012345678901234567890"]
+_BLANK_ROWS = ["", "   ", ",", ",,,", " , ", "\t,\t", "\u00a0", '""', '"",""', '" ", ']
+
+
+@st.composite
+def feature_files(draw):
+    """(file text, expected X) for feature CSVs mixing an optional header,
+    blank and comma-only rows, CRLF endings, quoted and space-padded tokens,
+    exponents, -0.0, subnormals, and repr of random float64 values."""
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), finite)
+    pad = st.sampled_from(["", " ", "  "])
+
+    def token(tok):
+        tok = draw(pad) + tok + draw(pad)
+        return f'"{tok}"' if draw(st.booleans()) else tok
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(token(f"feat {j}") for j in range(ncols)))
+    for _ in range(nrows):
+        lines.append(",".join(token(draw(value)) for _ in range(ncols)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_ROWS)))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@pytest.fixture(scope="module")
+def feature_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("features") / "f.csv"
+
+
+class TestFeatureParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=feature_files())
+    def test_matches_per_value_float_parser(self, feature_path, text):
+        feature_path.write_bytes(text.encode("utf-8"))
+        X_ref, names_ref = reference_load_features(feature_path)
+        X, names = load_features(feature_path)
+        assert names == names_ref
+        assert X.dtype == np.float64 and X.shape == X_ref.shape
+        npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))

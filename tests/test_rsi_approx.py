@@ -14,6 +14,7 @@ from zen import (
     Hypergraph,
     IsolatedNodeError,
     NormalizationKind,
+    plain_adjacency,
 )
 from zen.rsi_approx import (
     HutchinsonParams,
@@ -50,6 +51,17 @@ class TestTransitionMatrix:
             from zen import degrees
             mask = degrees(hg).node_degrees > 0
             npt.assert_allclose(sums[mask], 1.0, atol=1e-12)
+
+
+    def test_is_the_row_normalized_plain_adjacency(self):
+        rng = np.random.default_rng(19)
+        for _ in range(15):
+            hg = random_hypergraph(rng)
+            W = walk_transition_matrix(hg)
+            A = plain_adjacency(hg, NormalizationKind.ROW)
+            npt.assert_array_equal(W.indptr, A.indptr)
+            npt.assert_array_equal(W.indices, A.indices)
+            npt.assert_array_equal(W.data, A.data)
 
 
 class TestWalkEstimator:

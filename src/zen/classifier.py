@@ -96,10 +96,19 @@ def predict(Z: np.ndarray, W: np.ndarray) -> Prediction:
     W = np.asarray(W, dtype=np.float64)
     if Z.shape[1] != W.shape[0]:
         raise ConfigError(f"shape mismatch: Z is {Z.shape}, W is {W.shape}")
-    zero_rows = int(np.count_nonzero(~Z.any(axis=1)))
-    if zero_rows:
-        logger.warning("%d zero embedding row(s); they predict class 0", zero_rows)
+    _warn_zero_rows(_zero_rows(Z))
     return Prediction.from_scores(Z @ W)
+
+
+def _zero_rows(Z: np.ndarray) -> int:
+    """Number of all-zero rows of Z."""
+    return int(np.count_nonzero(~Z.any(axis=1)))
+
+
+def _warn_zero_rows(count: int) -> None:
+    """The one warning for ``count`` zero embedding rows, if there are any."""
+    if count:
+        logger.warning("%d zero embedding row(s); they predict class 0", count)
 
 
 def _train_rows(Z: np.ndarray, split: Split, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,12 @@ normalization act on each row alone and the class weights read only the
 training rows, so selection needs only the labeled rows: once per seed the
 training and validation rows of each basis block are gathered, and each
 configuration is weighted on the former and scored on the latter. The
-winner's test rows are mixed and scored once per seed. Embedding rows and
+winner's test rows are mixed and scored once per seed, in row blocks of
+about 2 MiB each, so no test-sized n x d copy is made. Embedding rows and
 weights equal those of the full n-row embedding bit for bit; only the score
-products run over fewer rows, which can move the last bit of a score and so,
-in principle, break an exact tie between two classes differently.
+products, the validation product and each test block's, run over fewer
+rows, which can move the last bit of a score and so, in principle, break an
+exact tie between two classes differently.
 ``run_config`` and ``grid_search`` share this path, so re-running any
 selected configuration reproduces the grid's numbers bit for bit. The
 per-split selection loop, ``_select_config``, also gives ``zen explain`` the
@@ -37,8 +39,9 @@ from .classifier import (
     Prediction,
     Split,
     TrainingParams,
+    _warn_zero_rows,
+    _zero_rows,
     normalize_rows,
-    predict,
     tcs_weights,
     train_weights_gd,
 )
@@ -53,6 +56,7 @@ from .hypergraph import (
 from .propagation import (
     NormalizationKind,
     PropagationConfig,
+    _slice_len,
     plain_adjacency,
     propagated_basis,
 )
@@ -316,10 +320,23 @@ def _select_config(
 def _test_accuracy(
     basis: list[np.ndarray], alphas, W: np.ndarray, split: Split, labels: LabelSet
 ) -> float:
-    """Test accuracy of one configuration's weights, mixing only the test rows."""
+    """Test accuracy of one configuration's weights, mixing only the test rows.
+
+    The test rows are mixed, normalized and scored one row block at a time;
+    like ``predict``, it logs one warning with the total count of zero
+    embedding rows.
+    """
     rows = np.flatnonzero(split.test_mask)
-    pred = predict(_mixed_embedding(basis, alphas, rows), W)
-    return _accuracy(pred.hard_labels, labels.labels[rows])
+    hard_labels = np.empty(rows.size, dtype=np.intp)
+    step = _slice_len(basis[0].itemsize * basis[0].shape[1])
+    zero_rows = 0
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        Z = _mixed_embedding(basis, alphas, rows[block])
+        zero_rows += _zero_rows(Z)
+        hard_labels[block] = Prediction.from_scores(Z @ W).hard_labels
+    _warn_zero_rows(zero_rows)
+    return _accuracy(hard_labels, labels.labels[rows])
 
 
 def run_config(
@@ -414,22 +431,23 @@ def grid_search(
         raise ConfigError("grid and seeds must both be nonempty")
     t0 = time.perf_counter()
     basis = _variant_basis(dataset, normalization, variant)
-    t1 = time.perf_counter()
+    timing = {"propagation_ms": (time.perf_counter() - t0) * 1e3,
+              "search_ms": 0.0, "test_ms": 0.0}
     per_seed = []
     for seed in seeds:
+        t0 = time.perf_counter()
         split = make_kshot_split(dataset.labels, k, seed)
         idx, val_acc, W = _select_config(basis, split, dataset.labels, grid, variant, training)
         alphas = grid.alphas[idx]
-        per_seed.append(SeedResult(
-            seed=seed,
-            selected_alphas=alphas,
-            val_acc=val_acc,
-            test_acc=_test_accuracy(basis, alphas, W, split, dataset.labels),
-        ))
-    t2 = time.perf_counter()
+        t1 = time.perf_counter()
+        test_acc = _test_accuracy(basis, alphas, W, split, dataset.labels)
+        t2 = time.perf_counter()
+        timing["search_ms"] += (t1 - t0) * 1e3
+        timing["test_ms"] += (t2 - t1) * 1e3
+        per_seed.append(SeedResult(seed=seed, selected_alphas=alphas,
+                                   val_acc=val_acc, test_acc=test_acc))
     tests = np.array([r.test_acc for r in per_seed], dtype=np.float64)
     std = float(np.std(tests, ddof=1)) if tests.size > 1 else 0.0
-    timing = {"propagation_ms": (t1 - t0) * 1e3, "search_ms": (t2 - t1) * 1e3}
     return RunResult(
         dataset=dataset.name,
         k=int(k),

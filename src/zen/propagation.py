@@ -12,8 +12,11 @@ The two-hop propagation used by the classifier is built here:
 * ``propagated_basis``: the blocks [X, A1* X, A2* X] the mixing weights
   combine. The two-hop matrix A2* = A1* diag(d/(d-1)) A1* - diag(rsi_2) is
   never formed: its product with X is A1* (m * (A1* X)) - rsi_2 * X, two
-  sparse-times-dense products and the closed-form diagonal, so memory stays
-  proportional to nnz(A1*) and the size of X.
+  sparse-times-dense products and the closed-form diagonal. The two-hop
+  block is filled in column slices of about 2 MiB of scratch, so beside X
+  only the two kept n x d blocks are allocated. Each output column of a CSR
+  times dense product is summed on its own and the elementwise steps are
+  exact, so the slices give the whole-matrix expression bit for bit.
 
 Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
@@ -36,6 +39,14 @@ from .hypergraph import Hypergraph, degrees, incidence_matrix
 from .sparsetools import compact
 
 SIMPLEX_TOL = 1e-9
+
+# scratch bytes of one slice when an n x d product is filled piecewise
+_BLOCK_BYTES = 1 << 21
+
+
+def _slice_len(line_bytes: int) -> int:
+    """Rows or columns of ``line_bytes`` each that fit one slice; at least 1."""
+    return max(1, _BLOCK_BYTES // max(1, line_bytes))
 
 
 class NormalizationKind(Enum):
@@ -194,12 +205,19 @@ def propagated_basis(
     """The blocks [X, A1* X, A2* X] of the redundancy-removed propagation.
 
     The two-hop block is A1* (m * (A1* X)) - rsi_2 * X with m = d/(d-1),
-    which equals A2* X without building the two-hop matrix.
+    which equals A2* X without building the two-hop matrix. It is written
+    column slice by column slice into one preallocated array, so no n x d
+    temporary is formed.
     """
     A1 = build_A1_star(hg, kind)
     m = _middle_degree_factor(degrees(hg).node_degrees)
+    r2 = _two_hop_diag(A1, m)
     X1 = np.asarray(A1 @ X)
-    X2 = np.asarray(A1 @ (m[:, None] * X1)) - _two_hop_diag(A1, m)[:, None] * X
+    X2 = np.empty_like(X1)
+    step = _slice_len(X1.itemsize * X1.shape[0])
+    for start in range(0, X2.shape[1], step):
+        cols = slice(start, start + step)
+        X2[:, cols] = A1 @ (m[:, None] * X1[:, cols]) - r2[:, None] * X[:, cols]
     return [X, X1, X2]
 
 

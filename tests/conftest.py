@@ -1,11 +1,11 @@
-"""Shared fixtures: small frozen hypergraphs, a seeded random generator, and
-the materialized two-hop reference."""
+"""Shared fixtures: small frozen hypergraphs, a seeded random generator, the
+materialized two-hop reference, and a Cora-shaped instance built in memory."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from zen import Hypergraph, NormalizationKind, build_A1_star, degrees
+from zen import Dataset, Hypergraph, LabelSet, NormalizationKind, build_A1_star, degrees
 
 
 @pytest.fixture
@@ -70,3 +70,22 @@ def two_hop_reference(
         keep = A2.row != A2.col
         A2 = sp.coo_matrix((A2.data[keep], (A2.row[keep], A2.col[keep])), shape=A2.shape)
     return A2.tocsr()
+
+
+@pytest.fixture(scope="session")
+def cora_shaped():
+    """Seeded 2708 x 1433 instance with 7 classes, Cora's shape: binary
+    features about 1.3% dense, 1600 edges of 2-6 members, and isolated nodes
+    (the last 8, and 253 in all).
+    X alone is 31 MB, so the allocation bounds measured on it are far above
+    tracemalloc's bookkeeping."""
+    rng = np.random.default_rng(2708)
+    n, d, c = 2708, 1433, 7
+    labels = rng.permutation(np.arange(n, dtype=np.int64) % c)
+    X = (rng.random((n, d)) < 18 / d).astype(np.float64)
+    edges = tuple(
+        tuple(sorted(rng.choice(n - 8, size=int(rng.integers(2, 7)), replace=False).tolist()))
+        for _ in range(1600)
+    )
+    return Dataset(name="cora-shaped", hypergraph=Hypergraph(n, edges), features=X,
+                   labels=LabelSet(labels=labels, num_classes=c))

@@ -117,7 +117,7 @@ class TestRun:
                      "--grid-denominator", "1", "--format", "json", "--timing"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload["timing_ms"]) == {"propagation_ms", "search_ms"}
+        assert set(payload["timing_ms"]) == {"propagation_ms", "search_ms", "test_ms"}
 
     def test_row_normalization(self, toy_files, capsys):
         code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",

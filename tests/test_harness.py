@@ -2,6 +2,8 @@
 
 import json
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -26,6 +28,7 @@ from zen import (
     run_config,
     simplex_grid,
 )
+from zen import propagation
 from zen.classifier import (
     Prediction,
     normalize_rows,
@@ -33,7 +36,14 @@ from zen.classifier import (
     tcs_weights,
     train_weights_gd,
 )
-from zen.harness import SeedResult, RunResult, _mixed_embedding, _select_config, _variant_basis
+from zen.harness import (
+    SeedResult,
+    RunResult,
+    _mixed_embedding,
+    _select_config,
+    _test_accuracy,
+    _variant_basis,
+)
 from zen.hypergraph import serialize_hypergraph
 
 
@@ -102,6 +112,20 @@ def isolated_nodes_dataset(seed=0, n=24, c=3, d=5, isolated=6) -> Dataset:
     )
     return Dataset(name="isolated", hypergraph=Hypergraph(n, edges),
                    features=ds.features, labels=ds.labels)
+
+
+def zero_rows_dataset(isolated=6) -> Dataset:
+    """isolated_nodes_dataset whose isolated nodes also have all-zero
+    features, so every mixture embeds them at the origin."""
+    ds = isolated_nodes_dataset(isolated=isolated)
+    X = ds.features.copy()
+    X[-isolated:] = 0.0
+    return Dataset(name="zero-rows", hypergraph=ds.hypergraph, features=X, labels=ds.labels)
+
+
+def rows_per_block(ds, rows):
+    """Patch the slice budget so test scoring takes ``rows`` rows at a time."""
+    return mock.patch.object(propagation, "_BLOCK_BYTES", 8 * ds.num_features * rows)
 
 
 class TestDataset:
@@ -363,7 +387,7 @@ class TestGridSearch:
     def test_timing_is_recorded(self):
         ds = cross_pair_dataset()
         result = grid_search(ds, simplex_grid(1), k=2, seeds=[0])
-        assert set(result.timing_ms) == {"propagation_ms", "search_ms"}
+        assert set(result.timing_ms) == {"propagation_ms", "search_ms", "test_ms"}
         assert all(v >= 0 for v in result.timing_ms.values())
 
     def test_empty_seeds_rejected(self):
@@ -381,11 +405,19 @@ class TestGridSearch:
 
 
     def test_zero_row_warning_at_most_once_per_seed(self, caplog):
-        ds = isolated_nodes_dataset()
-        with caplog.at_level("WARNING", logger="zen.classifier"):
-            grid_search(ds, simplex_grid(9), k=2, seeds=[0, 1, 2])
-        records = [r for r in caplog.records if r.name == "zen.classifier"]
-        assert len(records) <= 3
+        # one record per seed, carrying the count summed over all row blocks
+        ds = zero_rows_dataset()
+        with rows_per_block(ds, 5), caplog.at_level("WARNING", logger="zen.classifier"):
+            result = grid_search(ds, simplex_grid(9), k=2, seeds=[0, 1, 2])
+        counts = [r.args[0] for r in caplog.records if r.name == "zen.classifier"]
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        expected = []
+        for r in result.per_seed:
+            rows = np.flatnonzero(make_kshot_split(ds.labels, 2, r.seed).test_mask)
+            Z = _mixed_embedding(basis, r.selected_alphas, rows)
+            expected.append(int(np.count_nonzero(~Z.any(axis=1))))
+        assert all(expected)
+        assert counts == expected
 
 
 def full_matrix_search(ds, grid, k, seeds, variant, training):
@@ -447,6 +479,35 @@ class TestLabeledRowSearch:
             assert r.test_acc == test
 
 
+class TestBlockedTestScoring:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ds=degenerate_datasets(), rows=st.integers(1, 3), seed=st.integers(0, 3))
+    def test_matches_whole_matrix_predict(self, ds, rows, seed):
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        split = make_kshot_split(ds.labels, 2, seed)
+        rows = min(rows, int(split.test_mask.sum()) - 1)  # at least two blocks
+        for alphas in simplex_grid(2):
+            Z = _mixed_embedding(basis, alphas)
+            W = tcs_weights(Z, split, ds.labels)
+            whole = evaluate_accuracy(predict(Z, W), split.test_mask, ds.labels)
+            with rows_per_block(ds, rows):
+                assert _test_accuracy(basis, alphas, W, split, ds.labels) == whole
+
+    def test_allocates_row_blocks_only(self, cora_shaped):
+        # X is 31 MB; mixing and normalizing all 2638 test rows at once
+        # peaks at about 1.95x X, row blocks at about 0.21x
+        ds = cora_shaped
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        split = make_kshot_split(ds.labels, 5, 0)
+        grid = simplex_grid(9)
+        idx, _, W = _select_config(basis, split, ds.labels, grid, "full", None)
+        tracemalloc.start()
+        _test_accuracy(basis, grid.alphas[idx], W, split, ds.labels)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 0.5 * ds.features.nbytes
+
+
 class TestRunResultJson:
     def test_schema_and_key_order(self):
         ds = cross_pair_dataset()
@@ -468,7 +529,7 @@ class TestRunResultJson:
         ds = cross_pair_dataset()
         result = grid_search(ds, simplex_grid(1), k=2, seeds=[0])
         payload = json.loads(result.to_json(include_timing=True))
-        assert set(payload["timing_ms"]) == {"propagation_ms", "search_ms"}
+        assert set(payload["timing_ms"]) == {"propagation_ms", "search_ms", "test_ms"}
 
     def test_identical_runs_serialize_identically(self):
         ds = noisy_dataset()

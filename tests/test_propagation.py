@@ -5,10 +5,15 @@ cross-checked against the dense oracle, which shares no code with the sparse
 builders.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from zen import propagation
 
 from zen import (
     ConfigError,
@@ -251,7 +256,54 @@ class TestStarredMatrices:
             npt.assert_allclose(A2, A2.T, atol=1e-12)
 
 
+def whole_matrix_basis(hg, X, kind):
+    """[X, A1* X, A2* X] with the two-hop block in one whole-matrix expression,
+    A1* (m * X1) - rsi_2 * X, the form ``propagated_basis`` fills in column
+    slices."""
+    A1 = build_A1_star(hg, kind)
+    d = degrees(hg).node_degrees.astype(np.float64)
+    m = np.where(d >= 2, d / np.where(d >= 2, d - 1.0, 1.0), 0.0)
+    X1 = A1 @ X
+    return [X, X1, A1 @ (m[:, None] * X1) - rsi_diag_2(hg, kind, A1)[:, None] * X]
+
+
+def assert_bit_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        npt.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestPropagatedBasis:
+    # ``cols`` columns per slice; width 1, below, equal to and not a multiple
+    # of it, on the instance with a singleton edge and isolated nodes
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 4), width=st.integers(1, 9))
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=2)
+    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=3, width=3)
+    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=3, width=7)
+    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=4)
+    def test_column_slices_are_bit_identical_to_the_whole_matrix_expression(
+        self, hg, kind, seed, cols, width
+    ):
+        X = np.random.default_rng(seed).standard_normal((hg.num_nodes, width))
+        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * hg.num_nodes):
+            basis = propagated_basis(hg, X, kind)
+        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+
+    @pytest.mark.parametrize("kind", [SYM, ROW])
+    def test_allocates_no_scratch_block(self, cora_shaped, kind):
+        # X is 31 MB and the two kept blocks 62 MB; a whole-matrix two-hop
+        # expression peaks at 3.0x X, the column slices at about 2.15x
+        hg, X = cora_shaped.hypergraph, cora_shaped.features
+        tracemalloc.start()
+        basis = propagated_basis(hg, X, kind)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 2.5 * X.nbytes
+        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+
     @settings(max_examples=150, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
            seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5))

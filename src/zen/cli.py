@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         if args.threads < 1:
             print("error: --threads must be positive", file=sys.stderr)
             return 2

@@ -24,6 +24,8 @@ winner's weights without a second propagation.
 
 The redundancy-removed variants take their basis from
 ``propagation.propagated_basis``, which never forms the two-hop matrix.
+``linearized_hgnn`` has a single block and no mixing, so it is evaluated
+once per seed, at the first grid point, instead of at all of them.
 """
 
 from __future__ import annotations
@@ -165,6 +167,8 @@ def make_kshot_split(labels: LabelSet, k: int, seed: int) -> Split:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = labels.num_nodes
     train = np.zeros(n, dtype=bool)
@@ -307,10 +311,12 @@ def _select_config(
     """Grid index, validation accuracy and weights of one split's winner.
 
     The highest validation accuracy wins, the earliest in grid order on ties.
+    A single-block basis has nothing to mix, so every grid point scores the
+    same and only the first, the one the tie rule picks, is evaluated.
     """
     labeled = _labeled_rows(basis, split, labels)
     best_idx, best_val, best_W = -1, -np.inf, None
-    for idx, alphas in enumerate(grid):
+    for idx, alphas in enumerate(grid.alphas if len(basis) > 1 else grid.alphas[:1]):
         val_acc, W = _eval_config(labeled, alphas, variant, training)
         if val_acc > best_val:
             best_idx, best_val, best_W = idx, val_acc, W

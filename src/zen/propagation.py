@@ -7,8 +7,8 @@ The two-hop propagation used by the classifier is built here:
   edge weights 1/(size - 1) instead of 1/size.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops.
-* ``build_A1_star``: the one-hop matrix with that diagonal removed, so only
-  information from other nodes flows.
+* ``build_A1_star``: A1^ minus its diagonal, so only information from other
+  nodes flows.
 * ``propagated_basis``: the blocks [X, A1* X, A2* X] the mixing weights
   combine. The two-hop matrix A2* = A1* diag(d/(d-1)) A1* - diag(rsi_2) is
   never formed: its product with X is A1* (m * (A1* X)) - rsi_2 * X, two
@@ -24,6 +24,11 @@ propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
 
 ``plain_adjacency`` gives the standard one-hop forms (HGNN and AllDeepSets)
 that the ablation variants propagate with instead.
+
+A1^ and both plain forms are one formula, D H diag(w) H^T D over the stored
+incidence H, built by ``_hop``: w = 1/(size - 1) for A1^ and 1/size for the
+plain forms, with D = D_v^{-1/2} on both sides (``sym``) or D_v^{-1} on the
+left (``row``).
 """
 
 from __future__ import annotations
@@ -92,27 +97,16 @@ class PropagationConfig:
             raise ConfigError(f"bad normalization {self.normalization!r}")
 
 
-def _safe_inv(v: np.ndarray) -> np.ndarray:
-    """1/v where v > 0, else 0."""
-    out = np.zeros(v.shape, dtype=np.float64)
-    np.divide(1.0, v, out=out, where=v > 0)
-    return out
-
-
-def _safe_inv_sqrt(v: np.ndarray) -> np.ndarray:
-    """v^{-1/2} where v > 0, else 0."""
-    out = np.zeros(v.shape, dtype=np.float64)
-    mask = v > 0
-    out[mask] = 1.0 / np.sqrt(v[mask].astype(np.float64))
+def _div(num, den: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """num/den where ``where`` holds, else 0."""
+    out = np.zeros(den.shape, dtype=np.float64)
+    np.divide(num, den, out=out, where=where)
     return out
 
 
 def _excl_edge_weight(sizes: np.ndarray) -> np.ndarray:
     """1/(size - 1) for edges with >= 2 members, else 0 (singletons propagate nothing)."""
-    s = sizes.astype(np.float64)
-    out = np.zeros(s.shape, dtype=np.float64)
-    np.divide(1.0, s - 1.0, out=out, where=s >= 2)
-    return out
+    return _div(1.0, sizes - 1.0, sizes >= 2)
 
 
 def _middle_degree_factor(node_deg: np.ndarray) -> np.ndarray:
@@ -121,20 +115,24 @@ def _middle_degree_factor(node_deg: np.ndarray) -> np.ndarray:
     This is the diagonal factor between the two one-hop matrices in the
     two-hop composition; it is the same for both normalization kinds.
     """
-    d = node_deg.astype(np.float64)
-    out = np.zeros(d.shape, dtype=np.float64)
-    np.divide(d, d - 1.0, out=out, where=d >= 2)
-    return out
+    return _div(node_deg, node_deg - 1.0, node_deg >= 2)
 
 
-def _drop_diagonal(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Copy of mat with no stored diagonal entries at all."""
-    coo = mat.tocoo()
-    keep = coo.row != coo.col
-    out = sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=mat.shape
-    )
-    return compact(out)
+def _hop(hg: Hypergraph, kind: NormalizationKind, edge_weight: np.ndarray) -> sp.csr_matrix:
+    """D H diag(edge_weight) H^T D, diagonal included.
+
+    Symmetric scales both sides by D_v^{-1/2}, row scales the left by D_v^{-1};
+    isolated nodes get a zero factor.
+    """
+    H = incidence_matrix(hg)
+    d = degrees(hg).node_degrees
+    B = (H @ sp.diags(edge_weight)) @ H.T
+    if kind is NormalizationKind.SYMMETRIC:
+        s = sp.diags(_div(1.0, np.sqrt(d), d > 0))
+        return compact(s @ B @ s)
+    if kind is NormalizationKind.ROW:
+        return compact(sp.diags(_div(1.0, d, d > 0)) @ B)
+    raise ConfigError(f"bad normalization kind {kind!r}")
 
 
 def build_A1_hat(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> sp.csr_matrix:
@@ -144,16 +142,7 @@ def build_A1_hat(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYM
     Row:       D_v^{-1}   H (D_e - I)^{-1} H^T.
     Singleton edges and isolated nodes contribute zero rows/columns.
     """
-    H = incidence_matrix(hg)
-    prof = degrees(hg)
-    w = _excl_edge_weight(prof.edge_sizes)
-    B = (H @ sp.diags(w)) @ H.T
-    if kind is NormalizationKind.SYMMETRIC:
-        s = sp.diags(_safe_inv_sqrt(prof.node_degrees))
-        return compact(s @ B @ s)
-    if kind is NormalizationKind.ROW:
-        return compact(sp.diags(_safe_inv(prof.node_degrees)) @ B)
-    raise ConfigError(f"bad normalization kind {kind!r}")
+    return _hop(hg, kind, _excl_edge_weight(degrees(hg).edge_sizes))
 
 
 def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> np.ndarray:
@@ -167,12 +156,14 @@ def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMME
     H = incidence_matrix(hg)
     prof = degrees(hg)
     incident_mass = H @ _excl_edge_weight(prof.edge_sizes)
-    return _safe_inv(prof.node_degrees) * incident_mass
+    d = prof.node_degrees
+    return _div(1.0, d, d > 0) * incident_mass
 
 
 def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> sp.csr_matrix:
     """One-hop propagation matrix: build_A1_hat with its diagonal removed exactly."""
-    return _drop_diagonal(build_A1_hat(hg, kind))
+    A = build_A1_hat(hg, kind)
+    return compact(A - sp.diags(A.diagonal()))
 
 
 def rsi_diag_2(
@@ -229,12 +220,5 @@ def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
     message-passing forms with plain 1/size edge averaging and no diagonal
     removal.
     """
-    H = incidence_matrix(hg)
-    prof = degrees(hg)
-    inv_sz = sp.diags(_safe_inv(prof.edge_sizes.astype(np.float64)))
-    if kind is NormalizationKind.SYMMETRIC:
-        s = sp.diags(_safe_inv_sqrt(prof.node_degrees))
-        return compact(s @ H @ inv_sz @ H.T @ s)
-    if kind is NormalizationKind.ROW:
-        return compact(sp.diags(_safe_inv(prof.node_degrees)) @ H @ inv_sz @ H.T)
-    raise ConfigError(f"bad normalization kind {kind!r}")
+    sizes = degrees(hg).edge_sizes
+    return _hop(hg, kind, _div(1.0, sizes, sizes > 0))

@@ -146,12 +146,20 @@ class TestRun:
         assert code == 2
         assert "bad seed" in err
 
-    def test_threads_validation(self, toy_files, capsys):
+    @pytest.mark.parametrize("threads", ["-1", "0"])
+    def test_threads_validation(self, toy_files, capsys, threads):
         code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",
-                     "--grid-denominator", "1", "--threads", "-1"])
+                     "--grid-denominator", "1", "--threads", threads])
         err = capsys.readouterr().err
         assert code == 2
         assert "--threads" in err
+
+    def test_negative_seed_is_usage_error(self, toy_files, capsys):
+        code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds=-1",
+                     "--grid-denominator", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed" in err and "Traceback" not in err
 
     def test_threads_accepted(self, toy_files, capsys, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -303,6 +311,13 @@ class TestExplain:
         assert payload["classes"] == ["alpha", "beta", "gamma"]
         assert len(payload["values"]) == 4
         assert len(payload["ranks"]) == 4
+
+    def test_negative_seed_is_usage_error(self, toy_files, capsys):
+        code = main(["explain", *dataset_args(toy_files), "--k", "2",
+                     "--grid-denominator", "2", "--seed=-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed" in err and "Traceback" not in err
 
     def test_ablated_variant(self, toy_files, capsys):
         code = main(["explain", *dataset_args(toy_files), "--k", "2",

@@ -28,7 +28,7 @@ from zen import (
     run_config,
     simplex_grid,
 )
-from zen import propagation
+from zen import harness, propagation
 from zen.classifier import (
     Prediction,
     normalize_rows,
@@ -275,6 +275,13 @@ class TestKShotSplit:
         with pytest.raises(ConfigError):
             make_kshot_split(labels, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+    def test_seed_outside_the_generator_key_range(self, seed):
+        labels = LabelSet(labels=np.arange(8, dtype=np.int64) % 2, num_classes=2)
+        with pytest.raises(ConfigError, match="seed"):
+            make_kshot_split(labels, 1, seed=seed)
+        make_kshot_split(labels, 1, seed=2**128 - 1)
+
 
 class TestEvaluateAccuracy:
     def test_extremes_and_fractions(self):
@@ -403,6 +410,28 @@ class TestGridSearch:
         )
         assert 0.0 <= result.mean_test <= 1.0
 
+
+    def test_single_block_variant_is_evaluated_once_per_seed(self, monkeypatch):
+        calls = []
+        real = harness._eval_config
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_eval_config", counting)
+        ds = noisy_dataset()
+        grid = simplex_grid(9)
+        training = TrainingParams(epochs=20)
+        result = grid_search(ds, grid, k=2, seeds=[0, 1, 2],
+                             variant="linearized_hgnn", training=training)
+        assert calls == [grid.alphas[0]] * 3
+        for r in result.per_seed:
+            assert r.selected_alphas == grid.alphas[0]
+            split = make_kshot_split(ds.labels, 2, r.seed)
+            assert (r.val_acc, r.test_acc) == run_config(
+                ds, PropagationConfig(grid.alphas[0]), split,
+                variant="linearized_hgnn", training=training)
 
     def test_zero_row_warning_at_most_once_per_seed(self, caplog):
         # one record per seed, carrying the count summed over all row blocks

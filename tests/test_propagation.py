@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from zen import propagation
@@ -32,7 +33,7 @@ from zen import (
     rsi_diag_2,
 )
 from zen.harness import _variant_basis
-from zen.rsi_approx import dense_diag_oracle
+from zen.rsi_approx import dense_diag_oracle, walk_transition_matrix
 from conftest import random_hypergraph, two_hop_reference
 
 SYM = NormalizationKind.SYMMETRIC
@@ -109,6 +110,73 @@ class TestOneHop:
     def test_bad_kind_rejected(self, path_hg):
         with pytest.raises(ConfigError):
             build_A1_hat(path_hg, "sym")
+
+
+def branchwise_A1_hat(hg, kind):
+    """A1^ built the way each normalization kind once had its own branch: safe
+    inverses written out, then D H diag(1/(size-1)) H^T D."""
+    H = incidence_matrix(hg)
+    prof = degrees(hg)
+    sz = prof.edge_sizes.astype(np.float64)
+    w = np.zeros(sz.shape)
+    np.divide(1.0, sz - 1.0, out=w, where=sz >= 2)
+    d = prof.node_degrees
+    B = (H @ sp.diags(w)) @ H.T
+    if kind is SYM:
+        s = np.zeros(d.shape)
+        s[d > 0] = 1.0 / np.sqrt(d[d > 0].astype(np.float64))
+        return canonical(sp.diags(s) @ B @ sp.diags(s))
+    inv = np.zeros(d.shape)
+    np.divide(1.0, d, out=inv, where=d > 0)
+    return canonical(sp.diags(inv) @ B)
+
+
+def coo_route_A1_star(hg, kind):
+    """A1* by dropping the diagonal entries of A1^ through COO coordinates."""
+    coo = branchwise_A1_hat(hg, kind).tocoo()
+    keep = coo.row != coo.col
+    return canonical(sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
+
+
+def canonical(mat):
+    out = sp.csr_matrix(mat)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def assert_same_csr_bits(got, want):
+    assert got.shape == want.shape
+    npt.assert_array_equal(got.indptr, want.indptr)
+    npt.assert_array_equal(got.indices, want.indices)
+    npt.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+class TestHopBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]))
+    @example(hg=_DEGENERATE, kind=SYM)
+    @example(hg=_DEGENERATE, kind=ROW)
+    def test_bit_identical_to_the_branchwise_builders(self, hg, kind):
+        assert_same_csr_bits(build_A1_hat(hg, kind), branchwise_A1_hat(hg, kind))
+        assert_same_csr_bits(build_A1_star(hg, kind), coo_route_A1_star(hg, kind))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]))
+    @example(hg=_DEGENERATE, kind=SYM)
+    @example(hg=_DEGENERATE, kind=ROW)
+    def test_returned_matrices_are_canonical_csr(self, hg, kind):
+        for mat in (build_A1_hat(hg, kind), build_A1_star(hg, kind),
+                    plain_adjacency(hg, kind), walk_transition_matrix(hg)):
+            assert isinstance(mat, sp.csr_matrix)
+            assert mat.has_canonical_format and mat.has_sorted_indices
+            # the flags are cached, so check the stored arrays themselves:
+            # column indices strictly increase within each row, no zero is kept
+            row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            assert np.all((np.diff(mat.indices) > 0) | (np.diff(row) > 0))
+            assert np.all(mat.data != 0)
 
 
 class TestSelfInformation:

@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     rsi.add_argument("--hops", type=int, default=1, help="walk length / hop count")
     rsi.add_argument("--method", default="exact",
                      choices=["exact", "walk", "hutchinson"])
-    rsi.add_argument("--norm", default="sym", choices=["sym", "row"])
+    rsi.add_argument("--norm", default=None, choices=["sym", "row"],
+                     help="degree normalization of rap-hop targets (default sym); "
+                          "walk targets have none")
     rsi.add_argument("--trials", type=int, default=100_000,
                      help="walk trials (default 1e5)")
     rsi.add_argument("--probes", type=int, default=64,
@@ -193,8 +195,19 @@ def _cmd_rsi(args) -> int:
         raise ConfigError(f"node {args.node} outside [0, {hg.num_nodes})")
     if args.hops < 0:
         raise ConfigError(f"hops must be nonnegative, got {args.hops}")
-    kind = NormalizationKind.from_string(args.norm)
     node, l = args.node, args.hops
+    # exact values have closed forms for hops 0..2 and Hutchinson probes the
+    # rap hops at 1..2; every other target is the row-stochastic walk matrix,
+    # which has no normalization choice
+    rap_hop = ((args.method == "exact" and l <= 2)
+               or (args.method == "hutchinson" and l in (1, 2)))
+    target = "rap-hop" if rap_hop else "walk"
+    if args.norm is not None and not rap_hop:
+        raise ConfigError(
+            f"--norm applies to rap-hop targets only; --method {args.method} "
+            f"with --hops {l} targets the walk matrix"
+        )
+    kind = NormalizationKind.from_string(args.norm or "sym")
     fits_guard = hg.num_nodes <= dense_guard()
 
     def oracle(family):
@@ -203,48 +216,38 @@ def _cmd_rsi(args) -> int:
         return float(dense_diag_oracle(hg, kind, l, family=family)[node])
 
     if args.method == "exact":
-        # closed forms exist for hops 0..2 of the redundancy-removal model;
-        # longer horizons fall back to the dense walk-matrix diagonal
         if l == 0:
-            target, value = "rap-hop", 1.0
+            value = 1.0
         elif l == 1:
-            target, value = "rap-hop", float(rsi_diag_1(hg, kind)[node])
+            value = float(rsi_diag_1(hg, kind)[node])
         elif l == 2:
-            target, value = "rap-hop", float(rsi_diag_2(hg, kind)[node])
+            value = float(rsi_diag_2(hg, kind)[node])
         else:
-            target = "walk"
             value = float(dense_diag_oracle(hg, kind, l, family="walk")[node])
-        exact = oracle(target if target == "walk" else "rap")
     elif args.method == "walk":
-        target = "walk"
         value = random_walk_return_prob(
             hg, node, WalkParams(walk_length=l, trials=args.trials, rng_seed=args.seed)
         )
-        exact = oracle("walk")
     else:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
-        if l in (1, 2):
-            target = "rap-hop"
-            if l == 1:
-                A1h = build_A1_hat(hg, kind)
-                matvec = lambda z: A1h @ z
-            else:
-                A1s = build_A1_star(hg, kind)
-                mid = _middle_degree_factor(degrees(hg).node_degrees)
-                matvec = lambda z: A1s @ (mid * (A1s @ z))
-            exact = oracle("rap")
+        if l == 1:
+            A1h = build_A1_hat(hg, kind)
+            matvec = lambda z: A1h @ z
+        elif l == 2:
+            A1s = build_A1_star(hg, kind)
+            mid = _middle_degree_factor(degrees(hg).node_degrees)
+            matvec = lambda z: A1s @ (mid * (A1s @ z))
         else:
-            target = "walk"
             W = walk_transition_matrix(hg)
 
-            def matvec(z, _W=W, _l=max(l, 0)):
+            def matvec(z, _W=W, _l=l):
                 v = z
                 for _ in range(_l):
                     v = _W @ v
                 return v
 
-            exact = oracle("walk")
         value = float(hutchinson_diag(matvec, hg.num_nodes, params)[node])
+    exact = oracle("rap" if rap_hop else "walk")
 
     payload = {
         "node": node,

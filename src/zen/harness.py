@@ -58,6 +58,7 @@ from .hypergraph import (
 from .propagation import (
     NormalizationKind,
     PropagationConfig,
+    _first_hop,
     _slice_len,
     plain_adjacency,
     propagated_basis,
@@ -158,6 +159,15 @@ def simplex_grid(denominator: int) -> SimplexGrid:
     return SimplexGrid(alphas=tuple(triples), denominator=q)
 
 
+def _check_split_args(k, seeds) -> None:
+    """Reject a non-positive or non-integer k and any seed outside [0, 2**128)."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    for seed in seeds:
+        if not 0 <= seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {seed!r}")
+
+
 def make_kshot_split(labels: LabelSet, k: int, seed: int) -> Split:
     """Sample k training and k validation nodes per class; the rest is test.
 
@@ -165,10 +175,7 @@ def make_kshot_split(labels: LabelSet, k: int, seed: int) -> Split:
     without replacement from the seeded generator; the first k go to train,
     the next k to validation. Deterministic per (labels, k, seed).
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
-    if not 0 <= seed < 2**128:
-        raise ConfigError(f"seed must be in [0, 2**128), got {seed!r}")
+    _check_split_args(k, (seed,))
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = labels.num_nodes
     train = np.zeros(n, dtype=bool)
@@ -219,10 +226,10 @@ def _variant_basis(
         return propagated_basis(hg, X, kind)
     if variant in ("no_rap", "no_both"):
         A = plain_adjacency(hg, kind)
-        X1 = np.asarray(A @ X)
+        X1 = _first_hop(A, X)[0]
         return [X, X1, np.asarray(A @ X1)]
     A = plain_adjacency(hg, NormalizationKind.SYMMETRIC)
-    return [np.asarray(A @ (A @ X))]
+    return [np.asarray(A @ _first_hop(A, X)[0])]
 
 
 def _mixed_embedding(basis: list[np.ndarray], alphas, rows=slice(None)) -> np.ndarray:
@@ -430,11 +437,14 @@ def grid_search(
     rows. Within a seed the configuration with the highest validation
     accuracy wins, earliest first on ties, and only the winner is scored on
     the test rows, once per seed. The reported spread is the sample standard
-    deviation (ddof=1) over seeds, or 0.0 for a single seed.
+    deviation (ddof=1) over seeds, or 0.0 for a single seed. ``k`` and every
+    seed are checked before the basis is propagated, so a bad one fails
+    before any work is done.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(grid) == 0 or len(seeds) == 0:
         raise ConfigError("grid and seeds must both be nonempty")
+    _check_split_args(k, seeds)
     t0 = time.perf_counter()
     basis = _variant_basis(dataset, normalization, variant)
     timing = {"propagation_ms": (time.perf_counter() - t0) * 1e3,

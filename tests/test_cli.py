@@ -262,6 +262,35 @@ class TestRsi:
         assert payload["target"] == "walk"
         assert abs(payload["value"] - payload["exact"]) < 0.08
 
+    @pytest.mark.parametrize("method, hops", [("walk", 2), ("exact", 3), ("hutchinson", 3),
+                                              ("hutchinson", 0)])
+    @pytest.mark.parametrize("norm", ["sym", "row"])
+    def test_norm_on_a_walk_target_is_a_usage_error(self, triangle_file, capsys,
+                                                    method, hops, norm):
+        args = ["rsi", "--edges", str(triangle_file), "--node", "0", "--method", method,
+                "--hops", str(hops), "--trials", "100", "--probes", "4"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["target"] == "walk"
+        assert main([*args, "--norm", norm]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--norm" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("method, hops", [("exact", 0), ("exact", 1), ("exact", 2),
+                                              ("hutchinson", 1), ("hutchinson", 2)])
+    def test_rap_hop_targets_default_to_sym(self, tmp_path, capsys, method, hops):
+        # unequal degrees, so the sym and row hop matrices differ
+        p = tmp_path / "mixed.hg"
+        p.write_text(serialize_hypergraph(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 3)))))
+        args = ["rsi", "--edges", str(p), "--node", "0", "--method", method,
+                "--hops", str(hops), "--probes", "8"]
+        outputs = {}
+        for norm in (None, "sym", "row"):
+            assert main(args if norm is None else [*args, "--norm", norm]) == 0
+            outputs[norm] = capsys.readouterr().out
+        assert json.loads(outputs[None])["target"] == "rap-hop"
+        assert outputs[None] == outputs["sym"]
+
     def test_table_format(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0",
                      "--format", "table"])

@@ -402,6 +402,15 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="nonempty"):
             grid_search(ds, simplex_grid(2), k=2, seeds=[])
 
+    @pytest.mark.parametrize("k, seeds", [(2, (0, 1, -1)), (2, (0, 2**128)), (0, (0,))],
+                             ids=["negative-seed", "seed-2**128", "k-0"])
+    def test_split_arguments_are_checked_before_propagation(self, monkeypatch, k, seeds):
+        calls = []
+        monkeypatch.setattr(harness, "propagated_basis", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="seed" if k else "k must"):
+            grid_search(cross_pair_dataset(), simplex_grid(2), k=k, seeds=seeds)
+        assert calls == []
+
     def test_gd_variants_accept_training_params(self):
         ds = cross_pair_dataset()
         result = grid_search(

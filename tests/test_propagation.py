@@ -5,6 +5,7 @@ cross-checked against the dense oracle, which shares no code with the sparse
 builders.
 """
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -360,17 +361,60 @@ class TestPropagatedBasis:
             basis = propagated_basis(hg, X, kind)
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
 
+    # widths up to 64 put small instances on both sides of the density cut;
+    # ``forced`` takes the CSR branch whatever the density, so d = 1 and
+    # dense X run it too. Zeros carry random signs, so X holds -0.0.
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 4), width=st.integers(1, 64),
+           density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), forced=st.booleans())
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1, density=0.3, forced=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=7, density=1.0, forced=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=2, width=64, density=0.0, forced=False)
+    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=5, width=64, density=0.01, forced=False)
+    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=40, density=0.05, forced=True)
+    def test_sparse_first_hop_is_bit_identical_to_the_dense_expression(
+        self, hg, kind, seed, cols, width, density, forced
+    ):
+        rng = np.random.default_rng(seed)
+        n = hg.num_nodes
+        values = rng.standard_normal((n, width))
+        X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
+        X[rng.random(n) < 0.3] = -0.0
+        force = mock.patch.object(propagation, "_sparse_enough", return_value=True)
+        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * n), \
+                (force if forced else contextlib.nullcontext()):
+            basis = propagated_basis(hg, X, kind)
+        assert basis[0] is X
+        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+
+    def test_density_cut(self, cora_shaped):
+        # 32 (n + nnz) <= n d: with n = 100 and d = 64 the cut is nnz = 100
+        nonzero = np.zeros((100, 64), dtype=bool)
+        nonzero.flat[:100] = True
+        assert propagation._sparse_enough(nonzero)
+        nonzero.flat[100] = True
+        assert not propagation._sparse_enough(nonzero)
+        assert not propagation._sparse_enough(np.zeros((100, 31), dtype=bool))
+        assert propagation._sparse_enough(np.zeros((100, 32), dtype=bool))
+        X = cora_shaped.features  # 1.3% nonzero, the cut is at 3.1% for d = 1433
+        assert propagation._sparse_enough(X != 0)
+        assert not propagation._sparse_enough(X + 0.5 != 0)
+
     @pytest.mark.parametrize("kind", [SYM, ROW])
     def test_allocates_no_scratch_block(self, cora_shaped, kind):
         # X is 31 MB and the two kept blocks 62 MB; a whole-matrix two-hop
-        # expression peaks at 3.0x X, the column slices at about 2.15x
-        hg, X = cora_shaped.hypergraph, cora_shaped.features
-        tracemalloc.start()
-        basis = propagated_basis(hg, X, kind)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= 2.5 * X.nbytes
-        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+        # expression peaks at 3.0x X, the column slices at about 2.15x on
+        # either branch: the 1.3%-nonzero X takes the CSR one, X + 0.5 the dense one
+        hg = cora_shaped.hypergraph
+        for X, csr in ((cora_shaped.features, True), (cora_shaped.features + 0.5, False)):
+            assert propagation._sparse_enough(X != 0) is csr
+            tracemalloc.start()
+            basis = propagated_basis(hg, X, kind)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak <= 2.5 * X.nbytes
+            assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
 
     @settings(max_examples=150, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
@@ -393,6 +437,22 @@ class TestPropagatedBasis:
         npt.assert_allclose(diag, rsi_diag_1(hg, kind), atol=1e-12)
         npt.assert_allclose(diag, dense_diag_oracle(hg, kind, 1), atol=1e-12)
         npt.assert_allclose(rsi_diag_2(hg, kind), dense_diag_oracle(hg, kind, 2), atol=1e-12)
+
+
+class TestPlainFirstHop:
+    @pytest.mark.parametrize("kind", [SYM, ROW])
+    def test_no_rap_basis_matches_dense_products(self, cora_shaped, kind):
+        # cora_shaped X takes the CSR first hop; the reference multiplies dense X
+        X = cora_shaped.features
+        A = plain_adjacency(cora_shaped.hypergraph, kind)
+        X1 = A @ X
+        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap"), [X, X1, A @ X1])
+
+    def test_linearized_hgnn_basis_matches_dense_products(self, cora_shaped):
+        X = cora_shaped.features
+        A = plain_adjacency(cora_shaped.hypergraph, SYM)
+        assert_bit_identical(_variant_basis(cora_shaped, ROW, "linearized_hgnn"),
+                             [A @ (A @ X)])
 
 
 class TestPropagationOperator:

@@ -186,6 +186,11 @@ class TrainingParams:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
 
 
+def _step_size(params: TrainingParams, train_rows: int) -> float:
+    """The descent step size ``params`` gives for ``train_rows`` training rows."""
+    return params.lr if params.lr is not None else 0.5 / max(1, train_rows)
+
+
 def train_weights_gd(
     Z: np.ndarray,
     split: Split,
@@ -198,7 +203,7 @@ def train_weights_gd(
     (step size too large for the spectrum of Z_train).
     """
     Zt, Yt = _train_rows(Z, split, labels)
-    lr = params.lr if params.lr is not None else 0.5 / max(1, Zt.shape[0])
+    lr = _step_size(params, Zt.shape[0])
     W = np.zeros((Zt.shape[1], Yt.shape[1]), dtype=np.float64)
     for epoch in range(params.epochs):
         R = Zt @ W - Yt

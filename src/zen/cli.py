@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "so identical runs serialize identically)")
     run.add_argument("--lr", type=float, default=None,
                      help="step size for gradient-descent variants")
-    run.add_argument("--epochs", type=int, default=500,
+    run.add_argument("--epochs", type=int, default=None,
                      help="iterations for gradient-descent variants (default 500)")
     run.set_defaults(func=_cmd_run)
 
@@ -138,9 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .classifier import TrainingParams
-    from .harness import grid_search, load_dataset, simplex_grid
+    from .harness import _GD_WEIGHTS, grid_search, load_dataset, simplex_grid
     from .propagation import NormalizationKind
 
+    if not _GD_WEIGHTS[args.variant]:
+        for flag, value in (("--lr", args.lr), ("--epochs", args.epochs)):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} applies to gradient-descent variants only; "
+                    f"--variant {args.variant} has closed-form weights"
+                )
+    epochs = TrainingParams.epochs if args.epochs is None else args.epochs
     dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
     result = grid_search(
         dataset,
@@ -149,7 +157,7 @@ def _cmd_run(args) -> int:
         parse_seeds(args.seeds),
         variant=args.variant,
         normalization=NormalizationKind.from_string(args.norm),
-        training=TrainingParams(lr=args.lr, epochs=args.epochs),
+        training=TrainingParams(lr=args.lr, epochs=epochs),
     )
     text = result.to_json(include_timing=args.timing)
     if args.out:
@@ -193,6 +201,8 @@ def _cmd_rsi(args) -> int:
     hg = load_hypergraph(args.edges)
     if not (0 <= args.node < hg.num_nodes):
         raise ConfigError(f"node {args.node} outside [0, {hg.num_nodes})")
+    if args.method == "walk" and args.hops < 1:
+        raise ConfigError(f"--method walk needs --hops of at least 1, got {args.hops}")
     if args.hops < 0:
         raise ConfigError(f"hops must be nonnegative, got {args.hops}")
     node, l = args.node, args.hops

@@ -5,22 +5,34 @@ configuration on the validation nodes, keep the configuration with the best
 validation accuracy (ties to the earliest in enumeration order), and report
 its test accuracy; aggregate mean and sample standard deviation over seeds.
 
-Every configuration goes through one function, ``_eval_config``, over a
-precomputed per-hop feature basis (X, A1 X, A2 X). Mixing and row
-normalization act on each row alone and the class weights read only the
-training rows, so selection needs only the labeled rows: once per seed the
-training and validation rows of each basis block are gathered, and each
-configuration is weighted on the former and scored on the latter. The
-winner's test rows are mixed and scored once per seed, in row blocks of
-about 2 MiB each, so no test-sized n x d copy is made. Embedding rows and
-weights equal those of the full n-row embedding bit for bit; only the score
-products, the validation product and each test block's, run over fewer
-rows, which can move the last bit of a score and so, in principle, break an
-exact tie between two classes differently.
-``run_config`` and ``grid_search`` share this path, so re-running any
-selected configuration reproduces the grid's numbers bit for bit. The
-per-split selection loop, ``_select_config``, also gives ``zen explain`` the
-winner's weights without a second propagation.
+One function, ``_eval_config``, defines what a configuration scores. It
+works on a precomputed per-hop feature basis (X, A1 X, A2 X). Mixing and
+row normalization act on each row alone and the class weights read only the
+training rows, so a configuration needs only the labeled rows: its weights
+come from the training rows and its accuracy from the product of the
+validation rows with them. That labeled-row product is the definition, tie
+policy included: an exact tie between two classes goes to the lower class
+id, as in ``predict``. ``run_config``, the winner of every seed and every
+re-score below go through it, so re-running a selected configuration
+reproduces the grid's numbers bit for bit and ``zen explain`` gets the
+winner's weights without a second propagation. The winner's test rows are
+mixed and scored once per seed, in row blocks of about 2 MiB each, so no
+test-sized n x d copy is made; a test row's score is its block's product.
+
+Selection does not call ``_eval_config`` once per configuration. Once per
+seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
+screens all g grid points from them in chunks (``_gram_accuracies``). The
+closed form costs O(L^2 (d + g c)) per seed against O(g L d) for weighting
+each configuration's rows; descent with e epochs costs O(L^2 (d + g c e))
+against O(g L d c e), since it updates L/2 x c coefficients instead of
+d x c weights. On the benchmark's Cora-shaped input L = 70, d = 1433 and
+g = 55. The Gram scores match the labeled-row scores to rounding (about
+1e-14 relative on the benchmark inputs), so they can only rank a validation
+row differently where its top two class scores nearly tie. Such a
+configuration, and one whose Gram value has cancelled or whose descent left
+the sane regime, is re-scored through ``_eval_config``, and that accuracy
+replaces the Gram one. The first configuration with the highest accuracy
+wins, and its accuracy and weights are ``_eval_config``'s.
 
 The redundancy-removed variants take their basis from
 ``propagation.propagated_basis``, which never forms the two-hop matrix.
@@ -38,9 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (
+    DIVERGENCE_LIMIT,
     Prediction,
     Split,
     TrainingParams,
+    _step_size,
     _warn_zero_rows,
     _zero_rows,
     normalize_rows,
@@ -69,6 +83,15 @@ VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 # which variants train weights by descent
 _GD_WEIGHTS = {"full": False, "no_rap": False, "no_tcs": True, "no_both": True,
                "linearized_hgnn": True}
+
+# A validation row whose top two Gram scores differ by at most this fraction
+# of max(1, |top score|) is a near tie, which the row route may rank the
+# other way.
+_NEAR_TIE = 1e-9
+# A sum whose squared length is at most this fraction of the sum of its
+# terms' squared lengths has cancelled, and its Gram value has lost digits.
+# A sum of nonnegative vectors is never shorter than that sum.
+_CANCELLATION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -319,15 +342,138 @@ def _select_config(
 
     The highest validation accuracy wins, the earliest in grid order on ties.
     A single-block basis has nothing to mix, so every grid point scores the
-    same and only the first, the one the tie rule picks, is evaluated.
+    same and only the first, the one the tie rule picks, is evaluated. A
+    basis of two or more blocks is screened in Gram form by
+    ``_gram_accuracies``, at O(L^2 (d + g c)) per seed for the closed form,
+    which re-scores through ``_eval_config`` every configuration whose Gram
+    scores could rank a validation row differently: a near tie, a cancelled
+    sum or a diverging descent. The winner is then evaluated by
+    ``_eval_config``, or taken from its re-score, so its accuracy and
+    weights are exactly those of any other route through it.
     """
     labeled = _labeled_rows(basis, split, labels)
-    best_idx, best_val, best_W = -1, -np.inf, None
-    for idx, alphas in enumerate(grid.alphas if len(basis) > 1 else grid.alphas[:1]):
-        val_acc, W = _eval_config(labeled, alphas, variant, training)
-        if val_acc > best_val:
-            best_idx, best_val, best_W = idx, val_acc, W
-    return best_idx, float(best_val), best_W
+    if len(basis) == 1:
+        val_acc, W = _eval_config(labeled, grid.alphas[0], variant, training)
+        return 0, val_acc, W
+    accs, rescored = _gram_accuracies(labeled, grid, variant, training)
+    best = int(np.argmax(accs))
+    if best not in rescored:
+        rescored[best] = _eval_config(labeled, grid.alphas[best], variant, training)
+    val_acc, W = rescored[best]
+    return best, val_acc, W
+
+
+def _gram_accuracies(
+    labeled: _LabeledRows,
+    grid: SimplexGrid,
+    variant: str,
+    training: TrainingParams | None,
+) -> tuple[np.ndarray, dict[int, tuple[float, np.ndarray]]]:
+    """Validation accuracy of every grid configuration, from one labeled-row Gram,
+    and what ``_eval_config`` returned for each configuration it re-scored.
+
+    The labeled rows are taken training rows first, and the Grams
+    G_jk = B_j B_k^T of the blocks are formed once. A configuration's Gram of
+    the row-normalized embedding is then K = D^-1 (sum_jk a_j a_k G_jk) D^-1,
+    with D the square root of the diagonal and D^-1 zero where it is zero,
+    and the configurations are taken in chunks whose K fits one slice. The
+    validation scores are K_vt Y / sqrt(diag(Y^T K_tt Y)) for the closed
+    form and K_vt C for descent, where C <- C - 2 lr (K_tt C - Y) from zero
+    is ``train_weights_gd`` run on W = Z_t^T C.
+
+    A configuration is re-scored through ``_eval_config`` when the Gram
+    route cannot vouch for its ranks: a validation row that is not
+    structurally zero has top-two scores within ``_NEAR_TIE`` of each other;
+    a mixed labeled row or a class's sum of training rows has cancelled
+    (``_CANCELLATION``); or descent froze it because its loss left the sane
+    regime, in which case the re-score raises ``train_weights_gd``'s
+    ``DivergenceError``. A row is structurally zero when every block with a
+    nonzero alpha is zero on it; both routes give it class 0. Configurations
+    are settled in grid order, so the first error raised is the one that
+    scoring each configuration in turn would raise.
+    """
+    split = labeled.split
+    train, val = np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)
+    t = train.size
+    rows = [block[np.concatenate([train, val])] for block in labeled.blocks]
+    nb, L = len(rows), rows[0].shape[0]
+    G = np.empty((nb, nb, L, L))
+    for j in range(nb):
+        for k in range(j, nb):
+            np.matmul(rows[j], rows[k].T, out=G[j, k])
+            if k > j:
+                G[k, j] = G[j, k].T
+    nonzero = np.array([block.any(axis=1) for block in rows])
+    sq_len = np.array([np.diagonal(G[j, j]) for j in range(nb)])
+    del rows
+    Y = labeled.labels.one_hot()[train]
+    truth = labeled.labels.labels[val]
+    alphas = np.asarray(grid.alphas, dtype=np.float64)
+    accs, rescored = np.empty(len(grid)), {}
+    step = _slice_len(G.itemsize * L * L)
+    scratch = np.empty((min(step, len(grid)), L * L))
+    for start in range(0, len(grid), step):
+        a = alphas[start:start + step]
+        K = np.matmul((a[:, :, None] * a[:, None, :]).reshape(-1, nb * nb),
+                      G.reshape(nb * nb, L * L), out=scratch[:a.shape[0]]).reshape(-1, L, L)
+        diag = np.diagonal(K, axis1=1, axis2=2).copy()
+        # rows that are not structurally zero, and those whose mix cancelled
+        live = (a != 0) @ nonzero
+        unsure = (live & ~(diag > _CANCELLATION * ((a * a) @ sq_len))).any(axis=1)
+        pos = diag > 0
+        inv = np.zeros_like(diag)
+        inv[pos] = 1.0 / np.sqrt(diag[pos])
+        K *= inv[:, :, None]
+        K *= inv[:, None, :]
+        Ktt, Kvt = K[:, :t, :t], K[:, t:, :t]
+        if _GD_WEIGHTS[variant]:
+            scores, frozen = _descent_scores(Ktt, Kvt, Y, training or TrainingParams())
+            unsure |= frozen
+        else:
+            # squared length of each class's sum of training rows, and the
+            # count of its nonzero (unit) terms
+            colsq = np.einsum("gtc,tc->gc", Ktt @ Y, Y)
+            terms = pos[:, :t] @ Y
+            unsure |= ((terms > 0) & ~(colsq > _CANCELLATION * terms)).any(axis=1)
+            scores = (Kvt @ Y) / np.sqrt(np.where(colsq > 0, colsq, 1.0))[:, None, :]
+        if Y.shape[1] > 1:
+            ranked = np.sort(scores, axis=2)
+            top, second = ranked[..., -1], ranked[..., -2]
+            tie = ~(top - second > _NEAR_TIE * np.maximum(1.0, np.abs(top)))
+            unsure |= (tie & live[:, t:]).any(axis=1)
+        hard = np.argmax(scores, axis=2)
+        for i in range(a.shape[0]):
+            idx = start + i
+            if unsure[i]:
+                rescored[idx] = _eval_config(labeled, grid.alphas[idx], variant, training)
+                accs[idx] = rescored[idx][0]
+            else:
+                accs[idx] = _accuracy(hard[i], truth)
+    return accs, rescored
+
+
+def _descent_scores(
+    Ktt: np.ndarray, Kvt: np.ndarray, Y: np.ndarray, params: TrainingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validation scores of ``train_weights_gd`` for a stack of Grams, in dual form.
+
+    A configuration is frozen, and flagged, once its loss ||K_tt C - Y||^2,
+    the primal loss, is not finite or comes within ``_NEAR_TIE`` of
+    ``DIVERGENCE_LIMIT``.
+    """
+    lr = _step_size(params, Y.shape[0])
+    limit = DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE)
+    C = np.zeros((Ktt.shape[0],) + Y.shape)
+    frozen = np.zeros(Ktt.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.epochs):
+            R = Ktt @ C - Y
+            frozen |= ~(np.einsum("gtc,gtc->g", R, R) <= limit)
+            if frozen.all():
+                break
+            R[frozen] = 0.0
+            C -= (2.0 * lr) * R
+    return Kvt @ C, frozen
 
 
 def _test_accuracy(

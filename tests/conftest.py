@@ -1,11 +1,13 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-materialized two-hop reference, and a Cora-shaped instance built in memory."""
+materialized two-hop reference, the per-config selection reference, and a
+Cora-shaped instance built in memory."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from zen import Dataset, Hypergraph, LabelSet, NormalizationKind, build_A1_star, degrees
+from zen.harness import _eval_config, _labeled_rows
 
 
 @pytest.fixture
@@ -70,6 +72,25 @@ def two_hop_reference(
         keep = A2.row != A2.col
         A2 = sp.coo_matrix((A2.data[keep], (A2.row[keep], A2.col[keep])), shape=A2.shape)
     return A2.tocsr()
+
+
+def select_reference(basis, split, labels, grid, variant, training):
+    """Grid index, validation accuracy and weights of a split's winner, found by
+    scoring every grid point through ``_eval_config`` in grid order.
+
+    The per-config loop the Gram-form screen in ``harness._select_config``
+    replaced: the highest validation accuracy wins, the earliest on ties, and
+    a single-block basis is scored at the first grid point only. The
+    functions are bound at import, so a test that patches
+    ``harness._eval_config`` does not reach them.
+    """
+    labeled = _labeled_rows(basis, split, labels)
+    best_idx, best_val, best_W = -1, -np.inf, None
+    for idx, alphas in enumerate(grid.alphas if len(basis) > 1 else grid.alphas[:1]):
+        val_acc, W = _eval_config(labeled, alphas, variant, training)
+        if val_acc > best_val:
+            best_idx, best_val, best_W = idx, val_acc, W
+    return best_idx, float(best_val), best_W
 
 
 @pytest.fixture(scope="session")

@@ -132,6 +132,27 @@ class TestRun:
         capsys.readouterr()
         assert code == 0
 
+    @pytest.mark.parametrize("variant", ["full", "no_rap"])
+    @pytest.mark.parametrize("flag, value", [("--lr", "0.01"), ("--epochs", "50"),
+                                             ("--epochs", "500")])
+    def test_descent_flags_with_closed_form_weights_are_usage_errors(
+            self, toy_files, capsys, variant, flag, value):
+        code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",
+                     "--grid-denominator", "1", "--variant", variant, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err and "Traceback" not in captured.err
+
+    def test_epochs_default_to_500(self, toy_files, capsys):
+        args = ["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0..1",
+                "--grid-denominator", "2", "--variant", "no_both", "--format", "json"]
+        outputs = []
+        for extra in ([], ["--epochs", "500"], ["--epochs", "3"]):
+            assert main([*args, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
     def test_missing_file_exit_code(self, toy_files, capsys):
         code = main(["run", "--edges", str(toy_files / "nope.hg"),
                      "--features", str(toy_files / "features.csv"),
@@ -290,6 +311,15 @@ class TestRsi:
             outputs[norm] = capsys.readouterr().out
         assert json.loads(outputs[None])["target"] == "rap-hop"
         assert outputs[None] == outputs["sym"]
+
+    @pytest.mark.parametrize("hops", ["0", "-1"])
+    def test_walk_needs_a_positive_hop_count(self, triangle_file, capsys, hops):
+        code = main(["rsi", "--edges", str(triangle_file), "--node", "0",
+                     "--method", "walk", "--hops", hops, "--trials", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--hops" in captured.err and "Traceback" not in captured.err
 
     def test_table_format(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0",

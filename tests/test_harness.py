@@ -1,5 +1,6 @@
 """Dataset assembly, k-shot splits, grid search, and report serialization."""
 
+import contextlib
 import json
 import os
 import tracemalloc
@@ -8,12 +9,13 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zen import (
     ConfigError,
     DatasetError,
     Dataset,
+    DivergenceError,
     Hypergraph,
     LabelSet,
     NormalizationKind,
@@ -31,6 +33,7 @@ from zen import (
 from zen import harness, propagation
 from zen.classifier import (
     Prediction,
+    Split,
     normalize_rows,
     predict,
     tcs_weights,
@@ -45,6 +48,8 @@ from zen.harness import (
     _variant_basis,
 )
 from zen.hypergraph import serialize_hypergraph
+
+from conftest import select_reference
 
 
 def one_hot_features(labels: np.ndarray, c: int) -> np.ndarray:
@@ -515,6 +520,182 @@ class TestLabeledRowSearch:
             assert r.selected_alphas == grid.alphas[idx]
             assert r.val_acc == val
             assert r.test_acc == test
+
+
+def selection_instance(labels, roles, X, edges):
+    """A dataset and a split given node by node: role t, v or x is train,
+    validation or test."""
+    labels, roles = np.asarray(labels), np.asarray(list(roles))
+    X = np.asarray(X, dtype=np.float64).reshape(labels.size, -1)
+    ds = Dataset(name="drawn", hypergraph=Hypergraph(labels.size, tuple(map(tuple, edges))),
+                 features=X, labels=LabelSet(labels=labels, num_classes=int(labels.max()) + 1))
+    return ds, Split(roles == "t", roles == "v", roles == "x")
+
+
+@st.composite
+def selection_instances(draw):
+    """Small instances for the Gram-screen differential test.
+
+    The first validation node of class 0 is isolated, so every mixture with
+    alpha_0 = 0 embeds it at the origin. Features are small signed integers,
+    so mixed rows and class sums can cancel; d may be 1; one draw in five
+    has all-zero features. With ``twins`` the only training nodes of classes
+    0 and 1 are isolated with equal features, so the two classes get equal
+    weights and every validation score ties exactly between them.
+    """
+    c = draw(st.integers(2, 3))
+    twins = draw(st.booleans())
+    train = [1 if twins and cls < 2 else draw(st.integers(1, 3)) for cls in range(c)]
+    labels, roles = [], ""
+    for cls in range(c):
+        val = draw(st.integers(1, 3))
+        labels += [cls] * (train[cls] + val)
+        roles += "t" * train[cls] + "v" * val
+    tests = draw(st.lists(st.integers(0, c - 1), max_size=3))
+    labels += tests
+    roles += "x" * len(tests)
+    order = draw(st.permutations(range(len(labels))))
+    labels = np.array(labels)[order]
+    roles = np.array(list(roles))[order]
+    n, d = labels.size, draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0]),
+                               min_size=n * d, max_size=n * d))).reshape(n, d)
+    if draw(st.integers(0, 4)) == 0:
+        X[:] = 0.0
+    isolated = [np.flatnonzero((labels == 0) & (roles == "v"))[0]]
+    if twins:
+        isolated += [np.flatnonzero((labels == cls) & (roles == "t"))[0] for cls in (0, 1)]
+        X[isolated[2]] = X[isolated[1]]
+    member = st.sampled_from(np.setdiff1d(np.arange(n), isolated).tolist())
+    edges = draw(st.lists(st.lists(member, min_size=1, max_size=5), min_size=1, max_size=n))
+    return selection_instance(labels, roles, X, edges)
+
+
+def configs_per_chunk(split, configs):
+    """Patch the slice budget so the Gram screen takes ``configs`` grid points
+    at a time; ``None`` leaves it alone."""
+    if configs is None:
+        return contextlib.nullcontext()
+    L = int(split.train_mask.sum() + split.val_mask.sum())
+    return mock.patch.object(propagation, "_BLOCK_BYTES", 8 * L * L * configs)
+
+
+# d = 1; the only training nodes of the two classes are isolated with equal
+# features, and one validation node is isolated
+TWINS_D1 = selection_instance([0, 1, 0, 0, 1, 1, 0], "ttvvvvx",
+                              [1, 1, 2, 1, 2, 0, 1], [(3, 4), (4, 5, 6), (3, 5)])
+# all-zero features: every embedding row is zero and every config ties
+ZERO_FEATURES = selection_instance([0, 1, 0, 1, 0, 1], "ttvvvx", np.zeros((6, 2)),
+                                   [(0, 1, 2), (3, 4), (1, 5)])
+# a single class: every row predicts it, with no second score to tie
+ONE_CLASS = selection_instance([0, 0, 0, 0], "tvvx", [[1.0, 2.0], [0.0, 1.0], [2.0, 0.0],
+                                                      [1.0, 1.0]], [(0, 1), (1, 2, 3)])
+
+
+class TestGramSelection:
+    @pytest.mark.parametrize("kind", list(NormalizationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("variant", ["full", "no_rap", "no_tcs", "no_both"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=selection_instances(), denominator=st.integers(1, 9),
+           chunk=st.sampled_from([None, 1, 2, 5]), epochs=st.integers(1, 30))
+    @example(inst=TWINS_D1, denominator=9, chunk=None, epochs=20)
+    @example(inst=TWINS_D1, denominator=3, chunk=2, epochs=5)
+    @example(inst=ZERO_FEATURES, denominator=9, chunk=4, epochs=20)
+    @example(inst=ONE_CLASS, denominator=4, chunk=3, epochs=10)
+    def test_matches_the_per_config_loop(self, variant, kind, inst, denominator, chunk,
+                                         epochs):
+        ds, split = inst
+        basis = _variant_basis(ds, kind, variant)
+        grid = simplex_grid(denominator)
+        training = TrainingParams(epochs=epochs)
+        ref_idx, ref_val, ref_W = select_reference(basis, split, ds.labels, grid, variant,
+                                                   training)
+        with configs_per_chunk(split, chunk):
+            idx, val_acc, W = _select_config(basis, split, ds.labels, grid, variant, training)
+        assert (idx, val_acc) == (ref_idx, ref_val)
+        npt.assert_array_equal(W.view(np.int64), ref_W.view(np.int64))
+
+    def test_near_tie_is_rescored(self, monkeypatch):
+        # Two training rows, e0 (class 0) and e1 (class 1), in every block, so
+        # W = I for every config. Validation row v0 (class 0) mixes to
+        # (a0 + a1, a0 + a2): an exact tie, which the row route gives class 0,
+        # wherever a1 == a2. Row v2 (class 1) mixes to (a1, a0 + a2). Both
+        # are right only at (1/9, 4/9, 4/9), one of the tied configs.
+        e0, e1, ones = [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
+        basis = [np.array([e0, e1, ones, e1, e1]),
+                 np.array([e0, e1, e0, e1, e0]),
+                 np.array([e0, e1, e1, e1, e1])]
+        labels = LabelSet(labels=np.array([0, 1, 0, 1, 1]), num_classes=2)
+        split = Split(np.array([1, 1, 0, 0, 0], bool), np.array([0, 0, 1, 1, 1], bool),
+                      np.zeros(5, bool))
+        grid = simplex_grid(9)
+        expected = select_reference(basis, split, labels, grid, "full", None)
+        calls = []
+        real = harness._eval_config
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_eval_config", counting)
+        idx, val_acc, W = _select_config(basis, split, labels, grid, "full", None)
+        tied = [a for a in grid.alphas if a[1] == a[2]]
+        assert len(tied) == 5
+        assert calls == tied
+        assert grid.alphas[idx] == (1 / 9, 4 / 9, 4 / 9)
+        assert (idx, val_acc) == expected[:2] and val_acc == 1.0
+        npt.assert_array_equal(W.view(np.int64), expected[2].view(np.int64))
+
+    def test_divergence_error_is_the_per_config_loops(self):
+        ds = noisy_dataset()
+        training = TrainingParams(lr=50.0)
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_tcs")
+        split = make_kshot_split(ds.labels, 2, 0)
+        with pytest.raises(DivergenceError) as expected:
+            select_reference(basis, split, ds.labels, simplex_grid(9), "no_tcs", training)
+        with pytest.raises(DivergenceError) as raised:
+            grid_search(ds, simplex_grid(9), k=2, seeds=[0], variant="no_tcs",
+                        training=training)
+        assert str(raised.value) == str(expected.value)
+
+    def test_divergence_is_raised_before_a_later_winner(self):
+        # Training rows e0..e3 in block 0 and nearly parallel rows, one per
+        # class, in block 2: the training Gram's top eigenvalue runs from 1
+        # at (1, 0, 0) to nearly 4 at (0, 0, 1), so at lr = 0.5 the configs
+        # heavy in a2 diverge, the first grid point among them, while the
+        # winner converges. The validation rows of block 2 are swapped, so
+        # the diverging configs' scores neither tie nor win: only the freeze
+        # flags them.
+        eye, u0, u1 = np.eye(4), [1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 0.5, 1.0]
+        basis = [np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),
+                 np.zeros((6, 4)), np.array([u0, u0, u1, u1, u1, u0])]
+        labels = LabelSet(labels=np.array([0, 0, 1, 1, 0, 1]), num_classes=2)
+        split = Split(np.arange(6) < 4, np.arange(6) >= 4, np.zeros(6, bool))
+        training = TrainingParams(lr=0.5)
+        with pytest.raises(DivergenceError) as expected:
+            select_reference(basis, split, labels, simplex_grid(9), "no_tcs", training)
+        assert "epoch" in str(expected.value)
+        with pytest.raises(DivergenceError) as raised:
+            _select_config(basis, split, labels, simplex_grid(9), "no_tcs", training)
+        assert str(raised.value) == str(expected.value)
+        converging = simplex_grid(1)
+        converging = harness.SimplexGrid(alphas=converging.alphas[2:], denominator=1)
+        assert _select_config(basis, split, labels, converging, "no_tcs", training)[:2] == (0, 1.0)
+
+    def test_peak_is_the_gram_plus_a_few_slices(self):
+        # L = 800 labeled rows: the Gram of the three blocks is (3L)^2 doubles,
+        # 46 MB, and one config's K (5.1 MB) is a chunk of its own
+        rng = np.random.default_rng(800)
+        c, k, d = 4, 100, 8
+        labels = LabelSet(labels=np.arange(2 * k * c + 40) % c, num_classes=c)
+        basis = [rng.random((labels.num_nodes, d)) for _ in range(3)]
+        split = make_kshot_split(labels, k, 0)
+        L = 2 * k * c
+        tracemalloc.start()
+        _select_config(basis, split, labels, simplex_grid(9), "full", None)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= (3 * L) ** 2 * 8 + 3 * propagation._BLOCK_BYTES
 
 
 class TestBlockedTestScoring:

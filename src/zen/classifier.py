@@ -5,7 +5,8 @@ then form class weight vectors directly from the labeled rows (class-mean
 style, column-normalized) instead of running an optimizer. Two reference
 routes exist alongside the closed form: the exact minimum-norm least-squares
 solution via pseudoinverse, and plain gradient descent on the squared error.
-They are kept separate so each can check the others.
+They are kept separate so each can check the others. Descent runs in dual
+form, the one loop ``_descend`` that the selection screen in ``harness`` runs.
 
 Also here: the spectral machinery that bounds how far the closed-form weights
 can drift from the exact solution in the idealized geometry (unit-length
@@ -186,9 +187,30 @@ class TrainingParams:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
 
 
-def _step_size(params: TrainingParams, train_rows: int) -> float:
-    """The descent step size ``params`` gives for ``train_rows`` training rows."""
-    return params.lr if params.lr is not None else 0.5 / max(1, train_rows)
+def _descend(K, Y, params: TrainingParams, limit: float = DIVERGENCE_LIMIT):
+    """Dual gradient descent C <- C - 2 lr (K C - Y) from zero on each training
+    Gram K = Z_t Z_t^T of a (g, t, t) stack; W = Z_t^T C is then the primal
+    iterate W <- W - 2 lr Z_t^T (Z_t W - Y). Returns C, and per Gram the first
+    epoch whose loss ||K C - Y||^2 was not finite or above ``limit`` (-1 if
+    none) with that loss; a Gram stops there.
+    """
+    lr = params.lr if params.lr is not None else 0.5 / max(1, Y.shape[0])
+    C = np.zeros((K.shape[0],) + Y.shape)
+    diverged, loss = np.full(K.shape[0], -1), np.zeros(K.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(params.epochs):
+            R = K @ C - Y
+            sq = np.einsum("gtc,gtc->g", R, R)
+            over = ~(sq <= limit)
+            # a stopped Gram keeps its C, so its loss stays over the limit
+            if over.any():
+                new = over & (diverged < 0)
+                diverged[new], loss[new] = epoch, sq[new]
+                if over.all():
+                    break
+                R[over] = 0.0
+            C -= (2.0 * lr) * R
+    return C, diverged, loss
 
 
 def train_weights_gd(
@@ -199,21 +221,16 @@ def train_weights_gd(
 ) -> np.ndarray:
     """Full-batch gradient descent on the squared error from zero initialization.
 
-    Deterministic given its inputs. Raises if the loss leaves the sane regime
-    (step size too large for the spectrum of Z_train).
+    Runs ``_descend`` on Z_t Z_t^T in O(t^2 (d + e c)) for t training rows, d
+    columns, e epochs and c classes. Deterministic given its inputs; raises if
+    the loss leaves the sane regime (step too large for Z_train's spectrum).
     """
     Zt, Yt = _train_rows(Z, split, labels)
-    lr = _step_size(params, Zt.shape[0])
-    W = np.zeros((Zt.shape[1], Yt.shape[1]), dtype=np.float64)
-    for epoch in range(params.epochs):
-        R = Zt @ W - Yt
-        loss = float(np.sum(R * R))
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"training diverged at epoch {epoch} (loss {loss!r}); lower the step size"
-            )
-        W -= lr * (2.0 * Zt.T @ R)
-    return W
+    C, diverged, loss = _descend((Zt @ Zt.T)[None], Yt, params)
+    if diverged[0] >= 0:
+        raise DivergenceError(f"training diverged at epoch {diverged[0]} "
+                              f"(loss {float(loss[0])!r}); lower the step size")
+    return Zt.T @ C[0]
 
 
 @dataclass(frozen=True)
@@ -278,19 +295,16 @@ def tcs_error_bound(epsilon: float, k: int, c: int) -> float:
 
     Compares sum_i lambda_i^{-2} M_i (the exact inverse-squared Gram) against
     (1/eps) sum_i lambda_i^{-1} M_i (the scaled inverse the closed form
-    effectively applies) in Frobenius norm, relative to the former. The
-    leading eigenvalue equals eps, so its projector cancels identically and
-    only the two low-rank components contribute to the gap.
+    effectively applies) in Frobenius norm, relative to the former. The M_i
+    are orthogonal projectors of ranks kc - c, c - 1 and 1, so the norms are
+    sqrt(sum_i coef_i^2 rank_i) and no kc x kc matrix is formed. The eps
+    eigenvalue's coefficient in the gap is exactly zero.
     """
     comps = SpectralComponents(epsilon=epsilon, k=k, c=c)
-    lams = (comps.lambda1, comps.lambda2, comps.lambda3)
-    mats = (comps.m1(), comps.m2(), comps.m3())
-    inv_eps = 1.0 / comps.epsilon
-    target = sum((1.0 / lam) ** 2 * M for lam, M in zip(lams, mats))
-    # coefficient of each projector in (target - approx), written so the
-    # lambda1 = eps term is exactly zero in floating point
-    gap = sum((1.0 / lam) * ((1.0 / lam) - inv_eps) * M for lam, M in zip(lams, mats))
-    return 100.0 * float(np.linalg.norm(gap) / np.linalg.norm(target))
+    inv = 1.0 / np.array([comps.lambda1, comps.lambda2, comps.lambda3])
+    ranks = np.array([k * c - c, c - 1, 1.0])
+    gap = inv * (inv - 1.0 / comps.epsilon)
+    return 100.0 * float(np.sqrt(ranks @ gap**2 / (ranks @ inv**4)))
 
 
 def make_assumption_data(

@@ -53,6 +53,21 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
+def _positive_int(text: str, minimum: int = 1) -> int:
+    """An argparse type for integers >= ``minimum``; the usage error names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _positive_int(text, minimum=0)
+
+
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="hyperedge text file")
     p.add_argument("--features", required=True, help="per-node feature CSV")
@@ -70,17 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="k-shot grid-search experiment")
     _add_dataset_flags(run)
-    run.add_argument("--k", type=int, default=5, help="labeled nodes per class (default 5)")
+    run.add_argument("--k", type=_positive_int, default=5,
+                     help="labeled nodes per class (default 5)")
     run.add_argument("--seeds", default="0..9",
                      help="comma list and/or a..b ranges (default 0..9)")
-    run.add_argument("--grid-denominator", type=int, default=9,
+    run.add_argument("--grid-denominator", type=_positive_int, default=9,
                      help="simplex lattice denominator (default 9, 55 configs)")
     run.add_argument("--variant", default="full",
                      choices=["full", "no_rap", "no_tcs", "no_both", "linearized_hgnn"],
                      help="ablation variant (default full)")
     run.add_argument("--norm", default="sym", choices=["sym", "row"],
                      help="degree normalization (default sym)")
-    run.add_argument("--threads", type=int, default=None,
+    run.add_argument("--threads", type=_positive_int, default=None,
                      help="BLAS/OpenMP thread cap (default: machine parallelism)")
     run.add_argument("--format", default="table", choices=["json", "table"],
                      help="stdout format (default table)")
@@ -90,32 +106,34 @@ def build_parser() -> argparse.ArgumentParser:
                           "so identical runs serialize identically)")
     run.add_argument("--lr", type=float, default=None,
                      help="step size for gradient-descent variants")
-    run.add_argument("--epochs", type=int, default=None,
+    run.add_argument("--epochs", type=_positive_int, default=None,
                      help="iterations for gradient-descent variants (default 500)")
     run.set_defaults(func=_cmd_run)
 
     rsi = sub.add_parser("rsi", help="self-information diagonal diagnostics")
     rsi.add_argument("--edges", required=True, help="hyperedge text file")
     rsi.add_argument("--node", type=int, required=True, help="node id")
-    rsi.add_argument("--hops", type=int, default=1, help="walk length / hop count")
+    rsi.add_argument("--hops", type=_nonnegative_int, default=1,
+                     help="walk length / hop count")
     rsi.add_argument("--method", default="exact",
                      choices=["exact", "walk", "hutchinson"])
     rsi.add_argument("--norm", default=None, choices=["sym", "row"],
                      help="degree normalization of rap-hop targets (default sym); "
                           "walk targets have none")
-    rsi.add_argument("--trials", type=int, default=100_000,
+    rsi.add_argument("--trials", type=_positive_int, default=100_000,
                      help="walk trials (default 1e5)")
-    rsi.add_argument("--probes", type=int, default=64,
+    rsi.add_argument("--probes", type=_positive_int, default=64,
                      help="sign-probe count (default 64)")
-    rsi.add_argument("--seed", type=int, default=0, help="estimator seed")
+    rsi.add_argument("--seed", type=_nonnegative_int, default=0, help="estimator seed")
     rsi.add_argument("--format", default="json", choices=["json", "table"])
     rsi.set_defaults(func=_cmd_rsi)
 
     explain = sub.add_parser("explain", help="feature-importance report")
     _add_dataset_flags(explain)
-    explain.add_argument("--k", type=int, default=3, help="shots per class (default 3)")
+    explain.add_argument("--k", type=_positive_int, default=3,
+                         help="shots per class (default 3)")
     explain.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
-    explain.add_argument("--grid-denominator", type=int, default=9)
+    explain.add_argument("--grid-denominator", type=_positive_int, default=9)
     explain.add_argument("--variant", default="full", choices=["full", "no_rap"],
                          help="closed-form variants only (default full)")
     explain.add_argument("--norm", default="sym", choices=["sym", "row"])
@@ -128,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     errbound.add_argument("--epsilon", type=float, required=True,
                           help="inter-class dot product, in (0, 0.5)")
-    errbound.add_argument("--k", type=int, required=True, help="shots per class")
-    errbound.add_argument("--c", type=int, required=True, help="class count")
+    errbound.add_argument("--k", type=_positive_int, required=True, help="shots per class")
+    errbound.add_argument("--c", type=_positive_int, required=True, help="class count")
     errbound.add_argument("--format", default="table", choices=["json", "table"])
     errbound.set_defaults(func=_cmd_errbound)
 
@@ -203,8 +221,6 @@ def _cmd_rsi(args) -> int:
         raise ConfigError(f"node {args.node} outside [0, {hg.num_nodes})")
     if args.method == "walk" and args.hops < 1:
         raise ConfigError(f"--method walk needs --hops of at least 1, got {args.hops}")
-    if args.hops < 0:
-        raise ConfigError(f"hops must be nonnegative, got {args.hops}")
     node, l = args.node, args.hops
     # exact values have closed forms for hops 0..2 and Hutchinson probes the
     # rap hops at 1..2; every other target is the row-stochastic walk matrix,
@@ -326,9 +342,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
     try:

@@ -24,8 +24,8 @@ seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
 screens all g grid points from them in chunks (``_gram_accuracies``). The
 closed form costs O(L^2 (d + g c)) per seed against O(g L d) for weighting
 each configuration's rows; descent with e epochs costs O(L^2 (d + g c e))
-against O(g L d c e), since it updates L/2 x c coefficients instead of
-d x c weights. On the benchmark's Cora-shaped input L = 70, d = 1433 and
+in ``classifier._descend`` on L/2 x c dual coefficients, which trains
+the winner too. On the benchmark's Cora-shaped input L = 70, d = 1433 and
 g = 55. The Gram scores match the labeled-row scores to rounding (about
 1e-14 relative on the benchmark inputs), so they can only rank a validation
 row differently where its top two class scores nearly tie. Such a
@@ -54,7 +54,7 @@ from .classifier import (
     Prediction,
     Split,
     TrainingParams,
-    _step_size,
+    _descend,
     _warn_zero_rows,
     _zero_rows,
     normalize_rows,
@@ -269,19 +269,13 @@ def _mixed_embedding(basis: list[np.ndarray], alphas, rows=slice(None)) -> np.nd
     return normalize_rows(mixed)
 
 
-def _weights_for(Z, split, labels, variant, training):
-    if _GD_WEIGHTS[variant]:
-        return train_weights_gd(Z, split, labels, training or TrainingParams())
-    return tcs_weights(Z, split, labels)
-
-
 @dataclass(frozen=True)
 class _LabeledRows:
     """One split's training and validation rows of every basis block.
 
-    ``split`` and ``labels`` are restricted to the same rows, in ascending
-    node order, so the weights see exactly the training rows of the full
-    embedding, in the same order.
+    Training rows first, then validation rows, each in ascending node order;
+    ``split`` and ``labels`` are restricted to the same rows, so the weights
+    see exactly the training rows of the full embedding, in the same order.
     """
 
     blocks: list[np.ndarray]
@@ -301,11 +295,11 @@ def _labeled_rows(basis: list[np.ndarray], split: Split, labels: LabelSet) -> _L
     untrained = np.setdiff1d(np.arange(labels.num_classes), labels.labels[split.train_mask])
     if untrained.size:
         raise SplitError(f"classes with no training node: {untrained.tolist()}")
-    rows = np.flatnonzero(split.train_mask | split.val_mask)
+    rows = np.concatenate([np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)])
+    first = np.arange(rows.size) < np.count_nonzero(split.train_mask)
     return _LabeledRows(
         blocks=[block[rows] for block in basis],
-        split=Split(split.train_mask[rows], split.val_mask[rows],
-                    np.zeros(rows.size, dtype=bool)),
+        split=Split(first, ~first, np.zeros(rows.size, dtype=bool)),
         labels=LabelSet(labels.labels[rows], labels.num_classes),
     )
 
@@ -324,7 +318,10 @@ def _eval_config(
     scoring of the winner.
     """
     Z = _mixed_embedding(labeled.blocks, alphas)
-    W = _weights_for(Z, labeled.split, labeled.labels, variant, training)
+    if _GD_WEIGHTS[variant]:
+        W = train_weights_gd(Z, labeled.split, labeled.labels, training or TrainingParams())
+    else:
+        W = tcs_weights(Z, labeled.split, labeled.labels)
     val = labeled.split.val_mask
     pred = Prediction.from_scores(Z[val] @ W)
     return _accuracy(pred.hard_labels, labeled.labels.labels[val]), W
@@ -372,14 +369,14 @@ def _gram_accuracies(
     """Validation accuracy of every grid configuration, from one labeled-row Gram,
     and what ``_eval_config`` returned for each configuration it re-scored.
 
-    The labeled rows are taken training rows first, and the Grams
-    G_jk = B_j B_k^T of the blocks are formed once. A configuration's Gram of
-    the row-normalized embedding is then K = D^-1 (sum_jk a_j a_k G_jk) D^-1,
+    The labeled rows come training rows first, and the Grams G_jk = B_j B_k^T
+    of the blocks are formed once. A configuration's Gram of the
+    row-normalized embedding is then K = D^-1 (sum_jk a_j a_k G_jk) D^-1,
     with D the square root of the diagonal and D^-1 zero where it is zero,
     and the configurations are taken in chunks whose K fits one slice. The
     validation scores are K_vt Y / sqrt(diag(Y^T K_tt Y)) for the closed
-    form and K_vt C for descent, where C <- C - 2 lr (K_tt C - Y) from zero
-    is ``train_weights_gd`` run on W = Z_t^T C.
+    form and K_vt C for descent, C from ``_descend`` on K_tt, the loop that
+    ``train_weights_gd`` runs on Z_t Z_t^T.
 
     A configuration is re-scored through ``_eval_config`` when the Gram
     route cannot vouch for its ranks: a validation row that is not
@@ -392,22 +389,18 @@ def _gram_accuracies(
     are settled in grid order, so the first error raised is the one that
     scoring each configuration in turn would raise.
     """
-    split = labeled.split
-    train, val = np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)
-    t = train.size
-    rows = [block[np.concatenate([train, val])] for block in labeled.blocks]
-    nb, L = len(rows), rows[0].shape[0]
+    t = int(np.count_nonzero(labeled.split.train_mask))
+    nb, L = len(labeled.blocks), labeled.blocks[0].shape[0]
     G = np.empty((nb, nb, L, L))
     for j in range(nb):
         for k in range(j, nb):
-            np.matmul(rows[j], rows[k].T, out=G[j, k])
+            np.matmul(labeled.blocks[j], labeled.blocks[k].T, out=G[j, k])
             if k > j:
                 G[k, j] = G[j, k].T
-    nonzero = np.array([block.any(axis=1) for block in rows])
+    nonzero = np.array([block.any(axis=1) for block in labeled.blocks])
     sq_len = np.array([np.diagonal(G[j, j]) for j in range(nb)])
-    del rows
-    Y = labeled.labels.one_hot()[train]
-    truth = labeled.labels.labels[val]
+    Y = labeled.labels.one_hot()[:t]
+    truth = labeled.labels.labels[t:]
     alphas = np.asarray(grid.alphas, dtype=np.float64)
     accs, rescored = np.empty(len(grid)), {}
     step = _slice_len(G.itemsize * L * L)
@@ -427,8 +420,10 @@ def _gram_accuracies(
         K *= inv[:, None, :]
         Ktt, Kvt = K[:, :t, :t], K[:, t:, :t]
         if _GD_WEIGHTS[variant]:
-            scores, frozen = _descent_scores(Ktt, Kvt, Y, training or TrainingParams())
-            unsure |= frozen
+            C, diverged, _ = _descend(Ktt, Y, training or TrainingParams(),
+                                      DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE))
+            scores = Kvt @ C
+            unsure |= diverged >= 0
         else:
             # squared length of each class's sum of training rows, and the
             # count of its nonzero (unit) terms
@@ -450,30 +445,6 @@ def _gram_accuracies(
             else:
                 accs[idx] = _accuracy(hard[i], truth)
     return accs, rescored
-
-
-def _descent_scores(
-    Ktt: np.ndarray, Kvt: np.ndarray, Y: np.ndarray, params: TrainingParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validation scores of ``train_weights_gd`` for a stack of Grams, in dual form.
-
-    A configuration is frozen, and flagged, once its loss ||K_tt C - Y||^2,
-    the primal loss, is not finite or comes within ``_NEAR_TIE`` of
-    ``DIVERGENCE_LIMIT``.
-    """
-    lr = _step_size(params, Y.shape[0])
-    limit = DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE)
-    C = np.zeros((Ktt.shape[0],) + Y.shape)
-    frozen = np.zeros(Ktt.shape[0], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.epochs):
-            R = Ktt @ C - Y
-            frozen |= ~(np.einsum("gtc,gtc->g", R, R) <= limit)
-            if frozen.all():
-                break
-            R[frozen] = 0.0
-            C -= (2.0 * lr) * R
-    return Kvt @ C, frozen
 
 
 def _test_accuracy(

@@ -1,12 +1,22 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-materialized two-hop reference, the per-config selection reference, and a
-Cora-shaped instance built in memory."""
+materialized two-hop reference, the per-config selection reference, the
+primal gradient-descent reference, and a Cora-shaped instance built in
+memory."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from zen import Dataset, Hypergraph, LabelSet, NormalizationKind, build_A1_star, degrees
+from zen import (
+    Dataset,
+    DivergenceError,
+    Hypergraph,
+    LabelSet,
+    NormalizationKind,
+    build_A1_star,
+    degrees,
+)
+from zen.classifier import DIVERGENCE_LIMIT
 from zen.harness import _eval_config, _labeled_rows
 
 
@@ -91,6 +101,29 @@ def select_reference(basis, split, labels, grid, variant, training):
         if val_acc > best_val:
             best_idx, best_val, best_W = idx, val_acc, W
     return best_idx, float(best_val), best_W
+
+
+def gd_reference(Z, split, labels, params):
+    """Primal full-batch gradient descent W <- W - 2 lr Z_t^T (Z_t W - Y_t) from
+    zero on d x c weights, with ``train_weights_gd``'s step size, epoch count
+    and divergence rule and message.
+
+    The package runs the same descent in dual form on t x c coefficients;
+    this is the form it is checked against.
+    """
+    Zt, Yt = Z[split.train_mask], labels.one_hot()[split.train_mask]
+    lr = params.lr if params.lr is not None else 0.5 / max(1, Zt.shape[0])
+    W = np.zeros((Zt.shape[1], Yt.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(params.epochs):
+            R = Zt @ W - Yt
+            loss = float(np.sum(R * R))
+            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch} (loss {loss!r}); lower the step size"
+                )
+            W -= lr * (2.0 * Zt.T @ R)
+    return W
 
 
 @pytest.fixture(scope="session")

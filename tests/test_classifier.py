@@ -1,8 +1,11 @@
 """Embedding, weight solvers, and the idealized-geometry analysis."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zen import (
     ConfigError,
@@ -29,6 +32,8 @@ from zen.classifier import (
     tcs_weights,
     train_weights_gd,
 )
+
+from conftest import gd_reference
 
 
 def toy_problem(n=40, d=6, c=3, train=30, seed=1):
@@ -244,6 +249,46 @@ class TestGradientDescent:
         with pytest.raises(ConfigError):
             TrainingParams(epochs=0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 4), t=st.integers(4, 30),
+           d=st.integers(1, 30), signed=st.booleans(), epochs=st.integers(1, 500),
+           overshoot=st.floats(2.0, 20.0))
+    @example(seed=1, c=3, t=20, d=3, signed=False, epochs=500, overshoot=2.0)
+    @example(seed=2, c=2, t=5, d=25, signed=True, epochs=500, overshoot=20.0)
+    def test_dual_form_matches_the_primal_reference(self, seed, c, t, d, signed, epochs,
+                                                    overshoot):
+        # t > d leaves the training Gram singular, t < d leaves Z_t wide
+        rng = np.random.default_rng(seed)
+        n = t + 5
+        Z = normalize_rows(rng.normal(size=(n, d)) if signed else rng.random((n, d)))
+        labels = LabelSet(np.concatenate([np.arange(c), rng.integers(0, c, n - c)]), c)
+        train = np.arange(n) < t
+        split = Split(train, ~train, np.zeros(n, bool))
+        params = TrainingParams(epochs=epochs)
+        W, ref = train_weights_gd(Z, split, labels, params), gd_reference(Z, split, labels, params)
+        # rows whose top two reference scores tie to rounding (d = 1 makes
+        # exact ties common) may rank either way; with one class, none count
+        top2 = np.sort(Z @ ref, axis=1)[:, -2:]
+        clear = top2[:, -1] - top2[:, 0] > 1e-9 * np.maximum(1.0, np.abs(top2[:, -1]))
+        npt.assert_array_equal(np.argmax(Z @ W, axis=1)[clear],
+                               np.argmax(Z @ ref, axis=1)[clear])
+        npt.assert_allclose(W, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        # With positive rows the top eigenvector of the training Gram is
+        # positive, so every class's residual has a part along it, and a step
+        # of overshoot / lambda_max grows that part at least 3x an epoch.
+        Z = np.abs(Z)
+        lam = np.linalg.eigvalsh(Z[train] @ Z[train].T)[-1]
+        params = TrainingParams(lr=overshoot / lam, epochs=200)
+        with pytest.raises(DivergenceError) as expected:
+            gd_reference(Z, split, labels, params)
+        with pytest.raises(DivergenceError) as raised:
+            train_weights_gd(Z, split, labels, params)
+        pattern = r"training diverged at epoch (\d+) \(loss (.*)\); lower the step size"
+        (want_epoch, want_loss), = re.findall(pattern, str(expected.value))
+        (got_epoch, got_loss), = re.findall(pattern, str(raised.value))
+        assert got_epoch == want_epoch
+        assert float(got_loss) == pytest.approx(float(want_loss), rel=1e-9)
+
 
 class TestSpectralComponents:
     def test_projectors_diagonalize_the_gram_matrix(self):
@@ -323,6 +368,19 @@ class TestErrorBound:
         for bad in (0.0, 0.5, -0.1, 0.7):
             with pytest.raises(ConfigError):
                 tcs_error_bound(bad, 5, 10)
+
+    @pytest.mark.parametrize("eps", [0.001, 0.01, 0.1, 0.25, 0.49])
+    def test_closed_form_matches_the_projector_sum(self, eps):
+        # the Frobenius norms of the kc x kc projector sums, formed densely
+        for k in (1, 2, 5, 13):
+            for c in (1, 2, 3, 10):
+                comps = SpectralComponents(epsilon=eps, k=k, c=c)
+                lams = (comps.lambda1, comps.lambda2, comps.lambda3)
+                mats = (comps.m1(), comps.m2(), comps.m3())
+                target = sum(M / lam**2 for lam, M in zip(lams, mats))
+                gap = sum((1 / lam) * (1 / lam - 1 / eps) * M for lam, M in zip(lams, mats))
+                expected = 100.0 * np.linalg.norm(gap) / np.linalg.norm(target)
+                assert tcs_error_bound(eps, k, c) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAssumptionData:

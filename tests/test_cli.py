@@ -403,6 +403,38 @@ class TestErrbound:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_many_shots_and_classes(self, capsys):
+        # k c = 10 000 is past the dense guard; the bound needs no projector
+        code = main(["errbound", "--epsilon", "0.1", "--k", "100", "--c", "100",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        payload = json.loads(captured.out)
+        assert payload["relative_error_percent"] == pytest.approx(0.0125, abs=5e-5)
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--k", "0"), ("run", "--k", "two"), ("run", "--grid-denominator", "0"),
+        ("run", "--epochs", "0"), ("run", "--threads", "-1"), ("explain", "--k", "0"),
+        ("explain", "--grid-denominator", "0"), ("rsi", "--probes", "0"),
+        ("rsi", "--trials", "0"), ("rsi", "--seed", "-1"), ("rsi", "--hops", "-1"),
+        ("errbound", "--k", "0"), ("errbound", "--c", "-2"),
+    ])
+    def test_a_bad_count_is_a_usage_error_naming_the_flag(
+            self, toy_files, triangle_file, capsys, command, flag, value):
+        required = {
+            "run": dataset_args(toy_files),
+            "explain": dataset_args(toy_files),
+            "rsi": ["--edges", str(triangle_file), "--node", "0"],
+            "errbound": ["--epsilon", "0.1", "--k", "5", "--c", "10"],
+        }[command]
+        code = main([command, *required, f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"argument {flag}: must be an integer >=" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
 
 class TestParser:
     def test_help_exits_zero(self, capsys):

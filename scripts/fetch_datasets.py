@@ -29,7 +29,6 @@ import sys
 import numpy as np
 
 from zen import Hypergraph
-from zen.hypergraph import serialize_hypergraph
 
 
 def _load_json(path):
@@ -82,7 +81,10 @@ def convert(in_path: str, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     hg = Hypergraph(n, tuple(edges))
     with open(os.path.join(out_dir, "edges.hg"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_hypergraph(hg))
+        # the %nodes header keeps trailing isolated nodes
+        fh.write(f"%nodes {n}\n")
+        for e in hg.hyperedges:
+            fh.write(" ".join(map(str, e)) + "\n")
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
         if names is not None:
             fh.write(",".join(str(s) for s in names) + "\n")

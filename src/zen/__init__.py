@@ -25,20 +25,19 @@ from .errors import (
 # set the BLAS thread variables before numpy loads.
 _LAZY_EXPORTS = {
     "classifier": (
-        "Prediction", "SpectralComponents", "Split", "TrainingParams",
-        "exact_weights", "make_assumption_data", "normalize_cols",
-        "normalize_rows", "predict", "sse_gradient", "sse_loss",
-        "tcs_error_bound", "tcs_weights", "train_weights_gd",
+        "SpectralComponents", "Split", "TrainingParams", "exact_weights",
+        "make_assumption_data", "normalize_rows", "tcs_error_bound",
+        "tcs_weights", "train_weights_gd",
     ),
     "harness": (
         "Dataset", "RunResult", "SeedResult", "SimplexGrid", "WeightReport",
-        "evaluate_accuracy", "explain_weights", "grid_search", "load_dataset",
-        "make_kshot_split", "run_config", "simplex_grid",
+        "explain_weights", "grid_search", "load_dataset", "make_kshot_split",
+        "run_config", "simplex_grid",
     ),
     "hypergraph": (
         "DegreeProfile", "Hypergraph", "LabelSet", "degrees",
         "incidence_matrix", "load_features", "load_hypergraph", "load_labels",
-        "parse_hypergraph", "serialize_hypergraph",
+        "parse_hypergraph",
     ),
     "propagation": (
         "NormalizationKind", "PropagationConfig", "build_A1_hat",

@@ -7,6 +7,8 @@ routes exist alongside the closed form: the exact minimum-norm least-squares
 solution via pseudoinverse, and plain gradient descent on the squared error.
 They are kept separate so each can check the others. Descent runs in dual
 form, the one loop ``_descend`` that the selection screen in ``harness`` runs.
+Scoring is not here: ``harness`` takes the argmax of Z W itself, and an exact
+tie goes to the lower class id.
 
 Also here: the spectral machinery that bounds how far the closed-form weights
 can drift from the exact solution in the idealized geometry (unit-length
@@ -41,14 +43,6 @@ def normalize_rows(M: np.ndarray) -> np.ndarray:
     return M / safe
 
 
-def normalize_cols(M: np.ndarray) -> np.ndarray:
-    """Scale each column to unit Euclidean length; all-zero columns stay zero."""
-    M = np.asarray(M, dtype=np.float64)
-    norms = np.linalg.norm(M, axis=0, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return M / safe
-
-
 @dataclass(frozen=True)
 class Split:
     """Boolean node masks for train/validation/test; pairwise disjoint."""
@@ -72,33 +66,6 @@ class Split:
     @property
     def num_nodes(self) -> int:
         return self.train_mask.shape[0]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Per-node class scores plus the argmax labels (ties go to the lower id)."""
-
-    scores: np.ndarray
-    hard_labels: np.ndarray
-
-    @classmethod
-    def from_scores(cls, scores: np.ndarray) -> "Prediction":
-        scores = np.asarray(scores, dtype=np.float64)
-        return cls(scores=scores, hard_labels=np.argmax(scores, axis=1))
-
-
-def predict(Z: np.ndarray, W: np.ndarray) -> Prediction:
-    """Score every node as Z @ W and take the argmax class.
-
-    Zero embedding rows score 0 everywhere and therefore land in class 0;
-    when that happens a warning is logged with the count.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if Z.shape[1] != W.shape[0]:
-        raise ConfigError(f"shape mismatch: Z is {Z.shape}, W is {W.shape}")
-    _warn_zero_rows(_zero_rows(Z))
-    return Prediction.from_scores(Z @ W)
 
 
 def _zero_rows(Z: np.ndarray) -> int:
@@ -135,38 +102,24 @@ def tcs_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
     With nonnegative embeddings the weights are nonnegative.
     """
     Zt, Yt = _train_rows(Z, split, labels)
-    return normalize_cols(Zt.T @ Yt)
+    W = Zt.T @ Yt
+    norms = np.linalg.norm(W, axis=0)
+    return W / np.where(norms > 0, norms, 1.0)
 
 
-def exact_weights(
-    Z: np.ndarray, split: Split, labels: LabelSet, guard: int = EXACT_GUARD
-) -> np.ndarray:
+def exact_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
     """Minimum-norm least-squares weights via SVD pseudoinverse.
 
     Solves min_W ||Z_train W - Y_train||_F restricted to the training rows and
     returns the minimum-Frobenius-norm solution pinv(Z_train) @ Y_train.
     Singular values below 1e-10 times the largest are treated as zero. Dense
-    SVD on a (train, d) matrix; refused above ``guard`` columns.
+    SVD on a (train, d) matrix; refused above ``EXACT_GUARD`` columns.
     """
     Zt, Yt = _train_rows(Z, split, labels)
-    if Zt.shape[1] > guard:
-        raise GuardError(
-            f"exact solve on {Zt.shape[1]} feature columns exceeds the guard ({guard})"
-        )
+    if Zt.shape[1] > EXACT_GUARD:
+        raise GuardError(f"exact solve on {Zt.shape[1]} feature columns exceeds "
+                         f"the guard ({EXACT_GUARD})")
     return np.linalg.pinv(Zt, rcond=PINV_RCOND) @ Yt
-
-
-def sse_loss(Z: np.ndarray, split: Split, labels: LabelSet, W: np.ndarray) -> float:
-    """Squared-error objective over the training rows: ||Z_t W - Y_t||_F^2."""
-    Zt, Yt = _train_rows(Z, split, labels)
-    R = Zt @ W - Yt
-    return float(np.sum(R * R))
-
-
-def sse_gradient(Z: np.ndarray, split: Split, labels: LabelSet, W: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`sse_loss` in W: 2 Z_t^T (Z_t W - Y_t)."""
-    Zt, Yt = _train_rows(Z, split, labels)
-    return 2.0 * Zt.T @ (Zt @ W - Yt)
 
 
 @dataclass(frozen=True)
@@ -181,8 +134,8 @@ class TrainingParams:
     epochs: int = 500
 
     def __post_init__(self):
-        if self.lr is not None and not (self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr!r}")
+        if self.lr is not None and not (0 < self.lr < np.inf):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
         if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
 
@@ -308,7 +261,7 @@ def tcs_error_bound(epsilon: float, k: int, c: int) -> float:
 
 
 def make_assumption_data(
-    n: int, c: int, epsilon: float, seed: int = 0, rotate: bool = True
+    n: int, c: int, epsilon: float, seed: int = 0
 ) -> tuple[np.ndarray, LabelSet]:
     """Synthetic embeddings satisfying the idealized geometry to machine precision.
 
@@ -331,7 +284,6 @@ def make_assumption_data(
     U[:, c] = np.sqrt(delta)
     Z = np.sqrt(1.0 - epsilon) * U[labels]
     Z[np.arange(n), c + 1 + np.arange(n)] = np.sqrt(epsilon)
-    if rotate:
-        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        Z = Z @ Q
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    Z = Z @ Q
     return Z, LabelSet(labels=labels, num_classes=c)

@@ -14,6 +14,7 @@ pins the BLAS pool size through the environment before it is.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -68,6 +69,17 @@ def _nonnegative_int(text: str) -> int:
     return _positive_int(text, minimum=0)
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type for finite floats > 0; the usage error names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="hyperedge text file")
     p.add_argument("--features", required=True, help="per-node feature CSV")
@@ -104,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timing", action="store_true",
                      help="include wall-clock timings in the JSON (off by default "
                           "so identical runs serialize identically)")
-    run.add_argument("--lr", type=float, default=None,
+    run.add_argument("--lr", type=_positive_float, default=None,
                      help="step size for gradient-descent variants")
     run.add_argument("--epochs", type=_positive_int, default=None,
                      help="iterations for gradient-descent variants (default 500)")

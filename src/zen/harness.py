@@ -11,11 +11,11 @@ row normalization act on each row alone and the class weights read only the
 training rows, so a configuration needs only the labeled rows: its weights
 come from the training rows and its accuracy from the product of the
 validation rows with them. That labeled-row product is the definition, tie
-policy included: an exact tie between two classes goes to the lower class
-id, as in ``predict``. ``run_config``, the winner of every seed and every
-re-score below go through it, so re-running a selected configuration
-reproduces the grid's numbers bit for bit and ``zen explain`` gets the
-winner's weights without a second propagation. The winner's test rows are
+policy included: the argmax takes the first maximum, so an exact tie
+between two classes goes to the lower class id. ``run_config``, the winner
+of every seed and every re-score below go through it, so re-running a
+selected configuration reproduces the grid's numbers bit for bit and
+``zen explain`` gets the winner's weights without a second propagation. The winner's test rows are
 mixed and scored once per seed, in row blocks of about 2 MiB each, so no
 test-sized n x d copy is made; a test row's score is its block's product.
 
@@ -51,7 +51,6 @@ import numpy as np
 
 from .classifier import (
     DIVERGENCE_LIMIT,
-    Prediction,
     Split,
     TrainingParams,
     _descend,
@@ -220,12 +219,6 @@ def make_kshot_split(labels: LabelSet, k: int, seed: int) -> Split:
     return Split(train_mask=train, val_mask=val, test_mask=test)
 
 
-def evaluate_accuracy(pred: Prediction, mask: np.ndarray, labels: LabelSet) -> float:
-    """Fraction of masked nodes whose hard label matches the truth."""
-    mask = np.asarray(mask, dtype=bool)
-    return _accuracy(pred.hard_labels[mask], labels.labels[mask])
-
-
 def _accuracy(hard_labels: np.ndarray, truth: np.ndarray) -> float:
     if truth.size == 0:
         raise SplitError("cannot evaluate accuracy on an empty mask")
@@ -313,9 +306,9 @@ def _eval_config(
     """Validation accuracy and weights of one (alphas, variant) configuration.
 
     The single evaluation path everywhere: weights come from the training
-    rows and only the validation rows are scored. Scoring skips ``predict``,
-    so its zero-row warning fires at most once per seed, from the test
-    scoring of the winner.
+    rows and only the validation rows are scored. It logs no zero-row
+    warning; that fires at most once per seed, from the test scoring of the
+    winner.
     """
     Z = _mixed_embedding(labeled.blocks, alphas)
     if _GD_WEIGHTS[variant]:
@@ -323,8 +316,7 @@ def _eval_config(
     else:
         W = tcs_weights(Z, labeled.split, labeled.labels)
     val = labeled.split.val_mask
-    pred = Prediction.from_scores(Z[val] @ W)
-    return _accuracy(pred.hard_labels, labeled.labels.labels[val]), W
+    return _accuracy(np.argmax(Z[val] @ W, axis=1), labeled.labels.labels[val]), W
 
 
 def _select_config(
@@ -452,9 +444,8 @@ def _test_accuracy(
 ) -> float:
     """Test accuracy of one configuration's weights, mixing only the test rows.
 
-    The test rows are mixed, normalized and scored one row block at a time;
-    like ``predict``, it logs one warning with the total count of zero
-    embedding rows.
+    The test rows are mixed, normalized and scored one row block at a time,
+    and one warning is logged with the total count of zero embedding rows.
     """
     rows = np.flatnonzero(split.test_mask)
     hard_labels = np.empty(rows.size, dtype=np.intp)
@@ -464,7 +455,7 @@ def _test_accuracy(
         block = slice(start, start + step)
         Z = _mixed_embedding(basis, alphas, rows[block])
         zero_rows += _zero_rows(Z)
-        hard_labels[block] = Prediction.from_scores(Z @ W).hard_labels
+        hard_labels[block] = np.argmax(Z @ W, axis=1)
     _warn_zero_rows(zero_rows)
     return _accuracy(hard_labels, labels.labels[rows])
 

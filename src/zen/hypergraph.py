@@ -214,14 +214,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(num_nodes, edges)
 
 
-def serialize_hypergraph(hg: Hypergraph) -> str:
-    """Inverse of parse_hypergraph; always writes the %nodes header."""
-    lines = [f"%nodes {hg.num_nodes}"]
-    for e in hg.hyperedges:
-        lines.append(" ".join(str(v) for v in e))
-    return "\n".join(lines) + "\n"
-
-
 def load_hypergraph(path) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hypergraph(fh.read())

@@ -131,7 +131,6 @@ def dense_diag_oracle(
     kind: NormalizationKind = NormalizationKind.SYMMETRIC,
     l: int = 1,
     family: str = "rap",
-    guard: int | None = None,
 ) -> np.ndarray:
     """Reference diagonals by explicit dense arithmetic.
 
@@ -149,7 +148,7 @@ def dense_diag_oracle(
     (ZEN_DENSE_GUARD overrides the default limit). The lists are read off the
     stored incidence, which the tests check against raw edge lists.
     """
-    check_guard(hg.num_nodes, "dense diagonal oracle", guard)
+    check_guard(hg.num_nodes, "dense diagonal oracle")
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ConfigError(f"hop count must be a nonnegative integer, got {l!r}")
     n, m = hg.num_nodes, hg.num_edges

@@ -28,8 +28,8 @@ def dense_guard() -> int:
     return value
 
 
-def check_guard(n: int, what: str, guard: int | None = None) -> None:
-    limit = dense_guard() if guard is None else guard
+def check_guard(n: int, what: str) -> None:
+    limit = dense_guard()
     if n > limit:
         raise GuardError(
             f"{what}: size {n} exceeds the dense guard ({limit}); "

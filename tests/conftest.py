@@ -1,7 +1,7 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-materialized two-hop reference, the per-config selection reference, the
-primal gradient-descent reference, and a Cora-shaped instance built in
-memory."""
+edge-file writer, the materialized two-hop reference, the per-config
+selection reference, the primal gradient-descent reference, and a
+Cora-shaped instance built in memory."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,14 @@ def single_edge_hg():
 def singleton_hg():
     """A singleton edge plus an isolated node."""
     return Hypergraph(2, ((0,),))
+
+
+def serialize_hypergraph(hg: Hypergraph) -> str:
+    """Inverse of parse_hypergraph; always writes the %nodes header."""
+    lines = [f"%nodes {hg.num_nodes}"]
+    for e in hg.hyperedges:
+        lines.append(" ".join(str(v) for v in e))
+    return "\n".join(lines) + "\n"
 
 
 def random_hypergraph(rng: np.random.Generator, max_nodes: int = 50) -> Hypergraph:

@@ -21,18 +21,15 @@ import pytest
 from zen import (
     Dataset,
     Hypergraph,
-    LabelSet,
     NormalizationKind,
     PropagationConfig,
 )
 from zen.classifier import (
     SpectralComponents,
-    Split,
+    TrainingParams,
+    _descend,
     exact_weights,
     make_assumption_data,
-    predict,
-    sse_gradient,
-    sse_loss,
     tcs_error_bound,
     tcs_weights,
 )
@@ -44,7 +41,7 @@ from zen.harness import (
     run_config,
     simplex_grid,
 )
-from zen.hypergraph import degrees, serialize_hypergraph
+from zen.hypergraph import degrees
 from zen.propagation import rsi_diag_1, rsi_diag_2
 from zen.rsi_approx import (
     HutchinsonParams,
@@ -53,7 +50,7 @@ from zen.rsi_approx import (
     hutchinson_diag,
     random_walk_return_prob,
 )
-from conftest import random_hypergraph
+from conftest import random_hypergraph, serialize_hypergraph
 
 
 @contextmanager
@@ -100,8 +97,8 @@ def test_criterion_03_closed_form_matches_exact_solver():
         for i in range(20):
             Z, labels = make_assumption_data(500, 5, 1e-3, seed=i)
             split = make_kshot_split(labels, 5, seed=i)
-            closed = predict(Z, tcs_weights(Z, split, labels)).hard_labels
-            exact = predict(Z, exact_weights(Z, split, labels)).hard_labels
+            closed = np.argmax(Z @ tcs_weights(Z, split, labels), axis=1)
+            exact = np.argmax(Z @ exact_weights(Z, split, labels), axis=1)
             keep = ~split.train_mask
             agreement = float(np.mean(closed[keep] == exact[keep]))
             assert agreement >= 0.99, (i, agreement)
@@ -109,7 +106,7 @@ def test_criterion_03_closed_form_matches_exact_solver():
 
 
 def test_criterion_04_gradient_matches_finite_differences():
-    with criterion(4, "analytic gradient matches central finite differences"):
+    with criterion(4, "applied descent gradient matches central finite differences"):
         h = 1e-6
         for t in range(20):
             rng = np.random.default_rng(1000 + t)
@@ -118,22 +115,33 @@ def test_criterion_04_gradient_matches_finite_differences():
             c = int(rng.integers(2, 5))
             Z = rng.normal(size=(n, d))
             lab = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
-            labels = LabelSet(labels=lab.astype(np.int64), num_classes=c)
-            train = np.zeros(n, bool)
-            train[: max(c, n // 2)] = True
-            split = Split(train, np.zeros(n, bool), ~train)
-            W = rng.normal(size=(d, c))
-            g = sse_gradient(Z, split, labels, W)
+            Zt = Z[: max(c, n // 2)]
+            Yt = np.eye(c)[lab[: Zt.shape[0]]]
+
+            def loss(W):
+                R = Zt @ W - Yt
+                return float(np.sum(R * R))
+
+            K = (Zt @ Zt.T)[None]
+            lr = 0.5 / np.linalg.eigvalsh(K[0])[-1]
+
+            def weights(epochs):
+                """W = Z_t^T C after ``epochs`` epochs of the dual descent."""
+                C, diverged, _ = _descend(K, Yt, TrainingParams(lr=lr, epochs=epochs))
+                assert diverged[0] < 0
+                return Zt.T @ C[0]
+
+            # the step from W_e to W_{e+1} is lr times the gradient applied at W_e
+            e = int(rng.integers(1, 20))
+            W_e = weights(e)
+            g = (W_e - weights(e + 1)) / lr
             for i in range(d):
                 for j in range(c):
-                    Wp = W.copy()
+                    Wp = W_e.copy()
                     Wp[i, j] += h
-                    Wm = W.copy()
+                    Wm = W_e.copy()
                     Wm[i, j] -= h
-                    fd = (
-                        sse_loss(Z, split, labels, Wp)
-                        - sse_loss(Z, split, labels, Wm)
-                    ) / (2 * h)
+                    fd = (loss(Wp) - loss(Wm)) / (2 * h)
                     rel = abs(fd - g[i, j]) / max(1.0, abs(g[i, j]))
                     assert rel <= 1e-6, (t, i, j, rel)
 

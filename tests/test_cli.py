@@ -9,7 +9,8 @@ import pytest
 
 from zen import ConfigError, Hypergraph
 from zen.cli import main, parse_seeds
-from zen.hypergraph import serialize_hypergraph
+
+from conftest import serialize_hypergraph
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,16 @@ class TestRun:
         assert code == 2
         assert captured.out == ""
         assert flag in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_a_bad_step_size_is_a_usage_error_naming_the_flag(self, toy_files, capsys,
+                                                               value):
+        code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",
+                     "--grid-denominator", "1", "--variant", "no_tcs", f"--lr={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"argument --lr: must be a finite number > 0, got '{value}'" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_epochs_default_to_500(self, toy_files, capsys):
         args = ["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0..1",

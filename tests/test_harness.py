@@ -22,7 +22,6 @@ from zen import (
     PropagationConfig,
     SplitError,
     TrainingParams,
-    evaluate_accuracy,
     explain_weights,
     grid_search,
     load_dataset,
@@ -32,10 +31,8 @@ from zen import (
 )
 from zen import harness, propagation
 from zen.classifier import (
-    Prediction,
     Split,
     normalize_rows,
-    predict,
     tcs_weights,
     train_weights_gd,
 )
@@ -47,9 +44,13 @@ from zen.harness import (
     _test_accuracy,
     _variant_basis,
 )
-from zen.hypergraph import serialize_hypergraph
 
-from conftest import select_reference
+from conftest import select_reference, serialize_hypergraph
+
+
+def masked_accuracy(hard_labels: np.ndarray, mask: np.ndarray, labels: LabelSet) -> float:
+    """Fraction of the masked nodes whose label in ``hard_labels`` is right."""
+    return float(np.mean(hard_labels[mask] == labels.labels[mask]))
 
 
 def one_hot_features(labels: np.ndarray, c: int) -> np.ndarray:
@@ -289,21 +290,20 @@ class TestKShotSplit:
 
 
 class TestEvaluateAccuracy:
+    # test scoring of a one-hot basis with identity weights predicts the hot class
     def test_extremes_and_fractions(self):
         labels = LabelSet(labels=np.array([0, 1, 0, 1], dtype=np.int64), num_classes=2)
-        mask = np.ones(4, bool)
-        right = Prediction.from_scores(one_hot_features(labels.labels, 2))
-        wrong = Prediction.from_scores(one_hot_features(1 - labels.labels, 2))
-        assert evaluate_accuracy(right, mask, labels) == 1.0
-        assert evaluate_accuracy(wrong, mask, labels) == 0.0
-        half = Prediction.from_scores(one_hot_features(np.array([0, 1, 1, 0]), 2))
-        assert evaluate_accuracy(half, mask, labels) == 0.5
+        split = Split(np.zeros(4, bool), np.zeros(4, bool), np.ones(4, bool))
+        for predicted, expected in ((labels.labels, 1.0), (1 - labels.labels, 0.0),
+                                    (np.array([0, 1, 1, 0]), 0.5)):
+            basis = [one_hot_features(predicted, 2)]
+            assert _test_accuracy(basis, (1.0, 0.0, 0.0), np.eye(2), split, labels) == expected
 
     def test_empty_mask_rejected(self):
-        labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
-        pred = Prediction.from_scores(np.ones((3, 1)))
+        labels = LabelSet(labels=np.array([0, 1]), num_classes=2)
+        split = Split(np.array([True, False]), np.array([False, True]), np.zeros(2, bool))
         with pytest.raises(SplitError, match="empty"):
-            evaluate_accuracy(pred, np.zeros(3, bool), labels)
+            _test_accuracy([np.eye(2)], (1.0, 0.0, 0.0), np.eye(2), split, labels)
 
 
 class TestRunConfig:
@@ -479,10 +479,10 @@ def full_matrix_search(ds, grid, k, seeds, variant, training):
                 W = train_weights_gd(Z, split, ds.labels, training)
             else:
                 W = tcs_weights(Z, split, ds.labels)
-            pred = predict(Z, W)
-            val = evaluate_accuracy(pred, split.val_mask, ds.labels)
+            hard = np.argmax(Z @ W, axis=1)
+            val = masked_accuracy(hard, split.val_mask, ds.labels)
             if val > best[1]:
-                best = (idx, val, evaluate_accuracy(pred, split.test_mask, ds.labels))
+                best = (idx, val, masked_accuracy(hard, split.test_mask, ds.labels))
         picks.append(best)
     return picks
 
@@ -708,7 +708,7 @@ class TestBlockedTestScoring:
         for alphas in simplex_grid(2):
             Z = _mixed_embedding(basis, alphas)
             W = tcs_weights(Z, split, ds.labels)
-            whole = evaluate_accuracy(predict(Z, W), split.test_mask, ds.labels)
+            whole = masked_accuracy(np.argmax(Z @ W, axis=1), split.test_mask, ds.labels)
             with rows_per_block(ds, rows):
                 assert _test_accuracy(basis, alphas, W, split, ds.labels) == whole
 

@@ -20,9 +20,8 @@ from zen import (
     load_hypergraph,
     load_labels,
     parse_hypergraph,
-    serialize_hypergraph,
 )
-from conftest import random_hypergraph
+from conftest import random_hypergraph, serialize_hypergraph
 
 
 class TestParsing:

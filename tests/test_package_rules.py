@@ -3,15 +3,20 @@
 Invariants are explicit checks that raise ``ZenError`` subclasses: an
 ``assert`` statement vanishes under ``python -O``, so none may appear in
 ``src/zen``. Every name the package exports must resolve, so deleting a
-function cannot leave a dangling export behind.
+function cannot leave a dangling export behind. And every export must have a
+user: the package's own modules, the benchmark, the acceptance criteria or
+README's library examples. A name that only the unit tests call belongs in
+the tests, not in the API.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import zen
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "zen"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zen"
 
 
 def test_package_has_no_assert_statements():
@@ -28,3 +33,33 @@ def test_package_has_no_assert_statements():
 def test_every_export_resolves():
     missing = [name for name in zen.__all__ if not hasattr(zen, name)]
     assert not missing, f"exported but not defined: {', '.join(missing)}"
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read through a ``Name`` or ``Attribute`` node, except inside the
+    ``def`` or ``class`` that defines the same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_user_outside_the_unit_tests():
+    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    texts = [path.read_text(encoding="utf-8") for path in sources]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    texts += re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    used = set().union(*(_referenced_names(ast.parse(text)) for text in texts))
+    unused = sorted(set(zen.__all__) - used)
+    assert not unused, f"exported but used only by the unit tests: {', '.join(unused)}"

@@ -192,10 +192,6 @@ class TestDenseOracle:
         with pytest.raises(ConfigError, match="family"):
             dense_diag_oracle(path_hg, family="exact")
 
-    def test_guard(self, path_hg):
-        with pytest.raises(GuardError):
-            dense_diag_oracle(path_hg, guard=2)
-
     def test_guard_env_override(self, path_hg, monkeypatch):
         monkeypatch.setenv("ZEN_DENSE_GUARD", "2")
         with pytest.raises(GuardError):

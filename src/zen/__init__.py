@@ -40,9 +40,8 @@ _LAZY_EXPORTS = {
         "parse_hypergraph",
     ),
     "propagation": (
-        "NormalizationKind", "PropagationConfig", "build_A1_hat",
-        "build_A1_star", "plain_adjacency", "propagated_basis", "rsi_diag_1",
-        "rsi_diag_2",
+        "NormalizationKind", "PropagationConfig", "build_A1_star",
+        "plain_adjacency", "propagated_basis", "rsi_diag_1", "rsi_diag_2",
     ),
     "rsi_approx": (
         "HutchinsonParams", "WalkParams", "dense_diag_oracle",

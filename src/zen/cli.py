@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(explain)
     explain.add_argument("--k", type=_positive_int, default=3,
                          help="shots per class (default 3)")
-    explain.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
+    explain.add_argument("--seed", type=_nonnegative_int, default=0,
+                         help="split seed (default 0)")
     explain.add_argument("--grid-denominator", type=_positive_int, default=9)
     explain.add_argument("--variant", default="full", choices=["full", "no_rap"],
                          help="closed-form variants only (default full)")
@@ -213,7 +214,6 @@ def _cmd_rsi(args) -> int:
     from .propagation import (
         NormalizationKind,
         _middle_degree_factor,
-        build_A1_hat,
         build_A1_star,
         rsi_diag_1,
         rsi_diag_2,
@@ -269,8 +269,9 @@ def _cmd_rsi(args) -> int:
     else:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
         if l == 1:
-            A1h = build_A1_hat(hg, kind)
-            matvec = lambda z: A1h @ z
+            # A1^ = A1* + diag(rsi_1), without building A1^
+            A1s, r1 = build_A1_star(hg, kind), rsi_diag_1(hg, kind)
+            matvec = lambda z: A1s @ z + r1 * z
         elif l == 2:
             A1s = build_A1_star(hg, kind)
             mid = _middle_degree_factor(degrees(hg).node_degrees)

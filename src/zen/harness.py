@@ -71,9 +71,7 @@ from .hypergraph import (
 from .propagation import (
     NormalizationKind,
     PropagationConfig,
-    _first_hop,
     _slice_len,
-    plain_adjacency,
     propagated_basis,
 )
 
@@ -230,22 +228,18 @@ def _variant_basis(
 ) -> list[np.ndarray]:
     """Precompute the propagated feature blocks a variant mixes.
 
-    Alpha-mixing variants get [X, A1 X, A2 X] with the variant's one- and
-    two-hop matrices; linearized_hgnn gets the single block of its fixed
-    two-hop propagation.
+    A dispatch to ``propagated_basis``: full/no_tcs get [X, A1* X, A2* X]
+    with redundancy-aware propagation, no_rap/no_both get [X, A X, A (A X)]
+    with the plain normalization (``rap=False``), and linearized_hgnn gets
+    the single block A (A X) of its fixed symmetric two-hop propagation.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     X = dataset.features
     hg = dataset.hypergraph
-    if variant in ("full", "no_tcs"):
-        return propagated_basis(hg, X, kind)
-    if variant in ("no_rap", "no_both"):
-        A = plain_adjacency(hg, kind)
-        X1 = _first_hop(A, X)[0]
-        return [X, X1, np.asarray(A @ X1)]
-    A = plain_adjacency(hg, NormalizationKind.SYMMETRIC)
-    return [np.asarray(A @ _first_hop(A, X)[0])]
+    if variant == "linearized_hgnn":
+        return propagated_basis(hg, X, NormalizationKind.SYMMETRIC, rap=False)[2:]
+    return propagated_basis(hg, X, kind, rap=variant in ("full", "no_tcs"))
 
 
 def _mixed_embedding(basis: list[np.ndarray], alphas, rows=slice(None)) -> np.ndarray:

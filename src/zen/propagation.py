@@ -1,28 +1,34 @@
 """Normalized hop adjacencies for linear hypergraph propagation.
 
-The two-hop propagation used by the classifier is built here:
+Redundancy-aware propagation (RAP) is one switch, ``rap``, through one hop
+builder and one propagation routine:
 
-* ``build_A1_hat``: one-hop adjacency normalized so that each node's expected
-  incoming mass excludes its own contribution inside every shared edge, via
-  edge weights 1/(size - 1) instead of 1/size.
+* ``_hop(hg, kind, rap)`` builds D H diag(w) H^T D over the stored incidence
+  H, with D = D_v^{-1/2} on both sides (``sym``) or D_v^{-1} on the left
+  (``row``). With ``rap`` the edge weights are w = 1/(size - 1), so each
+  node's incoming mass excludes its own contribution inside every shared
+  edge, and the diagonal is zeroed before the one ``compact`` drops it, so
+  only information from other nodes flows: that is ``build_A1_star``.
+  Without it w = 1/size and the diagonal stays: the standard HGNN and
+  AllDeepSets forms of ``plain_adjacency``, which the ablation variants
+  propagate with.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops.
-* ``build_A1_star``: A1^ minus its diagonal, so only information from other
-  nodes flows.
-* ``propagated_basis``: the blocks [X, A1* X, A2* X] the mixing weights
-  combine. The two-hop matrix A2* = A1* diag(d/(d-1)) A1* - diag(rsi_2) is
-  never formed: its product with X is A1* (m * (A1* X)) - rsi_2 * X, two
-  sparse-times-dense products and the closed-form diagonal. The two-hop
-  block is filled in column slices of about 2 MiB of scratch, so beside X
-  only the two kept n x d blocks are allocated. Each output column of a CSR
-  times dense product is summed on its own and the elementwise steps are
-  exact, so the slices give the whole-matrix expression bit for bit.
+* ``propagated_basis(hg, X, kind, rap)``: the blocks [X, A X, A_2 X] the
+  mixing weights combine. With ``rap``, A = A1* and the two-hop matrix
+  A2* = A1* diag(d/(d-1)) A1* - diag(rsi_2) is never formed: its product
+  with X is A1* (m * (A1* X)) - rsi_2 * X, two sparse-times-dense products
+  and the closed-form diagonal. Without it, A is the plain form and the
+  two-hop block is A (A X). The two-hop block is filled in column slices of
+  about 2 MiB of scratch, so beside X only the two kept n x d blocks are
+  allocated. Each output column of a CSR times dense product is summed on
+  its own and the elementwise steps are exact, so the slices give the
+  whole-matrix expression bit for bit.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
 first hop: X is copied to CSR once, A X is a CSR times CSR product, and
 rsi_2 * X is subtracted at X's nonzeros only. The layout is chosen from X's
-measured density alone (``_sparse_enough``); denser X stays dense. The plain
-one-hop products of the ablation variants are taken the same way.
+measured density alone (``_sparse_enough``); denser X stays dense.
 
 Both routes give the same bits. Each entry of A X is summed over the row's
 stored hop entries in the same order either way, the CSR route only skipping
@@ -34,14 +40,6 @@ sums are unchanged by subtracting rsi_2 * 0 where X is zero.
 Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
 (d - 1) or d would be inverted.
-
-``plain_adjacency`` gives the standard one-hop forms (HGNN and AllDeepSets)
-that the ablation variants propagate with instead.
-
-A1^ and both plain forms are one formula, D H diag(w) H^T D over the stored
-incidence H, built by ``_hop``: w = 1/(size - 1) for A1^ and 1/size for the
-plain forms, with D = D_v^{-1/2} on both sides (``sym``) or D_v^{-1} on the
-left (``row``).
 """
 
 from __future__ import annotations
@@ -90,14 +88,6 @@ def _feature_csr(X: np.ndarray) -> sp.csr_matrix | None:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sp.csr_matrix((X[rows, cols], cols, indptr), shape=X.shape)
-
-
-def _first_hop(A: sp.csr_matrix, X: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix | None]:
-    """A @ X as a dense array, and the CSR copy of X it was taken with, if any."""
-    Xs = _feature_csr(X)
-    if Xs is None:
-        return np.asarray(A @ X), None
-    return (A @ Xs).toarray(), Xs
 
 
 class NormalizationKind(Enum):
@@ -164,31 +154,30 @@ def _middle_degree_factor(node_deg: np.ndarray) -> np.ndarray:
     return _div(node_deg, node_deg - 1.0, node_deg >= 2)
 
 
-def _hop(hg: Hypergraph, kind: NormalizationKind, edge_weight: np.ndarray) -> sp.csr_matrix:
-    """D H diag(edge_weight) H^T D, diagonal included.
+def _hop(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> sp.csr_matrix:
+    """D H diag(w) H^T D: A1* with ``rap``, else the plain form.
 
-    Symmetric scales both sides by D_v^{-1/2}, row scales the left by D_v^{-1};
-    isolated nodes get a zero factor.
+    With ``rap``, w = 1/(size - 1) and the stored diagonal is zeroed in place,
+    so the one ``compact`` drops it; without it, w = 1/size and the diagonal
+    is kept. Symmetric scales both sides by D_v^{-1/2}, row scales the left
+    by D_v^{-1}; isolated nodes get a zero factor.
     """
     H = incidence_matrix(hg)
-    d = degrees(hg).node_degrees
-    B = (H @ sp.diags(edge_weight)) @ H.T
+    prof = degrees(hg)
+    sizes, d = prof.edge_sizes, prof.node_degrees
+    w = _excl_edge_weight(sizes) if rap else _div(1.0, sizes, sizes > 0)
+    B = (H @ sp.diags(w)) @ H.T
     if kind is NormalizationKind.SYMMETRIC:
         s = sp.diags(_div(1.0, np.sqrt(d), d > 0))
-        return compact(s @ B @ s)
-    if kind is NormalizationKind.ROW:
-        return compact(sp.diags(_div(1.0, d, d > 0)) @ B)
-    raise ConfigError(f"bad normalization kind {kind!r}")
-
-
-def build_A1_hat(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> sp.csr_matrix:
-    """One-hop adjacency with exclusive edge normalization, diagonal included.
-
-    Symmetric: D_v^{-1/2} H (D_e - I)^{-1} H^T D_v^{-1/2};
-    Row:       D_v^{-1}   H (D_e - I)^{-1} H^T.
-    Singleton edges and isolated nodes contribute zero rows/columns.
-    """
-    return _hop(hg, kind, _excl_edge_weight(degrees(hg).edge_sizes))
+        A = s @ B @ s
+    elif kind is NormalizationKind.ROW:
+        A = sp.diags(_div(1.0, d, d > 0)) @ B
+    else:
+        raise ConfigError(f"bad normalization kind {kind!r}")
+    if rap:
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data[A.indices == rows] = 0.0
+    return compact(A)
 
 
 def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> np.ndarray:
@@ -207,9 +196,13 @@ def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMME
 
 
 def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> sp.csr_matrix:
-    """One-hop propagation matrix: build_A1_hat with its diagonal removed exactly."""
-    A = build_A1_hat(hg, kind)
-    return compact(A - sp.diags(A.diagonal()))
+    """One-hop propagation matrix with exclusive edge normalization, diagonal removed.
+
+    Symmetric: D_v^{-1/2} (H (D_e - I)^{-1} H^T - diag) D_v^{-1/2};
+    Row:       D_v^{-1}   (H (D_e - I)^{-1} H^T - diag).
+    Singleton edges and isolated nodes contribute zero rows/columns.
+    """
+    return _hop(hg, kind, rap=True)
 
 
 def rsi_diag_2(
@@ -238,32 +231,39 @@ def propagated_basis(
     hg: Hypergraph,
     X: np.ndarray,
     kind: NormalizationKind = NormalizationKind.SYMMETRIC,
+    rap: bool = True,
 ) -> list[np.ndarray]:
-    """The blocks [X, A1* X, A2* X] of the redundancy-removed propagation.
+    """The blocks [X, A X, A_2 X] of the one- and two-hop propagation.
 
-    The two-hop block is A1* (m * (A1* X)) - rsi_2 * X with m = d/(d-1),
-    which equals A2* X without building the two-hop matrix. It is written
+    With ``rap``, A = A1* and the two-hop block is A1* (m * (A1* X)) - rsi_2 * X
+    with m = d/(d-1), which equals A2* X without building the two-hop matrix.
+    Without it, A is ``plain_adjacency`` and the two-hop block is A (A X); the
+    m-multiply and the rsi_2 term are skipped. The two-hop block is written
     column slice by column slice into one preallocated array, so no n x d
     temporary is formed.
 
-    When X is sparse enough (``_sparse_enough``), A1* X is taken from a CSR
-    copy of X and rsi_2 * X is subtracted once, at X's nonzeros only, after
-    the slices; otherwise X stays dense and each slice subtracts its own
-    columns of rsi_2 * X. The two routes agree bit for bit (see the module
-    docstring).
+    When X is sparse enough (``_sparse_enough``), A X is taken from a CSR copy
+    of X and rsi_2 * X is subtracted once, at X's nonzeros only, after the
+    slices; otherwise X stays dense and each slice subtracts its own columns
+    of rsi_2 * X. The two routes agree bit for bit (see the module docstring).
     """
-    A1 = build_A1_star(hg, kind)
-    m = _middle_degree_factor(degrees(hg).node_degrees)
-    r2 = _two_hop_diag(A1, m)
-    X1, Xs = _first_hop(A1, X)
+    A = _hop(hg, kind, rap)
+    if rap:
+        m = _middle_degree_factor(degrees(hg).node_degrees)
+        r2 = _two_hop_diag(A, m)
+    Xs = _feature_csr(X)
+    X1 = np.asarray(A @ X) if Xs is None else (A @ Xs).toarray()
     X2 = np.empty_like(X1)
     step = _slice_len(X1.itemsize * X1.shape[0])
     for start in range(0, X2.shape[1], step):
         cols = slice(start, start + step)
-        X2[:, cols] = A1 @ (m[:, None] * X1[:, cols])
-        if Xs is None:
-            X2[:, cols] -= r2[:, None] * X[:, cols]
-    if Xs is not None:
+        if rap:
+            X2[:, cols] = A @ (m[:, None] * X1[:, cols])
+            if Xs is None:
+                X2[:, cols] -= r2[:, None] * X[:, cols]
+        else:
+            X2[:, cols] = A @ X1[:, cols]
+    if rap and Xs is not None:
         nz = Xs.tocoo()
         X2[nz.row, nz.col] -= r2[nz.row] * nz.data
     return [X, X1, X2]
@@ -277,5 +277,4 @@ def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
     message-passing forms with plain 1/size edge averaging and no diagonal
     removal.
     """
-    sizes = degrees(hg).edge_sizes
-    return _hop(hg, kind, _div(1.0, sizes, sizes > 0))
+    return _hop(hg, kind, rap=False)

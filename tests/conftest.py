@@ -1,6 +1,6 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-edge-file writer, the materialized two-hop reference, the per-config
-selection reference, the primal gradient-descent reference, and a
+edge-file writer, the one-hop A1^ and materialized two-hop references, the
+per-config selection reference, the primal gradient-descent reference, and a
 Cora-shaped instance built in memory."""
 
 import numpy as np
@@ -15,6 +15,7 @@ from zen import (
     NormalizationKind,
     build_A1_star,
     degrees,
+    incidence_matrix,
 )
 from zen.classifier import DIVERGENCE_LIMIT
 from zen.harness import _eval_config, _labeled_rows
@@ -68,6 +69,34 @@ def random_hypergraph(rng: np.random.Generator, max_nodes: int = 50) -> Hypergra
         size = min(int(rng.integers(1, 7)), n)
         edges.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
     return Hypergraph(n, tuple(edges))
+
+
+def build_A1_hat(
+    hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC
+) -> sp.csr_matrix:
+    """One-hop adjacency with exclusive edge normalization, diagonal included.
+
+    Symmetric: D_v^{-1/2} H (D_e - I)^{-1} H^T D_v^{-1/2};
+    Row:       D_v^{-1}   H (D_e - I)^{-1} H^T.
+    Singleton edges and isolated nodes contribute zero rows/columns. The
+    package never forms this matrix: it propagates with A1^ minus its
+    diagonal (``build_A1_star``) and gives the diagonal in closed form
+    (``rsi_diag_1``). It is the reference both are checked against.
+    """
+    H = incidence_matrix(hg)
+    prof = degrees(hg)
+    sz, d = prof.edge_sizes.astype(np.float64), prof.node_degrees.astype(np.float64)
+    w = np.where(sz >= 2, 1.0 / np.where(sz >= 2, sz - 1.0, 1.0), 0.0)
+    B = (H @ sp.diags(w)) @ H.T
+    if kind is NormalizationKind.SYMMETRIC:
+        s = sp.diags(np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0))
+        A = sp.csr_matrix(s @ B @ s)
+    else:
+        A = sp.csr_matrix(sp.diags(np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)) @ B)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
 
 
 def two_hop_reference(

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from zen import ConfigError, Hypergraph
 from zen.cli import main, parse_seeds
 
 from conftest import serialize_hypergraph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,19 @@ class TestRun:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         json.loads(paths[0].read_text())
+
+    @pytest.mark.parametrize("norm", ["sym", "row"])
+    @pytest.mark.parametrize("variant", ["full", "no_rap", "no_tcs", "no_both",
+                                         "linearized_hgnn"])
+    def test_json_output_matches_the_golden_file(self, capsys, variant, norm):
+        # tests/golden/run_<variant>_<norm>.json holds the bytes of this command
+        # on data/toy; a deliberate change to the output regenerates them
+        code = main(["run", *dataset_args(ROOT / "data" / "toy"), "--k", "2",
+                     "--seeds", "0..4", "--variant", variant, "--norm", norm,
+                     "--format", "json"])
+        assert code == 0
+        golden = ROOT / "tests" / "golden" / f"run_{variant}_{norm}.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_timing_flag(self, toy_files, capsys):
         code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",
@@ -268,18 +284,18 @@ class TestRsi:
         assert payload["target"] == "rap-hop"
         assert abs(payload["value"] - payload["exact"]) < 0.08
 
-    def test_hutchinson_two_hops_builds_one_one_hop_matrix(
-        self, triangle_file, capsys, monkeypatch
-    ):
-        # the two-hop estimate needs A1* only; build_A1_star itself makes
-        # the single build_A1_hat call
+    @pytest.mark.parametrize("hops", ["1", "2"])
+    def test_hutchinson_builds_one_hop_matrix(self, triangle_file, capsys, monkeypatch,
+                                              hops):
+        # both rap-hop estimates probe A1* alone: the one-hop matvec adds
+        # rsi_1 * z, the two-hop one multiplies by d/(d-1) between two A1* products
         import zen.propagation as propagation
         calls = []
-        real = propagation.build_A1_hat
-        monkeypatch.setattr(propagation, "build_A1_hat",
+        real = propagation._hop
+        monkeypatch.setattr(propagation, "_hop",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
         code = main(["rsi", "--edges", str(triangle_file), "--node", "1",
-                     "--hops", "2", "--method", "hutchinson",
+                     "--hops", hops, "--method", "hutchinson",
                      "--probes", "16", "--seed", "6"])
         capsys.readouterr()
         assert code == 0
@@ -428,7 +444,8 @@ class TestCountFlags:
     @pytest.mark.parametrize("command, flag, value", [
         ("run", "--k", "0"), ("run", "--k", "two"), ("run", "--grid-denominator", "0"),
         ("run", "--epochs", "0"), ("run", "--threads", "-1"), ("explain", "--k", "0"),
-        ("explain", "--grid-denominator", "0"), ("rsi", "--probes", "0"),
+        ("explain", "--grid-denominator", "0"), ("explain", "--seed", "-1"),
+        ("explain", "--seed", "abc"), ("rsi", "--probes", "0"),
         ("rsi", "--trials", "0"), ("rsi", "--seed", "-1"), ("rsi", "--hops", "-1"),
         ("errbound", "--k", "0"), ("errbound", "--c", "-2"),
     ])

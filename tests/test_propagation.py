@@ -23,7 +23,6 @@ from zen import (
     LabelSet,
     NormalizationKind,
     PropagationConfig,
-    build_A1_hat,
     build_A1_star,
     degrees,
     Hypergraph,
@@ -35,7 +34,7 @@ from zen import (
 )
 from zen.harness import _variant_basis
 from zen.rsi_approx import dense_diag_oracle, walk_transition_matrix
-from conftest import random_hypergraph, two_hop_reference
+from conftest import build_A1_hat, random_hypergraph, two_hop_reference
 
 SYM = NormalizationKind.SYMMETRIC
 ROW = NormalizationKind.ROW
@@ -109,8 +108,10 @@ class TestOneHop:
         assert build_A1_hat(singleton_hg, SYM).nnz == 0
 
     def test_bad_kind_rejected(self, path_hg):
-        with pytest.raises(ConfigError):
-            build_A1_hat(path_hg, "sym")
+        # A1^ is a test reference; the package's hop builders do the checking
+        for build in (build_A1_star, plain_adjacency):
+            with pytest.raises(ConfigError):
+                build(path_hg, "sym")
 
 
 def branchwise_A1_hat(hg, kind):
@@ -453,6 +454,19 @@ class TestPlainFirstHop:
         A = plain_adjacency(cora_shaped.hypergraph, SYM)
         assert_bit_identical(_variant_basis(cora_shaped, ROW, "linearized_hgnn"),
                              [A @ (A @ X)])
+
+    @pytest.mark.parametrize("variant, kind", [("no_rap", SYM), ("no_rap", ROW),
+                                               ("linearized_hgnn", ROW)])
+    def test_dense_features_match_dense_products(self, cora_shaped, variant, kind):
+        # X + 0.5 has no zeros, so it stays dense and the two-hop block is
+        # filled in column slices
+        X = cora_shaped.features + 0.5
+        assert not propagation._sparse_enough(X != 0)
+        ds = Dataset("dense", cora_shaped.hypergraph, X, cora_shaped.labels)
+        A = plain_adjacency(ds.hypergraph, SYM if variant == "linearized_hgnn" else kind)
+        X1 = A @ X
+        want = [A @ X1] if variant == "linearized_hgnn" else [X, X1, A @ X1]
+        assert_bit_identical(_variant_basis(ds, kind, variant), want)
 
 
 class TestPropagationOperator:

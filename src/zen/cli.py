@@ -210,14 +210,8 @@ def _cmd_rsi(args) -> int:
 
     import numpy as np
 
-    from .hypergraph import degrees, load_hypergraph
-    from .propagation import (
-        NormalizationKind,
-        _middle_degree_factor,
-        build_A1_star,
-        rsi_diag_1,
-        rsi_diag_2,
-    )
+    from .hypergraph import load_hypergraph
+    from .propagation import NormalizationKind, _factored_hops, rsi_diag_1, rsi_diag_2
     from .rsi_approx import (
         HutchinsonParams,
         WalkParams,
@@ -268,14 +262,16 @@ def _cmd_rsi(args) -> int:
         )
     else:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
-        if l == 1:
-            # A1^ = A1* + diag(rsi_1), without building A1^
-            A1s, r1 = build_A1_star(hg, kind), rsi_diag_1(hg, kind)
-            matvec = lambda z: A1s @ z + r1 * z
-        elif l == 2:
-            A1s = build_A1_star(hg, kind)
-            mid = _middle_degree_factor(degrees(hg).node_degrees)
-            matvec = lambda z: A1s @ (mid * (A1s @ z))
+        if l in (1, 2):
+            # the hops go through H as in propagated_basis, so no hop matrix is
+            # built: A1^ z = A1* z + rsi_1 * z, and the two-hop composition is
+            # A1* (m * A1* z)
+            hop, hop2 = _factored_hops(hg, kind, rap=True)
+            if l == 1:
+                r1 = rsi_diag_1(hg, kind)
+                matvec = lambda z: hop(z) + r1 * z
+            else:
+                matvec = lambda z: hop2(hop(z))
         else:
             W = walk_transition_matrix(hg)
 

@@ -34,8 +34,9 @@ the sane regime, is re-scored through ``_eval_config``, and that accuracy
 replaces the Gram one. The first configuration with the highest accuracy
 wins, and its accuracy and weights are ``_eval_config``'s.
 
-The redundancy-removed variants take their basis from
-``propagation.propagated_basis``, which never forms the two-hop matrix.
+Every variant takes its basis from ``propagation.propagated_basis``, which
+applies each hop through the stored incidence and forms no hop matrix, one-
+or two-hop.
 ``linearized_hgnn`` has a single block and no mixing, so it is evaluated
 once per seed, at the first grid point, instead of at all of them.
 """

@@ -20,6 +20,7 @@ from zen import propagation
 from zen import (
     ConfigError,
     Dataset,
+    DatasetError,
     LabelSet,
     NormalizationKind,
     PropagationConfig,
@@ -326,15 +327,41 @@ class TestStarredMatrices:
             npt.assert_allclose(A2, A2.T, atol=1e-12)
 
 
-def whole_matrix_basis(hg, X, kind):
-    """[X, A1* X, A2* X] with the two-hop block in one whole-matrix expression,
-    A1* (m * X1) - rsi_2 * X, the form ``propagated_basis`` fills in column
-    slices."""
-    A1 = build_A1_star(hg, kind)
-    d = degrees(hg).node_degrees.astype(np.float64)
+def whole_matrix_basis(hg, X, kind, rap=True):
+    """[X, A X, A_2 X] as whole-matrix products through scaled copies of H, the
+    form ``propagated_basis`` fills in column slices.
+
+    L = diag(l) H diag(w) and R = H^T diag(r), and a hop is A V = L (R V),
+    minus rsi_1 * V with rap. The second rap hop folds m = d/(d-1) into R and
+    subtracts (rsi_1 m) * X1, then rsi_2 * X, and is zero on the rows where the
+    materialized A2* has no entry; without rap the block is A X1.
+    """
+    H = incidence_matrix(hg)
+    prof = degrees(hg)
+    d, sz = prof.node_degrees.astype(np.float64), prof.edge_sizes.astype(np.float64)
+    inv = lambda v: np.where(v > 0, 1.0 / np.where(v > 0, v, 1.0), 0.0)
+    w = inv(sz - 1.0) if rap else inv(sz)
+    if kind is SYM:
+        l = r = inv(np.sqrt(d))
+    else:
+        l, r = inv(d), np.ones(hg.num_nodes)
+    L = canonical(sp.diags(l) @ H @ sp.diags(w))
+    R = canonical(H.T @ sp.diags(r))
+    if not rap:
+        X1 = L @ (R @ X)
+        return [X, X1, L @ (R @ X1)]
     m = np.where(d >= 2, d / np.where(d >= 2, d - 1.0, 1.0), 0.0)
-    X1 = A1 @ X
-    return [X, X1, A1 @ (m[:, None] * X1) - rsi_diag_2(hg, kind, A1)[:, None] * X]
+    r1, r2 = rsi_diag_1(hg, kind), rsi_diag_2(hg, kind)
+    X1 = L @ (R @ X) - r1[:, None] * X
+    Rm = canonical(H.T @ sp.diags(r * m))
+    X2 = L @ (Rm @ X1) - (r1 * m)[:, None] * X1 - r2[:, None] * X
+    X2[returning_rows(hg, kind)] = 0.0
+    return [X, X1, X2]
+
+
+def returning_rows(hg, kind):
+    """Rows of the materialized A2* with no stored entry."""
+    return np.diff(two_hop_reference(hg, kind).indptr) == 0
 
 
 def assert_bit_identical(got, want):
@@ -348,19 +375,21 @@ class TestPropagatedBasis:
     # of it, on the instance with a singleton edge and isolated nodes
     @settings(max_examples=200, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
-           seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 4), width=st.integers(1, 9))
-    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1)
-    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=2)
-    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=3, width=3)
-    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=3, width=7)
-    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=4)
+           seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 4), width=st.integers(1, 9),
+           rap=st.booleans())
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1, rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=2, rap=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=3, width=3, rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=3, width=7, rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=4, rap=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=5, cols=3, width=7, rap=False)
     def test_column_slices_are_bit_identical_to_the_whole_matrix_expression(
-        self, hg, kind, seed, cols, width
+        self, hg, kind, seed, cols, width, rap
     ):
         X = np.random.default_rng(seed).standard_normal((hg.num_nodes, width))
         with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * hg.num_nodes):
-            basis = propagated_basis(hg, X, kind)
-        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+            basis = propagated_basis(hg, X, kind, rap)
+        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
 
     # widths up to 64 put small instances on both sides of the density cut;
     # ``forced`` takes the CSR branch whatever the density, so d = 1 and
@@ -368,14 +397,22 @@ class TestPropagatedBasis:
     @settings(max_examples=200, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
            seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 4), width=st.integers(1, 64),
-           density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), forced=st.booleans())
-    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1, density=0.3, forced=True)
-    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=7, density=1.0, forced=True)
-    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=2, width=64, density=0.0, forced=False)
-    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=5, width=64, density=0.01, forced=False)
-    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=40, density=0.05, forced=True)
+           density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), forced=st.booleans(),
+           rap=st.booleans())
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, cols=3, width=1, density=0.3, forced=True,
+             rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, cols=3, width=7, density=1.0, forced=True,
+             rap=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=2, cols=2, width=64, density=0.0, forced=False,
+             rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=3, cols=5, width=64, density=0.01, forced=False,
+             rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=4, cols=1, width=40, density=0.05, forced=True,
+             rap=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=5, cols=1, width=40, density=0.3, forced=True,
+             rap=False)
     def test_sparse_first_hop_is_bit_identical_to_the_dense_expression(
-        self, hg, kind, seed, cols, width, density, forced
+        self, hg, kind, seed, cols, width, density, forced, rap
     ):
         rng = np.random.default_rng(seed)
         n = hg.num_nodes
@@ -385,9 +422,9 @@ class TestPropagatedBasis:
         force = mock.patch.object(propagation, "_sparse_enough", return_value=True)
         with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * n), \
                 (force if forced else contextlib.nullcontext()):
-            basis = propagated_basis(hg, X, kind)
+            basis = propagated_basis(hg, X, kind, rap)
         assert basis[0] is X
-        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
+        assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
 
     def test_density_cut(self, cora_shaped):
         # 32 (n + nnz) <= n d: with n = 100 and d = 64 the cut is nnz = 100
@@ -405,7 +442,7 @@ class TestPropagatedBasis:
     @pytest.mark.parametrize("kind", [SYM, ROW])
     def test_allocates_no_scratch_block(self, cora_shaped, kind):
         # X is 31 MB and the two kept blocks 62 MB; a whole-matrix two-hop
-        # expression peaks at 3.0x X, the column slices at about 2.15x on
+        # expression peaks at 3.0x X, the column slices at about 2.2x on
         # either branch: the 1.3%-nonzero X takes the CSR one, X + 0.5 the dense one
         hg = cora_shaped.hypergraph
         for X, csr in ((cora_shaped.features, True), (cora_shaped.features + 0.5, False)):
@@ -417,17 +454,23 @@ class TestPropagatedBasis:
             assert peak <= 2.5 * X.nbytes
             assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
 
+    # the factored hops against products with the materialized matrices:
+    # A1* and A2* with rap, the plain form and its square without
     @settings(max_examples=150, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
-           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5))
-    @example(hg=_DEGENERATE, kind=SYM, seed=0, width=3)
-    @example(hg=_DEGENERATE, kind=ROW, seed=1, width=3)
-    def test_matches_materialized_two_hop_product(self, hg, kind, seed, width):
+           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5), rap=st.booleans())
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, width=3, rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, width=3, rap=True)
+    @example(hg=_DEGENERATE, kind=SYM, seed=2, width=3, rap=False)
+    @example(hg=_DEGENERATE, kind=ROW, seed=3, width=3, rap=False)
+    def test_matches_materialized_two_hop_product(self, hg, kind, seed, width, rap):
         X = np.random.default_rng(seed).standard_normal((hg.num_nodes, width))
-        basis = propagated_basis(hg, X, kind)
+        basis = propagated_basis(hg, X, kind, rap)
         assert basis[0] is X
-        npt.assert_allclose(basis[1], build_A1_star(hg, kind) @ X, rtol=0, atol=1e-12)
-        npt.assert_allclose(basis[2], two_hop_reference(hg, kind) @ X, rtol=0, atol=1e-12)
+        A = build_A1_star(hg, kind) if rap else plain_adjacency(hg, kind)
+        A2 = two_hop_reference(hg, kind) if rap else A @ A
+        npt.assert_allclose(basis[1], A @ X, rtol=0, atol=1e-12)
+        npt.assert_allclose(basis[2], A2 @ X, rtol=0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]))
@@ -439,34 +482,104 @@ class TestPropagatedBasis:
         npt.assert_allclose(diag, dense_diag_oracle(hg, kind, 1), atol=1e-12)
         npt.assert_allclose(rsi_diag_2(hg, kind), dense_diag_oracle(hg, kind, 2), atol=1e-12)
 
+    # ``block`` edge pairs per node block, so blocks split the nodes anywhere
+    # and a node may hold more pairs than one block. In the last examples an
+    # edge of degree-1 members has a zero overlap, which E drops.
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           block=st.integers(1, 40))
+    @example(hg=_DEGENERATE, kind=SYM, block=1)
+    @example(hg=_DEGENERATE, kind=ROW, block=7)
+    @example(hg=Hypergraph(4, ((0, 1, 2, 3),)), kind=SYM, block=2)
+    @example(hg=Hypergraph(7, ((0, 1, 2), (2, 3), (4, 5), (2, 3))), kind=ROW, block=3)
+    def test_closed_form_rsi_2_matches_the_matrix_route(self, hg, kind, block):
+        with mock.patch.object(propagation, "_BLOCK_BYTES", block * propagation._PAIR_BYTES):
+            closed = rsi_diag_2(hg, kind)
+        m = propagation._middle_degree_factor(degrees(hg).node_degrees)
+        matrix = propagation._two_hop_diag(build_A1_star(hg, kind), m)
+        npt.assert_allclose(closed, matrix, rtol=0, atol=1e-12)
+        npt.assert_allclose(closed, dense_diag_oracle(hg, kind, 2), rtol=0, atol=1e-12)
+        zero = matrix == 0.0
+        npt.assert_array_equal(closed[zero].view(np.int64), 0)  # +0.0, bit for bit
+
+    # where every two-hop walk comes back, the returning walks and rsi_2 * X
+    # cancel in exact arithmetic only: two nodes joined by repeated
+    # two-member edges, also with a singleton edge or a pendant beside them
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(hg=Hypergraph(2, ((0, 1), (0, 1))), kind=SYM, seed=0)
+    @example(hg=Hypergraph(2, ((0, 1), (0, 1), (0, 1))), kind=ROW, seed=1)
+    @example(hg=Hypergraph(4, ((0, 1), (1,), (0, 1), (2, 3), (3,))), kind=SYM, seed=2)
+    @example(hg=Hypergraph(4, ((0, 1), (0, 1), (1, 2), (3,))), kind=SYM, seed=3)
+    @example(hg=_DEGENERATE, kind=ROW, seed=4)
+    def test_rows_of_only_returning_walks_are_exactly_zero(self, hg, kind, seed):
+        rows = returning_rows(hg, kind)
+        npt.assert_array_equal(propagation._returning_rows(hg), rows)
+        X = np.random.default_rng(seed).random((hg.num_nodes, 6)) + 0.5
+        X2 = propagated_basis(hg, X, kind)[2]
+        npt.assert_array_equal(X2[rows].view(np.int64), 0)  # +0.0, bit for bit
+
+    @pytest.mark.parametrize("shape", [(9,), (8, 3), (10, 3)])
+    def test_wrong_shaped_features_are_a_dataset_error(self, shape):
+        with pytest.raises(DatasetError,
+                           match=r"features have shape \(.*\), expected \(9, num_features\)"):
+            propagated_basis(_DEGENERATE, np.ones(shape))
+
+    def test_wrong_shaped_a1_star_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"shape \(8, 8\), expected \(9, 9\)"):
+            rsi_diag_2(_DEGENERATE, SYM, sp.eye(8, format="csr"))
+
+    def test_huge_hyperedges_propagate_within_a_small_memory_budget(self):
+        # 40 edges of 1000-2000 members among 20 000 nodes: A1* would hold
+        # about 96 million entries, H holds about 60 000
+        rng = np.random.default_rng(20000)
+        n = 20_000
+        edges = tuple(tuple(rng.choice(n, size=int(rng.integers(1000, 2001)), replace=False))
+                      for _ in range(40))
+        hg = Hypergraph(n, edges)
+        X = rng.standard_normal((n, 8))
+        X[:, 0] = 1.0
+        covered = degrees(hg).node_degrees > 0
+        for kind in (SYM, ROW):
+            for rap in (True, False):
+                tracemalloc.start()
+                basis = propagated_basis(hg, X, kind, rap)
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                assert peak < 32 * 2**20
+                if kind is ROW and not rap:
+                    # the AllDeepSets hop is row-stochastic on covered nodes
+                    npt.assert_allclose(basis[1][covered, 0], 1.0, rtol=0, atol=1e-12)
+                    npt.assert_allclose(basis[2][covered, 0], 1.0, rtol=0, atol=1e-12)
+                    assert not basis[1][~covered].any()
+
 
 class TestPlainFirstHop:
     @pytest.mark.parametrize("kind", [SYM, ROW])
     def test_no_rap_basis_matches_dense_products(self, cora_shaped, kind):
         # cora_shaped X takes the CSR first hop; the reference multiplies dense X
         X = cora_shaped.features
-        A = plain_adjacency(cora_shaped.hypergraph, kind)
-        X1 = A @ X
-        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap"), [X, X1, A @ X1])
+        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap"),
+                             whole_matrix_basis(cora_shaped.hypergraph, X, kind, rap=False))
 
     def test_linearized_hgnn_basis_matches_dense_products(self, cora_shaped):
         X = cora_shaped.features
-        A = plain_adjacency(cora_shaped.hypergraph, SYM)
         assert_bit_identical(_variant_basis(cora_shaped, ROW, "linearized_hgnn"),
-                             [A @ (A @ X)])
+                             whole_matrix_basis(cora_shaped.hypergraph, X, SYM, rap=False)[2:])
 
     @pytest.mark.parametrize("variant, kind", [("no_rap", SYM), ("no_rap", ROW),
                                                ("linearized_hgnn", ROW)])
     def test_dense_features_match_dense_products(self, cora_shaped, variant, kind):
-        # X + 0.5 has no zeros, so it stays dense and the two-hop block is
-        # filled in column slices
+        # X + 0.5 has no zeros, so it stays dense and both hops are taken in
+        # column slices
         X = cora_shaped.features + 0.5
         assert not propagation._sparse_enough(X != 0)
         ds = Dataset("dense", cora_shaped.hypergraph, X, cora_shaped.labels)
-        A = plain_adjacency(ds.hypergraph, SYM if variant == "linearized_hgnn" else kind)
-        X1 = A @ X
-        want = [A @ X1] if variant == "linearized_hgnn" else [X, X1, A @ X1]
-        assert_bit_identical(_variant_basis(ds, kind, variant), want)
+        want = whole_matrix_basis(ds.hypergraph, X, SYM if variant == "linearized_hgnn"
+                                  else kind, rap=False)
+        assert_bit_identical(_variant_basis(ds, kind, variant),
+                             want[2:] if variant == "linearized_hgnn" else want)
 
 
 class TestPropagationOperator:

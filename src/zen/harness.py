@@ -6,18 +6,22 @@ validation accuracy (ties to the earliest in enumeration order), and report
 its test accuracy; aggregate mean and sample standard deviation over seeds.
 
 One function, ``_eval_config``, defines what a configuration scores. It
-works on a precomputed per-hop feature basis (X, A1 X, A2 X). Mixing and
-row normalization act on each row alone and the class weights read only the
-training rows, so a configuration needs only the labeled rows: its weights
-come from the training rows and its accuracy from the product of the
-validation rows with them. That labeled-row product is the definition, tie
-policy included: the argmax takes the first maximum, so an exact tie
-between two classes goes to the lower class id. ``run_config``, the winner
-of every seed and every re-score below go through it, so re-running a
-selected configuration reproduces the grid's numbers bit for bit and
-``zen explain`` gets the winner's weights without a second propagation. The winner's test rows are
-mixed and scored once per seed, in row blocks of about 2 MiB each, so no
-test-sized n x d copy is made; a test row's score is its block's product.
+works on the labeled rows of the per-hop feature blocks (X, A1 X, A2 X).
+Mixing and row normalization act on each row alone and the class weights
+read only the training rows, so a configuration needs only the labeled
+rows: its weights come from the training rows and its accuracy from the
+product of the validation rows with them. That labeled-row product is the
+definition, tie policy included: the argmax takes the first maximum, so an
+exact tie between two classes goes to the lower class id. ``run_config``,
+the winner of every seed and every re-score below go through it, so
+re-running a selected configuration reproduces the grid's numbers bit for
+bit and ``zen explain`` gets the winner's weights the same way.
+
+No n x d block is propagated whole. ``_variant_basis`` prepares a
+variant's propagation once per run (the hops through the incidence, rsi_2,
+X's CSR copy), and ``_Basis.rows`` propagates only the rows asked for, bit
+for bit the same rows of the whole blocks: each seed's labeled rows, and
+the test rows whose class the scores below cannot settle.
 
 Selection does not call ``_eval_config`` once per configuration. Once per
 seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
@@ -34,11 +38,18 @@ the sane regime, is re-scored through ``_eval_config``, and that accuracy
 replaces the Gram one. The first configuration with the highest accuracy
 wins, and its accuracy and weights are ``_eval_config``'s.
 
-Every variant takes its basis from ``propagation.propagated_basis``, which
-applies each hop through the stored incidence and forms no hop matrix, one-
-or two-hop.
-``linearized_hgnn`` has a single block and no mixing, so it is evaluated
-once per seed, at the first grid point, instead of at all of them.
+The winner's test rows are scored through X W. ZEN is linear, so a row's
+scores Z_i W are (sum_j a_j (A_j X)_i W) / ||m_i||, with m_i its mixed row,
+and a positive divisor does not move the argmax: the class can be read off
+sum_j a_j (A_j (X W))_i, an n x c propagation costing O(nnz(H) c) per seed
+(the re-association SGC makes, Wu et al., arXiv:1902.07153). The two routes
+round differently, so a row whose top two scores lie within ``_NEAR_TIE``
+of its rounding bound, the same propagation of |X| |W| through the hops'
+magnitudes, is re-scored through the row route: its rows of the blocks
+mixed, normalized and multiplied by W. A row the mix leaves structurally
+zero predicts class 0 without either. ``linearized_hgnn`` has a single
+block and no mixing, so it is evaluated once per seed, at the first grid
+point, instead of at all of them.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .classifier import (
     DIVERGENCE_LIMIT,
@@ -72,8 +84,9 @@ from .hypergraph import (
 from .propagation import (
     NormalizationKind,
     PropagationConfig,
+    _feature_csr,
+    _Propagation,
     _slice_len,
-    propagated_basis,
 )
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
@@ -224,36 +237,101 @@ def _accuracy(hard_labels: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(hard_labels == truth))
 
 
-def _variant_basis(
-    dataset: Dataset, kind: NormalizationKind, variant: str
-) -> list[np.ndarray]:
-    """Precompute the propagated feature blocks a variant mixes.
+@dataclass(frozen=True)
+class _Basis:
+    """One variant's propagation of one dataset, prepared once per run.
 
-    A dispatch to ``propagated_basis``: full/no_tcs get [X, A1* X, A2* X]
-    with redundancy-aware propagation, no_rap/no_both get [X, A X, A (A X)]
-    with the plain normalization (``rap=False``), and linearized_hgnn gets
-    the single block A (A X) of its fixed symmetric two-hop propagation.
+    ``rows`` gives the blocks the variant mixes at any rows, bit for bit the
+    same rows of the whole blocks, by propagating only what those rows read.
+    ``scores`` gives a configuration's class scores at every row through
+    the propagation of X W, and a bound on their rounding.
+    """
+
+    features: np.ndarray
+    sparse: sp.csr_matrix | None        # X as CSR for the sparse first hop
+    propagation: _Propagation
+    bounds: _Propagation                # its terms by magnitude
+    blocks: slice                       # the blocks of [X, A X, A_2 X] mixed
+    live: np.ndarray                    # n x 3: where each block can be nonzero
+
+    @property
+    def num_nodes(self) -> int:
+        return self.features.shape[0]
+
+    def rows(self, rows=None) -> list[np.ndarray]:
+        """The blocks at ``rows``, every row when None."""
+        return self.propagation.basis(self.features, self.sparse, rows)[self.blocks]
+
+    def weights(self, alphas) -> np.ndarray:
+        """The weight of each of [X, A X, A_2 X] in a configuration's mix."""
+        if self.blocks == slice(None):
+            return np.asarray(alphas, dtype=np.float64)
+        return np.array([0.0, 0.0, 1.0])
+
+    def zero_rows(self, alphas) -> np.ndarray:
+        """Rows where every block the mix weighs is structurally zero, so the
+        mix is exactly zero whatever X holds: isolated nodes, nodes in no
+        edge of two or more members under RAP, and, for A2* X, nodes whose
+        two-hop walks all return."""
+        return ~self.live[:, self.weights(alphas) != 0].any(axis=1)
+
+    def scores(self, alphas, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_j a_j A_j (X W) at every row, and each row's bound on the
+        rounding of both it and the row route's scores: the largest entry of
+        sum_j a_j |A_j| (|X| |W|), where |A_j| sums the magnitudes of A_j's
+        terms. Row normalization divides a row's scores by a positive
+        number, so their argmax is the embedding's."""
+        P, Q = _products(self.sparse if self.sparse is not None else self.features, W)
+        a = self.weights(alphas)
+        mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
+        return mix(self.propagation.basis(P)), mix(self.bounds.basis(Q)).max(axis=1)
+
+
+def _products(X, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X W and |X| |W| for a dense or CSR X; a dense |X| is formed a row
+    slice at a time."""
+    if sp.issparse(X):
+        return X @ W, abs(X) @ np.abs(W)
+    Q = np.empty((X.shape[0], W.shape[1]))
+    step = _slice_len(X.itemsize * X.shape[1])
+    for start in range(0, X.shape[0], step):
+        np.matmul(np.abs(X[start:start + step]), np.abs(W), out=Q[start:start + step])
+    return X @ W, Q
+
+
+def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _Basis:
+    """The propagation a variant mixes, prepared for ``dataset``.
+
+    full/no_tcs get [X, A1* X, A2* X] with redundancy-aware propagation,
+    no_rap/no_both get [X, A X, A (A X)] with the plain normalization
+    (``rap=False``), and linearized_hgnn gets the single block A (A X) of its
+    fixed symmetric two-hop propagation. Building it makes the hops, rsi_2
+    and X's CSR copy once; no block is propagated until rows are asked for.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    X = dataset.features
     hg = dataset.hypergraph
+    blocks = slice(None)
     if variant == "linearized_hgnn":
-        return propagated_basis(hg, X, NormalizationKind.SYMMETRIC, rap=False)[2:]
-    return propagated_basis(hg, X, kind, rap=variant in ("full", "no_tcs"))
+        kind, blocks = NormalizationKind.SYMMETRIC, slice(2, None)
+    propagation = _Propagation.build(hg, kind, rap=variant in ("full", "no_tcs"))
+    bounds = propagation.absolute()
+    # a block's row is structurally zero where the magnitudes of its terms
+    # sum to zero for X = 1
+    live = np.hstack(bounds.basis(np.ones((hg.num_nodes, 1)))) > 0
+    X = dataset.features
+    return _Basis(features=X, sparse=_feature_csr(X), propagation=propagation,
+                  bounds=bounds, blocks=blocks, live=live)
 
 
-def _mixed_embedding(basis: list[np.ndarray], alphas, rows=slice(None)) -> np.ndarray:
-    """Rows ``rows`` of the row-normalized alpha mix of the basis blocks.
-
-    Each row is mixed and normalized on its own, so the result equals the
-    same rows of the full n-row embedding bit for bit.
-    """
-    if len(basis) == 1:
-        return normalize_rows(basis[0][rows])
-    mixed = alphas[0] * basis[0][rows]
-    for a, block in zip(alphas[1:], basis[1:]):
-        mixed += a * block[rows]
+def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:
+    """The row-normalized alpha mix of the blocks' rows; a single block is
+    normalized as it is. Each row is mixed and normalized on its own."""
+    if len(blocks) == 1:
+        return normalize_rows(blocks[0])
+    mixed = alphas[0] * blocks[0]
+    for a, block in zip(alphas[1:], blocks[1:]):
+        mixed += a * block
     return normalize_rows(mixed)
 
 
@@ -271,8 +349,11 @@ class _LabeledRows:
     labels: LabelSet
 
 
-def _labeled_rows(basis: list[np.ndarray], split: Split, labels: LabelSet) -> _LabeledRows:
-    n = basis[0].shape[0]
+def _labeled_rows(basis, split: Split, labels: LabelSet) -> _LabeledRows:
+    """The split's labeled rows of ``basis``: a ``_Basis``, which propagates
+    only those rows, or a list of stored n-row blocks."""
+    stored = not isinstance(basis, _Basis)
+    n = basis[0].shape[0] if stored else basis.num_nodes
     if split.num_nodes != n or labels.num_nodes != n:
         raise SplitError(
             f"inconsistent sizes: basis has {n} rows, split {split.num_nodes}, "
@@ -286,7 +367,7 @@ def _labeled_rows(basis: list[np.ndarray], split: Split, labels: LabelSet) -> _L
     rows = np.concatenate([np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)])
     first = np.arange(rows.size) < np.count_nonzero(split.train_mask)
     return _LabeledRows(
-        blocks=[block[rows] for block in basis],
+        blocks=[block[rows] for block in basis] if stored else basis.rows(rows),
         split=Split(first, ~first, np.zeros(rows.size, dtype=bool)),
         labels=LabelSet(labels.labels[rows], labels.num_classes),
     )
@@ -336,7 +417,7 @@ def _select_config(
     weights are exactly those of any other route through it.
     """
     labeled = _labeled_rows(basis, split, labels)
-    if len(basis) == 1:
+    if len(labeled.blocks) == 1:
         val_acc, W = _eval_config(labeled, grid.alphas[0], variant, training)
         return 0, val_acc, W
     accs, rescored = _gram_accuracies(labeled, grid, variant, training)
@@ -435,24 +516,45 @@ def _gram_accuracies(
 
 
 def _test_accuracy(
-    basis: list[np.ndarray], alphas, W: np.ndarray, split: Split, labels: LabelSet
+    basis: _Basis, alphas, W: np.ndarray, split: Split, labels: LabelSet
 ) -> float:
-    """Test accuracy of one configuration's weights, mixing only the test rows.
+    """Test accuracy of one configuration's weights, scored through A_j (X W).
 
-    The test rows are mixed, normalized and scored one row block at a time,
-    and one warning is logged with the total count of zero embedding rows.
+    A test row's class is the argmax of its row of ``_Basis.scores``. The
+    row is unsure when its top two scores are within ``_NEAR_TIE`` times its
+    rounding bound, or, with a single class, its score is that near zero:
+    there the row route, whose scores differ by a positive factor and by
+    rounding, may rank the classes the other way or find a zero row. Unsure
+    rows are scored through the row route, their rows of the blocks mixed,
+    normalized and multiplied by W, about 2 MiB of rows at a time. A row
+    the mix leaves structurally zero (``_Basis.zero_rows``) predicts class
+    0 with neither. One warning is logged with the count of zero embedding
+    rows.
     """
     rows = np.flatnonzero(split.test_mask)
-    hard_labels = np.empty(rows.size, dtype=np.intp)
-    step = _slice_len(basis[0].itemsize * basis[0].shape[1])
-    zero_rows = 0
-    for start in range(0, rows.size, step):
-        block = slice(start, start + step)
-        Z = _mixed_embedding(basis, alphas, rows[block])
+    truth = labels.labels[rows]
+    if rows.size == 0:
+        return _accuracy(rows, truth)  # raises the empty-mask SplitError
+    scores, bound = basis.scores(alphas, W)
+    scores, bound = scores[rows], bound[rows]
+    zero = basis.zero_rows(alphas)[rows]
+    if scores.shape[1] > 1:
+        ranked = np.sort(scores, axis=1)
+        gap = ranked[:, -1] - ranked[:, -2]
+    else:
+        gap = np.abs(scores[:, 0])
+    unsure = np.flatnonzero(~zero & ~(gap > _NEAR_TIE * bound))
+    hard_labels = np.argmax(scores, axis=1)
+    hard_labels[zero] = 0
+    zero_rows = int(np.count_nonzero(zero))
+    step = _slice_len(basis.features.itemsize * basis.features.shape[1])
+    for start in range(0, unsure.size, step):
+        block = unsure[start:start + step]
+        Z = _mixed_embedding(basis.rows(rows[block]), alphas)
         zero_rows += _zero_rows(Z)
         hard_labels[block] = np.argmax(Z @ W, axis=1)
     _warn_zero_rows(zero_rows)
-    return _accuracy(hard_labels, labels.labels[rows])
+    return _accuracy(hard_labels, truth)
 
 
 def run_config(
@@ -541,28 +643,39 @@ def grid_search(
     accuracy wins, earliest first on ties, and only the winner is scored on
     the test rows, once per seed. The reported spread is the sample standard
     deviation (ddof=1) over seeds, or 0.0 for a single seed. ``k`` and every
-    seed are checked before the basis is propagated, so a bad one fails
+    seed are checked before the propagation is prepared, so a bad one fails
     before any work is done.
+
+    ``timing_ms`` splits the search's wall time into three phases timed back
+    to back: ``propagation_ms`` prepares the propagation once (the hops,
+    the rsi diagonals, X's CSR copy), ``search_ms`` draws each seed's split,
+    propagates its labeled rows and screens the grid, and ``test_ms``
+    propagates each winner's scores and re-scores its unsure test rows.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(grid) == 0 or len(seeds) == 0:
         raise ConfigError("grid and seeds must both be nonempty")
     _check_split_args(k, seeds)
-    t0 = time.perf_counter()
+    # the phases are timed back to back, so they add up to the wall time
+    timing = dict.fromkeys(("propagation_ms", "search_ms", "test_ms"), 0.0)
+    last = time.perf_counter()
+
+    def lap(phase):
+        nonlocal last
+        now = time.perf_counter()
+        timing[phase] += (now - last) * 1e3
+        last = now
+
     basis = _variant_basis(dataset, normalization, variant)
-    timing = {"propagation_ms": (time.perf_counter() - t0) * 1e3,
-              "search_ms": 0.0, "test_ms": 0.0}
+    lap("propagation_ms")
     per_seed = []
     for seed in seeds:
-        t0 = time.perf_counter()
         split = make_kshot_split(dataset.labels, k, seed)
         idx, val_acc, W = _select_config(basis, split, dataset.labels, grid, variant, training)
         alphas = grid.alphas[idx]
-        t1 = time.perf_counter()
+        lap("search_ms")
         test_acc = _test_accuracy(basis, alphas, W, split, dataset.labels)
-        t2 = time.perf_counter()
-        timing["search_ms"] += (t1 - t0) * 1e3
-        timing["test_ms"] += (t2 - t1) * 1e3
+        lap("test_ms")
         per_seed.append(SeedResult(seed=seed, selected_alphas=alphas,
                                    val_acc=val_acc, test_acc=test_acc))
     tests = np.array([r.test_acc for r in per_seed], dtype=np.float64)

@@ -339,8 +339,10 @@ def load_labels(path, num_nodes: int) -> LabelSet:
     if missing:
         raise DatasetError(f"{path}: {len(missing)} unlabeled node(s), first is {missing[0]}")
     values = [raw[i] for i in range(num_nodes)]
-    distinct = sorted(set(values), key=int) if all(_parses(int, v) for v in values) \
-        else sorted(set(values))
+    # spellings of one integer ("01", "1", "+1") are ordered by their text,
+    # not by set iteration, which changes with PYTHONHASHSEED
+    distinct = sorted(set(values), key=lambda v: (int(v), v)) \
+        if all(_parses(int, v) for v in values) else sorted(set(values))
     index = {v: i for i, v in enumerate(distinct)}
     labels = np.fromiter((index[v] for v in values), dtype=np.int64, count=num_nodes)
     return LabelSet(labels=labels, num_classes=len(distinct), class_names=tuple(distinct))

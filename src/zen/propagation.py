@@ -9,8 +9,11 @@ the diagonal rsi_1 is removed, so only information from other nodes flows:
 that is A1*. Without it w = 1/size and the diagonal stays: the standard HGNN
 and AllDeepSets forms, which the ablation variants propagate with.
 
-* ``propagated_basis(hg, X, kind, rap)``: the blocks [X, A X, A_2 X] the
-  mixing weights combine. No hop matrix is formed; every hop goes through H,
+* ``propagated_basis(hg, X, kind, rap, rows)``: the blocks [X, A X, A_2 X]
+  the mixing weights combine, at every row or only at ``rows``. It builds a
+  ``_Propagation`` (the hops, rsi_2 and the returning rows, once) and asks
+  it for the blocks; ``harness`` keeps one for a whole run. No hop matrix
+  is formed; every hop goes through H,
 
       A V = l * H (w * H^T (r * V)) - rsi_1 * V,
 
@@ -28,10 +31,25 @@ and AllDeepSets forms, which the ablation variants propagate with.
   normalization would blow that residue up to a unit row; those rows are
   set to 0.0 (``_returning_rows``, O(nnz(H)) integer counts). Without
   ``rap`` the block is A (A X). The blocks are filled in column slices of
-  about 2 MiB of scratch, so beside X only the two kept n x d blocks are
-  allocated. Each output column of a CSR times dense product is summed on
-  its own and the elementwise steps are exact, so the slices give the
-  whole-matrix expression bit for bit.
+  about 2 MiB of scratch, so beside X only the kept blocks are allocated.
+  Each output column of a CSR times dense product is summed on its own and
+  the elementwise steps are exact, so the slices give the whole-matrix
+  expression bit for bit.
+
+  Given ``rows``, the second hop is cut down to those rows and the first to
+  the nodes the second reads: the members of the edges at ``rows`` (and
+  ``rows``), whose own edges' members are the rows of X it reads
+  (``_Hop.restrict``). A CSR product sums each output row on its own, over
+  that row's stored entries in stored order, and the cut keeps the order
+  and renumbers only the columns, so the restricted rows are those rows of
+  the whole blocks bit for bit. The harness takes the labeled rows of a
+  split this way; on the benchmark's Cora-shaped input the 70 labeled rows
+  read about 500 rows of A X and about 1800 of X.
+* ``_Propagation.absolute``: the same propagation with every term by its
+  magnitude (the hops' factors are nonnegative but for the removed
+  diagonals, which are added instead). Applied to |V| it sums, entry by
+  entry, the magnitudes of the terms the signed one sums for V, which
+  bounds the rounding of both.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops, the
   same for both kinds. The two-hop value has a closed form through the
@@ -91,27 +109,43 @@ def _slice_len(line_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(1, line_bytes))
 
 
-def _sparse_enough(nonzero: np.ndarray) -> bool:
-    """Whether X, given by its n x d nonzero mask, is multiplied as CSR.
+def _sparse_enough(n: int, d: int, nnz: int) -> bool:
+    """Whether an n x d X with nnz nonzeros is multiplied as CSR.
 
     A CSR first hop costs about nnz(A) (1 + rho d) for X with a fraction rho
     of nonzeros, a dense one about nnz(A) d, so the cut is
-    32 (n + nnz(X)) <= n d: 1.6% nonzero at d = 64 and 3.1% at d = 1433,
-    below the crossovers measured with the benchmark's materialized hop
-    matrices (3% to 9%, counting the scan that builds the CSR copy); they
-    have not been measured again for the hops through H.
+    32 (n + nnz(X)) <= n d: 1.6% nonzero at d = 64, 2.7% at d = 256 and
+    3.1% at d = 1433.
+
+    Measured on the first hop the harness takes, restricted to the labeled
+    rows of a k = 5 split, on the benchmark's two graphs with random 0/1 X
+    (2-core host, one BLAS thread, medians over six splits), the routes
+    cross at about 6% nonzero at d = 1433 (at 3%: CSR 7.6 ms, dense 13.9
+    ms), about 4% at d = 256, and at d = 64 at about 1.2% on ``wide-edges``
+    (at 1.6%: CSR 4.4 ms, dense 4.0 ms) and below 0.5% on the Cora-shaped
+    graph, where either route takes about 1 ms. The cut is within a factor
+    of two of every crossover, on the dense side at large d. Neither route
+    wins on both benchmark inputs: the Cora-shaped X (1.25% nonzero,
+    d = 1433) takes 5.1 ms as CSR and 14.4 ms dense, the ``wide-edges`` X
+    (8.9%, d = 64) 7.4 ms as CSR and 4.0 ms dense, and the cut sends each
+    to its faster route.
     """
-    n, d = nonzero.shape
-    return 32 * (n + int(np.count_nonzero(nonzero))) <= n * d
+    return 32 * (n + nnz) <= n * d
 
 
 def _feature_csr(X: np.ndarray) -> sp.csr_matrix | None:
-    """X as CSR, from one scan of its nonzeros, if it is sparse enough; else None."""
-    nonzero = X != 0
-    if not _sparse_enough(nonzero):
-        return None
+    """X as CSR if it is sparse enough, else None. The nonzeros are found a
+    row slice at a time, and the scan stops once they are too many, so no
+    n x d mask is formed."""
     n, d = X.shape
-    rows, cols = np.divmod(np.flatnonzero(nonzero), d)
+    step = _slice_len(8 * d)    # rows whose int64 positions fill a slice
+    found, nnz = [], 0
+    for start in range(0, n, step):
+        found.append(np.flatnonzero(X[start:start + step] != 0) + start * d)
+        nnz += found[-1].size
+        if not _sparse_enough(n, d, nnz):
+            return None
+    rows, cols = np.divmod(np.concatenate(found), d)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sp.csr_matrix((X[rows, cols], cols, indptr), shape=X.shape)
@@ -226,6 +260,14 @@ def _subtract_rows(out: np.ndarray, c: np.ndarray, V, scratch: np.ndarray) -> No
         out -= np.multiply(c[:, None], V, out=scratch[:V.size].reshape(V.shape))
 
 
+def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` (integers below ``size``), sorted, and
+    for every value below ``size`` its position among them."""
+    keep = np.zeros(size, dtype=bool)
+    keep[ids] = True
+    return np.flatnonzero(keep), np.cumsum(keep) - 1
+
+
 @dataclass(frozen=True)
 class _Hop:
     """V -> left [right V; V]: a hop through scaled copies of H, never built.
@@ -255,6 +297,33 @@ class _Hop:
             B[:ne] = self.right @ B[ne:]
             out = self.left @ B
         return out.toarray() if sp.issparse(out) else out
+
+    def restrict(self, rows: np.ndarray | None) -> tuple["_Hop", np.ndarray | None]:
+        """The hop's rows ``rows`` as a hop of V's rows at the returned nodes:
+        sub(V[nodes]) equals self(V)[rows] bit for bit.
+
+        Only the edges at ``rows`` and their members are kept, and the columns
+        are renumbered without reordering a row's stored entries, so each
+        output row sums the same terms in the same order. The nodes are
+        sorted and include ``rows``. ``rows=None`` keeps every row.
+        """
+        if rows is None:
+            return self, None
+        ne, n = self.right.shape
+        left = self.left[rows]
+        at_edge = left.indices < ne
+        edges, edge_at = _renumber(left.indices[at_edge], ne)
+        right = self.right[edges]
+        nodes, node_at = _renumber(np.concatenate([right.indices, rows]), n)
+        cols = np.empty_like(left.indices)
+        cols[at_edge] = edge_at[left.indices[at_edge]]
+        cols[~at_edge] = edges.size + node_at[left.indices[~at_edge] - ne]
+        width = edges.size + (nodes.size if self.left.shape[1] > ne else 0)
+        return _Hop(
+            sp.csr_matrix((left.data, cols, left.indptr), shape=(len(rows), width)),
+            sp.csr_matrix((right.data, node_at[right.indices], right.indptr),
+                          shape=(edges.size, nodes.size)),
+        ), nodes
 
 
 def _factored_hops(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> tuple[_Hop, _Hop]:
@@ -407,20 +476,101 @@ def _two_hop_diag(a1_star: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     return np.asarray(prod @ m).ravel()
 
 
+@dataclass(frozen=True)
+class _Propagation:
+    """The hops of one (kind, rap) and the terms of its two-hop block, built once.
+
+    ``basis`` propagates any features with them, at all rows or only some.
+    With ``rap``, ``rsi_2`` is subtracted from the two-hop block and the
+    ``returning`` rows of it are set to 0.0; without it both are None.
+    """
+
+    hop: _Hop
+    hop2: _Hop
+    rsi_2: np.ndarray | None
+    returning: np.ndarray | None
+
+    @classmethod
+    def build(cls, hg: Hypergraph, kind: NormalizationKind, rap: bool) -> "_Propagation":
+        hop, hop2 = _factored_hops(hg, kind, rap)
+        if not rap:
+            return cls(hop, hop2, None, None)
+        return cls(hop, hop2, rsi_diag_2(hg, kind), _returning_rows(hg))
+
+    def absolute(self) -> "_Propagation":
+        """Every term of this propagation by its magnitude: the hops'
+        factors, and rsi_2 added instead of subtracted. Applied to |V| it
+        gives, entry by entry, the sum of the magnitudes of the terms this
+        one sums for V, which bounds their rounding."""
+        rsi_2 = None if self.rsi_2 is None else -self.rsi_2
+        hop, hop2 = (_Hop(abs(h.left), abs(h.right)) for h in (self.hop, self.hop2))
+        return _Propagation(hop, hop2, rsi_2, self.returning)
+
+    def basis(self, X, Xs: sp.csr_matrix | None = None, rows=None) -> list[np.ndarray]:
+        """[X, A X, A_2 X] at ``rows`` (every row when None), in their order.
+
+        The second hop is restricted to ``rows`` and the first to the nodes it
+        reads, so only those rows are propagated; each is bit for bit the
+        same row of the whole blocks. ``Xs`` is X as CSR when the first hop
+        is to take the sparse route.
+        """
+        hop2, mid = self.hop2.restrict(rows)
+        hop, src = self.hop.restrict(mid)
+        d = X.shape[1]
+        if Xs is None:
+            X1 = np.empty((X.shape[0] if mid is None else mid.size, d))
+        else:
+            X1 = hop(_take(Xs, src))
+        X2 = np.empty((X.shape[0] if rows is None else len(rows), d))
+        rsi_2 = _take(self.rsi_2, rows)
+        # one flat scratch array, reused by every slice, for the stacks of the
+        # hops and the rsi_2 * X term
+        stack_rows = max(sum(h.right.shape) for h in (hop, hop2))
+        step = _slice_len(X1.itemsize * max(stack_rows, X1.shape[0]))
+        stack = np.empty(stack_rows * min(step, d)) if rsi_2 is not None else None
+        for start in range(0, d, step):
+            cols = slice(start, start + step)
+            if Xs is None:
+                X1[:, cols] = hop(_take(X, src, cols), stack)
+            X2[:, cols] = hop2(X1[:, cols], stack)
+            if rsi_2 is not None and Xs is None:
+                _subtract_rows(X2[:, cols], rsi_2, _take(X, rows, cols), stack)
+        if rsi_2 is not None and Xs is not None:
+            _subtract_rows(X2, rsi_2, _take(Xs, rows), stack)
+        if self.returning is not None:
+            # rounding leaves a residue where the returning walks and rsi_2 cancel
+            X2[_take(self.returning, rows)] = 0.0
+        if rows is None:
+            return [X, X1, X2]
+        return [X[rows], X1[np.searchsorted(mid, rows)], X2]
+
+
+def _take(V, rows, cols=None):
+    """Rows ``rows`` of V, or V itself when ``rows`` is None; of the columns
+    ``cols`` only, when given."""
+    if V is not None and cols is not None:
+        V = V[:, cols]
+    return V if V is None or rows is None else V[rows]
+
+
 def propagated_basis(
     hg: Hypergraph,
     X: np.ndarray,
     kind: NormalizationKind = NormalizationKind.SYMMETRIC,
     rap: bool = True,
+    rows=None,
 ) -> list[np.ndarray]:
-    """The blocks [X, A X, A_2 X] of the one- and two-hop propagation.
+    """The blocks [X, A X, A_2 X] of the one- and two-hop propagation, at
+    ``rows`` (every row by default).
 
     With ``rap``, A = A1* and the two-hop block is A1* (m * (A1* X)) - rsi_2 * X
     with m = d/(d-1), which equals A2* X. Without it, A is the plain form of
     ``plain_adjacency`` and the two-hop block is A (A X). Every hop goes
     through scaled copies of the incidence H, so no hop matrix is built, and
     the blocks are written column slice by column slice into preallocated
-    arrays, so no n x d temporary is formed.
+    arrays, so no n x d temporary is formed. Given ``rows``, only the rows
+    the two hops read are propagated, and the result is those rows of the
+    whole blocks, bit for bit.
 
     When X is sparse enough (``_sparse_enough``), A X is taken from a CSR copy
     of X and rsi_2 * X is subtracted at X's nonzeros only; otherwise X stays
@@ -430,29 +580,7 @@ def propagated_basis(
     n = hg.num_nodes
     if np.ndim(X) != 2 or np.shape(X)[0] != n:
         raise DatasetError(f"features have shape {np.shape(X)}, expected ({n}, num_features)")
-    hop, hop2 = _factored_hops(hg, kind, rap)
-    if rap:
-        rsi_2 = rsi_diag_2(hg, kind)
-    Xs = _feature_csr(X)
-    X1 = np.empty(X.shape) if Xs is None else hop(Xs)
-    X2 = np.empty_like(X1)
-    step = _slice_len(X1.itemsize * n)
-    # one flat scratch array, reused by every slice, for the stacks of the
-    # hops and the rsi_2 * X term
-    stack = np.empty((hop.right.shape[0] + n) * min(step, X.shape[1])) if rap else None
-    for start in range(0, X.shape[1], step):
-        cols = slice(start, start + step)
-        if Xs is None:
-            X1[:, cols] = hop(X[:, cols], stack)
-        X2[:, cols] = hop2(X1[:, cols], stack)
-        if rap and Xs is None:
-            _subtract_rows(X2[:, cols], rsi_2, X[:, cols], stack)
-    if rap and Xs is not None:
-        _subtract_rows(X2, rsi_2, Xs, stack)
-    if rap:
-        # rounding leaves a residue where the returning walks and rsi_2 cancel
-        X2[_returning_rows(hg)] = 0.0
-    return [X, X1, X2]
+    return _Propagation.build(hg, kind, rap).basis(X, _feature_csr(X), rows)
 
 
 def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:

@@ -17,8 +17,8 @@ from zen import (
     degrees,
     incidence_matrix,
 )
-from zen.classifier import DIVERGENCE_LIMIT
-from zen.harness import _eval_config, _labeled_rows
+from zen.classifier import DIVERGENCE_LIMIT, normalize_rows
+from zen.harness import _eval_config, _labeled_rows, _variant_basis
 
 
 @pytest.fixture
@@ -121,6 +121,14 @@ def two_hop_reference(
     return A2.tocsr()
 
 
+def edgeless_basis(X: np.ndarray):
+    """The ``full`` basis of features X on a hypergraph with no edges: both
+    hop blocks are zero, so the mix (1, 0, 0) scores X W."""
+    n = X.shape[0]
+    ds = Dataset("edgeless", Hypergraph(n, ()), X, LabelSet(np.zeros(n, dtype=np.int64), 1))
+    return _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+
+
 def select_reference(basis, split, labels, grid, variant, training):
     """Grid index, validation accuracy and weights of a split's winner, found by
     scoring every grid point through ``_eval_config`` in grid order.
@@ -133,11 +141,23 @@ def select_reference(basis, split, labels, grid, variant, training):
     """
     labeled = _labeled_rows(basis, split, labels)
     best_idx, best_val, best_W = -1, -np.inf, None
-    for idx, alphas in enumerate(grid.alphas if len(basis) > 1 else grid.alphas[:1]):
+    for idx, alphas in enumerate(grid.alphas if len(labeled.blocks) > 1 else grid.alphas[:1]):
         val_acc, W = _eval_config(labeled, alphas, variant, training)
         if val_acc > best_val:
             best_idx, best_val, best_W = idx, val_acc, W
     return best_idx, float(best_val), best_W
+
+
+def whole_matrix_test_scoring(blocks, alphas, W, split, labels):
+    """Test accuracy and zero-row count of the whole-matrix route: every row
+    of the blocks mixed, normalized and multiplied by W, the argmax (an exact
+    tie to the lower class id) read at the test rows. A single block is
+    normalized as it is."""
+    mixed = blocks[0] if len(blocks) == 1 else sum(a * b for a, b in zip(alphas, blocks))
+    Z = normalize_rows(mixed)
+    test = split.test_mask
+    hard = np.argmax(Z @ W, axis=1)[test]
+    return float(np.mean(hard == labels.labels[test])), int(np.count_nonzero(~Z[test].any(axis=1)))
 
 
 def gd_reference(Z, split, labels, params):

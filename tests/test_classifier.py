@@ -30,7 +30,7 @@ from zen.classifier import (
 )
 from zen.harness import _test_accuracy
 
-from conftest import gd_reference
+from conftest import edgeless_basis, gd_reference
 
 
 def toy_problem(n=40, d=6, c=3, train=30, seed=1):
@@ -90,15 +90,15 @@ class TestSplit:
 
 
 class TestPrediction:
-    """A test node's class is the argmax of its row of Z W (a one-block basis,
-    scored by ``harness._test_accuracy``); each truth below is right only
-    under the rule tested."""
+    """A test node's class is the argmax of its row of Z W (Z the X block of
+    an edgeless hypergraph's basis, scored by ``harness._test_accuracy``);
+    each truth below is right only under the rule tested."""
 
     @staticmethod
     def accuracy(Z, truth):
         n, c = len(Z), int(max(truth)) + 1
         split = Split(np.zeros(n, bool), np.zeros(n, bool), np.ones(n, bool))
-        return _test_accuracy([Z], (1.0, 0.0, 0.0), np.eye(c), split,
+        return _test_accuracy(edgeless_basis(Z), (1.0, 0.0, 0.0), np.eye(c), split,
                               LabelSet(labels=np.array(truth), num_classes=c))
 
     def test_ties_take_lower_class(self):

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -45,7 +46,12 @@ from zen.harness import (
     _variant_basis,
 )
 
-from conftest import select_reference, serialize_hypergraph
+from conftest import (
+    edgeless_basis,
+    select_reference,
+    serialize_hypergraph,
+    whole_matrix_test_scoring,
+)
 
 
 def masked_accuracy(hard_labels: np.ndarray, mask: np.ndarray, labels: LabelSet) -> float:
@@ -296,14 +302,14 @@ class TestEvaluateAccuracy:
         split = Split(np.zeros(4, bool), np.zeros(4, bool), np.ones(4, bool))
         for predicted, expected in ((labels.labels, 1.0), (1 - labels.labels, 0.0),
                                     (np.array([0, 1, 1, 0]), 0.5)):
-            basis = [one_hot_features(predicted, 2)]
+            basis = edgeless_basis(one_hot_features(predicted, 2))
             assert _test_accuracy(basis, (1.0, 0.0, 0.0), np.eye(2), split, labels) == expected
 
     def test_empty_mask_rejected(self):
         labels = LabelSet(labels=np.array([0, 1]), num_classes=2)
         split = Split(np.array([True, False]), np.array([False, True]), np.zeros(2, bool))
         with pytest.raises(SplitError, match="empty"):
-            _test_accuracy([np.eye(2)], (1.0, 0.0, 0.0), np.eye(2), split, labels)
+            _test_accuracy(edgeless_basis(np.eye(2)), (1.0, 0.0, 0.0), np.eye(2), split, labels)
 
 
 class TestRunConfig:
@@ -402,6 +408,15 @@ class TestGridSearch:
         assert set(result.timing_ms) == {"propagation_ms", "search_ms", "test_ms"}
         assert all(v >= 0 for v in result.timing_ms.values())
 
+    def test_phases_add_up_to_the_wall_time(self):
+        # the phases are timed back to back; only the argument checks and
+        # the aggregation after the last seed fall outside them
+        ds = noisy_dataset()
+        t0 = time.perf_counter()
+        result = grid_search(ds, simplex_grid(9), k=2, seeds=range(6))
+        wall = (time.perf_counter() - t0) * 1e3
+        assert 0.5 * wall <= sum(result.timing_ms.values()) <= wall
+
     def test_empty_seeds_rejected(self):
         ds = cross_pair_dataset()
         with pytest.raises(ConfigError, match="nonempty"):
@@ -411,7 +426,7 @@ class TestGridSearch:
                              ids=["negative-seed", "seed-2**128", "k-0"])
     def test_split_arguments_are_checked_before_propagation(self, monkeypatch, k, seeds):
         calls = []
-        monkeypatch.setattr(harness, "propagated_basis", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "_variant_basis", lambda *a: calls.append(a))
         with pytest.raises(ConfigError, match="seed" if k else "k must"):
             grid_search(cross_pair_dataset(), simplex_grid(2), k=k, seeds=seeds)
         assert calls == []
@@ -448,16 +463,18 @@ class TestGridSearch:
                 variant="linearized_hgnn", training=training)
 
     def test_zero_row_warning_at_most_once_per_seed(self, caplog):
-        # one record per seed, carrying the count summed over all row blocks
+        # one record per seed, carrying the count of zero rows the
+        # whole-matrix mix has among the test rows: the structurally zero
+        # ones and those the row route scores, summed over its row blocks
         ds = zero_rows_dataset()
         with rows_per_block(ds, 5), caplog.at_level("WARNING", logger="zen.classifier"):
             result = grid_search(ds, simplex_grid(9), k=2, seeds=[0, 1, 2])
         counts = [r.args[0] for r in caplog.records if r.name == "zen.classifier"]
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full").rows()
         expected = []
         for r in result.per_seed:
             rows = np.flatnonzero(make_kshot_split(ds.labels, 2, r.seed).test_mask)
-            Z = _mixed_embedding(basis, r.selected_alphas, rows)
+            Z = _mixed_embedding(basis, r.selected_alphas)[rows]
             expected.append(int(np.count_nonzero(~Z.any(axis=1))))
         assert all(expected)
         assert counts == expected
@@ -465,7 +482,7 @@ class TestGridSearch:
 
 def full_matrix_search(ds, grid, k, seeds, variant, training):
     """Reference selection that mixes, normalizes and scores all n rows per config."""
-    basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant)
+    basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant).rows()
     picks = []
     for seed in seeds:
         split = make_kshot_split(ds.labels, k, seed)
@@ -706,7 +723,7 @@ class TestBlockedTestScoring:
         split = make_kshot_split(ds.labels, 2, seed)
         rows = min(rows, int(split.test_mask.sum()) - 1)  # at least two blocks
         for alphas in simplex_grid(2):
-            Z = _mixed_embedding(basis, alphas)
+            Z = _mixed_embedding(basis.rows(), alphas)
             W = tcs_weights(Z, split, ds.labels)
             whole = masked_accuracy(np.argmax(Z @ W, axis=1), split.test_mask, ds.labels)
             with rows_per_block(ds, rows):
@@ -714,7 +731,8 @@ class TestBlockedTestScoring:
 
     def test_allocates_row_blocks_only(self, cora_shaped):
         # X is 31 MB; mixing and normalizing all 2638 test rows at once
-        # peaks at about 1.95x X, row blocks at about 0.21x
+        # peaks at about 1.95x X, row blocks of them at about 0.21x, and the
+        # scores through X W, n x c blocks, at about 0.04x
         ds = cora_shaped
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
         split = make_kshot_split(ds.labels, 5, 0)
@@ -724,7 +742,65 @@ class TestBlockedTestScoring:
         _test_accuracy(basis, grid.alphas[idx], W, split, ds.labels)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak <= 0.5 * ds.features.nbytes
+        assert peak <= 0.1 * ds.features.nbytes
+
+
+# Nodes 0 and 1 share only two 2-member edges, so every two-hop walk from
+# them returns; 10, 11 and 13 are isolated and 12 is in a singleton edge; 4
+# and 11 have zero features. Every feature row is a permutation of
+# (0.1, 0.2, 0.3), whose sums tie in exact arithmetic but not in floating
+# point.
+_TIES_HG = Hypergraph(14, ((0, 1), (0, 1), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 2), (3, 7),
+                           (12,), (5, 9), (5, 9)))
+_TIES_X = np.array([np.random.default_rng(0).permutation([0.1, 0.2, 0.3]) for _ in range(14)])
+_TIES_X[[4, 11]] = 0.0
+# class scores x0 + x1 against x2, equal columns (an exact tie on every row),
+# two mixes of the same residues, and columns a few ulps apart, whose scores
+# differ by about as much as either route's rounding
+_TIES_W = (np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+           np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+           np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+           np.array([[0.3, 0.1], [0.0, 0.2], [0.1, 0.0]]),
+           np.array([[0.7, 0.7000000000000001], [0.2, 0.19999999999999993],
+                     [0.2, 0.19999999999999996]]),
+           np.array([[0.7, 0.6999999999999996], [0.7, 0.7], [0.7, 0.7000000000000003]]))
+
+
+class TestScoringThroughXW:
+    # In 182 of the 1008 cases below the argmax of the X W scores alone
+    # differs from the whole-matrix route's on some row, in 172 of them with
+    # a nonzero gap; the unsure rows' row route must settle them all.
+    @pytest.mark.parametrize("kind", list(NormalizationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("variant", ["full", "no_rap", "linearized_hgnn"])
+    def test_ties_and_rounding_residue_match_the_whole_matrix_route(self, variant, kind,
+                                                                    caplog):
+        labels = LabelSet(np.arange(14) % 2, 2)
+        split = Split(np.zeros(14, bool), np.zeros(14, bool), np.ones(14, bool))
+        basis = _variant_basis(Dataset("ties", _TIES_HG, _TIES_X, labels), kind, variant)
+        blocks = basis.rows()
+        for W in _TIES_W:
+            for alphas in simplex_grid(6):
+                caplog.clear()
+                with caplog.at_level("WARNING", logger="zen.classifier"):
+                    acc = _test_accuracy(basis, alphas, W, split, labels)
+                counts = [r.args[0] for r in caplog.records if r.name == "zen.classifier"]
+                want, zeros = whole_matrix_test_scoring(blocks, alphas, W, split, labels)
+                assert acc == want
+                assert counts == ([zeros] if zeros else [])
+
+    @pytest.mark.parametrize("variant", ["full", "no_rap", "no_tcs", "linearized_hgnn"])
+    def test_grid_search_allocates_no_basis(self, cora_shaped, variant):
+        # X is 31 MB; the whole basis [X, A X, A_2 X] held two more blocks
+        # of its size and peaked at 2.2 x X. Scoring through X W propagates
+        # n x c blocks, and the labeled rows read a few hundred rows of A X:
+        # about 0.4 x X on either first-hop route
+        for X in (cora_shaped.features, cora_shaped.features + 0.5):
+            ds = Dataset("cora", cora_shaped.hypergraph, X, cora_shaped.labels)
+            tracemalloc.start()
+            grid_search(ds, simplex_grid(9), k=5, seeds=[0, 1], variant=variant)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak <= 0.5 * X.nbytes
 
 
 class TestRunResultJson:
@@ -764,7 +840,7 @@ class TestSelectedWeights:
         grid = simplex_grid(4)
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
         idx, val_acc, W = _select_config(basis, split, ds.labels, grid, "full", None)
-        Z = _mixed_embedding(basis, grid.alphas[idx])
+        Z = _mixed_embedding(basis.rows(), grid.alphas[idx])
         npt.assert_array_equal(W, tcs_weights(Z, split, ds.labels))
         # the same winner grid_search reports for that seed
         seed_result = grid_search(ds, grid, k=2, seeds=[4]).per_seed[0]

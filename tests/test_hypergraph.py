@@ -1,6 +1,9 @@
 """Parsing, serialization, degrees, incidence, and the CSV loaders."""
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,8 @@ from zen import (
     parse_hypergraph,
 )
 from conftest import random_hypergraph, serialize_hypergraph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestParsing:
@@ -292,6 +297,22 @@ class TestLoaders:
         ls = load_labels(p, 3)
         assert ls.class_names == ("2", "10")
         assert ls.labels.tolist() == [1, 0, 1]
+
+    def test_spellings_of_one_integer_keep_their_order_across_hash_seeds(self, tmp_path):
+        # "01", "1" and "+1" all parse to 1; set iteration order of str
+        # changes with PYTHONHASHSEED, so each seed runs in its own process
+        p = tmp_path / "l.csv"
+        p.write_text("0,1\n1,01\n2,+1\n3,0\n")
+        script = ("import sys; from zen import load_labels; "
+                  "ls = load_labels(sys.argv[1], 4); print(ls.class_names, ls.labels.tolist())")
+        outputs = set()
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert outputs == {"('0', '+1', '01', '1') [3, 2, 1, 0]\n"}
 
     def test_labels_missing_node_rejected(self, tmp_path):
         p = tmp_path / "l.csv"

@@ -33,13 +33,18 @@ from zen import (
     rsi_diag_1,
     rsi_diag_2,
 )
-from zen.harness import _variant_basis
+from zen.harness import VARIANTS, _variant_basis
 from zen.rsi_approx import dense_diag_oracle, walk_transition_matrix
 from conftest import build_A1_hat, random_hypergraph, two_hop_reference
 
 SYM = NormalizationKind.SYMMETRIC
 ROW = NormalizationKind.ROW
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def sparse_enough(X):
+    """Whether the density cut sends X, or the X its nonzero mask marks, to CSR."""
+    return propagation._sparse_enough(*X.shape, int(np.count_nonzero(X)))
 
 
 def two_hop_operator(hg, kind=SYM):
@@ -60,7 +65,7 @@ def mixed_operator(hg, alphas, variant="full", kind=SYM):
     """
     n = hg.num_nodes
     ds = Dataset("op", hg, np.eye(n), LabelSet(np.zeros(n, dtype=np.int64), 1))
-    basis = _variant_basis(ds, kind, variant)
+    basis = _variant_basis(ds, kind, variant).rows()
     return sum(a * block for a, block in zip(alphas, basis))
 
 
@@ -426,18 +431,55 @@ class TestPropagatedBasis:
         assert basis[0] is X
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
 
+    # any rows, in any order, propagated alone, on both first-hop routes and
+    # for every variant, where X holds -0.0 and the graphs hold singletons,
+    # duplicate edges, isolated nodes and nodes whose two-hop walks all return
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**32 - 1),
+           cols=st.integers(1, 4), width=st.integers(1, 40),
+           density=st.sampled_from([0.0, 0.05, 0.3, 1.0]), csr=st.booleans(),
+           picks=st.lists(st.integers(0, 15), unique=True))
+    @example(hg=_DEGENERATE, kind=SYM, variant="full", seed=0, cols=2, width=5, density=0.3,
+             csr=True, picks=[8, 0, 5, 3, 7])
+    @example(hg=_DEGENERATE, kind=ROW, variant="no_tcs", seed=1, cols=1, width=3, density=1.0,
+             csr=False, picks=[6, 2, 1])
+    @example(hg=Hypergraph(5, ((0, 1), (0, 1), (2, 3), (3,))), kind=SYM, variant="full",
+             seed=2, cols=3, width=4, density=1.0, csr=False, picks=[0, 4, 3, 2])
+    @example(hg=Hypergraph(5, ((0, 1), (0, 1), (1, 2), (3,))), kind=ROW, variant="no_rap",
+             seed=3, cols=1, width=4, density=0.3, csr=True, picks=[2, 0, 4])
+    @example(hg=_DEGENERATE, kind=ROW, variant="linearized_hgnn", seed=4, cols=2, width=6,
+             density=0.05, csr=True, picks=[])
+    def test_restricted_rows_are_bit_identical_to_the_whole_blocks(
+        self, hg, kind, variant, seed, cols, width, density, csr, picks
+    ):
+        rng = np.random.default_rng(seed)
+        n = hg.num_nodes
+        values = rng.standard_normal((n, width))
+        X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
+        rows = np.array([i for i in picks if i < n], dtype=np.intp)
+        rap = variant in ("full", "no_tcs")
+        ds = Dataset("rows", hg, X, LabelSet(np.zeros(n, dtype=np.int64), 1))
+        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * n), \
+                mock.patch.object(propagation, "_sparse_enough", return_value=csr):
+            whole = propagated_basis(hg, X, kind, rap)
+            assert_bit_identical(propagated_basis(hg, X, kind, rap, rows),
+                                 [block[rows] for block in whole])
+            basis = _variant_basis(ds, kind, variant)
+            assert_bit_identical(basis.rows(rows), [block[rows] for block in basis.rows()])
+
     def test_density_cut(self, cora_shaped):
         # 32 (n + nnz) <= n d: with n = 100 and d = 64 the cut is nnz = 100
         nonzero = np.zeros((100, 64), dtype=bool)
         nonzero.flat[:100] = True
-        assert propagation._sparse_enough(nonzero)
+        assert sparse_enough(nonzero)
         nonzero.flat[100] = True
-        assert not propagation._sparse_enough(nonzero)
-        assert not propagation._sparse_enough(np.zeros((100, 31), dtype=bool))
-        assert propagation._sparse_enough(np.zeros((100, 32), dtype=bool))
+        assert not sparse_enough(nonzero)
+        assert not sparse_enough(np.zeros((100, 31), dtype=bool))
+        assert sparse_enough(np.zeros((100, 32), dtype=bool))
         X = cora_shaped.features  # 1.3% nonzero, the cut is at 3.1% for d = 1433
-        assert propagation._sparse_enough(X != 0)
-        assert not propagation._sparse_enough(X + 0.5 != 0)
+        assert sparse_enough(X != 0)
+        assert not sparse_enough(X + 0.5 != 0)
 
     @pytest.mark.parametrize("kind", [SYM, ROW])
     def test_allocates_no_scratch_block(self, cora_shaped, kind):
@@ -446,7 +488,7 @@ class TestPropagatedBasis:
         # either branch: the 1.3%-nonzero X takes the CSR one, X + 0.5 the dense one
         hg = cora_shaped.hypergraph
         for X, csr in ((cora_shaped.features, True), (cora_shaped.features + 0.5, False)):
-            assert propagation._sparse_enough(X != 0) is csr
+            assert sparse_enough(X != 0) is csr
             tracemalloc.start()
             basis = propagated_basis(hg, X, kind)
             _, peak = tracemalloc.get_traced_memory()
@@ -560,12 +602,12 @@ class TestPlainFirstHop:
     def test_no_rap_basis_matches_dense_products(self, cora_shaped, kind):
         # cora_shaped X takes the CSR first hop; the reference multiplies dense X
         X = cora_shaped.features
-        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap"),
+        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap").rows(),
                              whole_matrix_basis(cora_shaped.hypergraph, X, kind, rap=False))
 
     def test_linearized_hgnn_basis_matches_dense_products(self, cora_shaped):
         X = cora_shaped.features
-        assert_bit_identical(_variant_basis(cora_shaped, ROW, "linearized_hgnn"),
+        assert_bit_identical(_variant_basis(cora_shaped, ROW, "linearized_hgnn").rows(),
                              whole_matrix_basis(cora_shaped.hypergraph, X, SYM, rap=False)[2:])
 
     @pytest.mark.parametrize("variant, kind", [("no_rap", SYM), ("no_rap", ROW),
@@ -574,11 +616,11 @@ class TestPlainFirstHop:
         # X + 0.5 has no zeros, so it stays dense and both hops are taken in
         # column slices
         X = cora_shaped.features + 0.5
-        assert not propagation._sparse_enough(X != 0)
+        assert not sparse_enough(X != 0)
         ds = Dataset("dense", cora_shaped.hypergraph, X, cora_shaped.labels)
         want = whole_matrix_basis(ds.hypergraph, X, SYM if variant == "linearized_hgnn"
                                   else kind, rap=False)
-        assert_bit_identical(_variant_basis(ds, kind, variant),
+        assert_bit_identical(_variant_basis(ds, kind, variant).rows(),
                              want[2:] if variant == "linearized_hgnn" else want)
 
 

@@ -41,11 +41,11 @@ _LAZY_EXPORTS = {
     ),
     "propagation": (
         "NormalizationKind", "PropagationConfig", "build_A1_star",
-        "plain_adjacency", "propagated_basis", "rsi_diag_1", "rsi_diag_2",
+        "propagated_basis", "rsi_diag_1", "rsi_diag_2",
     ),
     "rsi_approx": (
         "HutchinsonParams", "WalkParams", "dense_diag_oracle",
-        "hutchinson_diag", "random_walk_return_prob", "walk_transition_matrix",
+        "hutchinson_diag", "random_walk_return_prob",
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _LAZY_EXPORTS.items() for name in names}

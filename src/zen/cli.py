@@ -208,8 +208,6 @@ def _cmd_run(args) -> int:
 def _cmd_rsi(args) -> int:
     import json as _json
 
-    import numpy as np
-
     from .hypergraph import load_hypergraph
     from .propagation import NormalizationKind, _factored_hops, rsi_diag_1, rsi_diag_2
     from .rsi_approx import (
@@ -218,7 +216,6 @@ def _cmd_rsi(args) -> int:
         dense_diag_oracle,
         hutchinson_diag,
         random_walk_return_prob,
-        walk_transition_matrix,
     )
     from .sparsetools import dense_guard
 
@@ -229,8 +226,8 @@ def _cmd_rsi(args) -> int:
         raise ConfigError(f"--method walk needs --hops of at least 1, got {args.hops}")
     node, l = args.node, args.hops
     # exact values have closed forms for hops 0..2 and Hutchinson probes the
-    # rap hops at 1..2; every other target is the row-stochastic walk matrix,
-    # which has no normalization choice
+    # rap hops at 1..2; every other target is the row-stochastic walk matrix
+    # W = D_v^{-1} H D_e^{-1} H^T, which has no normalization choice
     rap_hop = ((args.method == "exact" and l <= 2)
                or (args.method == "hutchinson" and l in (1, 2)))
     target = "rap-hop" if rap_hop else "walk"
@@ -251,9 +248,9 @@ def _cmd_rsi(args) -> int:
         if l == 0:
             value = 1.0
         elif l == 1:
-            value = float(rsi_diag_1(hg, kind)[node])
+            value = float(rsi_diag_1(hg)[node])
         elif l == 2:
-            value = float(rsi_diag_2(hg, kind)[node])
+            value = float(rsi_diag_2(hg)[node])
         else:
             value = float(dense_diag_oracle(hg, kind, l, family="walk")[node])
     elif args.method == "walk":
@@ -262,27 +259,27 @@ def _cmd_rsi(args) -> int:
         )
     else:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
+        # the hops go through H as in propagated_basis, so no hop matrix is
+        # built: A1^ z = A1* z + rsi_1 * z, the two-hop composition is
+        # A1* (m * A1* z), and W is the plain row hop, applied l times
         if l in (1, 2):
-            # the hops go through H as in propagated_basis, so no hop matrix is
-            # built: A1^ z = A1* z + rsi_1 * z, and the two-hop composition is
-            # A1* (m * A1* z)
             hop, hop2 = _factored_hops(hg, kind, rap=True)
             if l == 1:
-                r1 = rsi_diag_1(hg, kind)
+                r1 = rsi_diag_1(hg)
                 matvec = lambda z: hop(z) + r1 * z
             else:
                 matvec = lambda z: hop2(hop(z))
         else:
-            W = walk_transition_matrix(hg)
+            walk, _ = _factored_hops(hg, NormalizationKind.ROW, rap=False)
 
-            def matvec(z, _W=W, _l=l):
-                v = z
-                for _ in range(_l):
-                    v = _W @ v
-                return v
+            def matvec(z):
+                for _ in range(l):
+                    z = walk(z)
+                return z
 
         value = float(hutchinson_diag(matvec, hg.num_nodes, params)[node])
-    exact = oracle("rap" if rap_hop else "walk")
+    # an exact long-horizon value is the walk oracle itself
+    exact = value if args.method == "exact" and l > 2 else oracle("rap" if rap_hop else "walk")
 
     payload = {
         "node": node,

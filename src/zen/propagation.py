@@ -7,7 +7,9 @@ the left and r = 1. Redundancy-aware propagation (RAP) is one switch,
 incoming mass excludes its own contribution inside every shared edge, and
 the diagonal rsi_1 is removed, so only information from other nodes flows:
 that is A1*. Without it w = 1/size and the diagonal stays: the standard HGNN
-and AllDeepSets forms, which the ablation variants propagate with.
+and AllDeepSets forms (Feng et al., arXiv:1809.09401), which the ablation
+variants propagate with. The ``row`` one is also the walk matrix
+W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
 
 * ``propagated_basis(hg, X, kind, rap, rows)``: the blocks [X, A X, A_2 X]
   the mixing weights combine, at every row or only at ``rows``. It builds a
@@ -62,9 +64,9 @@ and AllDeepSets forms, which the ablation variants propagate with.
   g over e and f's common members, i among them, so every term is
   nonnegative and nothing cancels: a term is exactly 0.0 when no other
   common member has degree >= 2, as the matrix route's is.
-* ``_hop(hg, kind, rap)`` builds a hop as a matrix for the callers that ask
-  for one: ``build_A1_star`` (the diagonal is zeroed before the one
-  ``compact`` drops it) and ``plain_adjacency``.
+* ``build_A1_star`` is the one hop built as a matrix, for callers that read
+  A1* itself: its diagonal is zeroed before the one ``compact`` drops it.
+  Every other hop, the plain forms included, goes through H.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
 first hop: X is copied to CSR once, A X is taken by CSR times CSR products,
@@ -233,22 +235,6 @@ def _scales(hg: Hypergraph, kind: NormalizationKind, rap: bool):
     raise ConfigError(f"bad normalization kind {kind!r}")
 
 
-def _hop(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> sp.csr_matrix:
-    """diag(l) H diag(w) H^T diag(r) as a matrix: A1* with ``rap``, else the plain form.
-
-    With ``rap`` the stored diagonal is zeroed in place, so the one
-    ``compact`` drops it; without it the diagonal is kept.
-    """
-    H = incidence_matrix(hg)
-    l, w, r = _scales(hg, kind, rap)
-    A = sp.diags(l) @ ((H @ sp.diags(w)) @ H.T) @ sp.diags(r)
-    if rap:
-        A = sp.csr_matrix(A)
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        A.data[A.indices == rows] = 0.0
-    return compact(A)
-
-
 def _subtract_rows(out: np.ndarray, c: np.ndarray, V, scratch: np.ndarray) -> None:
     """out -= c * V in place, row i of V scaled by c[i]; at V's stored entries
     only when V is sparse. A dense c * V is written to the front of the flat
@@ -349,18 +335,16 @@ def _factored_hops(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> tuple[
         plain = hop(r, None)
         return plain, plain
     m = _middle_degree_factor(degrees(hg).node_degrees)
-    rsi_1 = rsi_diag_1(hg, kind)
+    rsi_1 = rsi_diag_1(hg)
     return hop(r, rsi_1), hop(r * m, rsi_1 * m)
 
 
-def rsi_diag_1(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC) -> np.ndarray:
+def rsi_diag_1(hg: Hypergraph) -> np.ndarray:
     """Exact one-hop self-information: rsi_i = d_i^{-1} sum over edges containing i of 1/(size - 1).
 
     The value is identical for both normalization kinds (the left/right degree
-    factors meet as d_i^{-1} on the diagonal either way).
+    factors meet as d_i^{-1} on the diagonal either way), so it takes none.
     """
-    if not isinstance(kind, NormalizationKind):
-        raise ConfigError(f"bad normalization kind {kind!r}")
     H = incidence_matrix(hg)
     prof = degrees(hg)
     incident_mass = H @ _excl_edge_weight(prof.edge_sizes)
@@ -373,31 +357,31 @@ def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SY
 
     Symmetric: D_v^{-1/2} (H (D_e - I)^{-1} H^T - diag) D_v^{-1/2};
     Row:       D_v^{-1}   (H (D_e - I)^{-1} H^T - diag).
-    Singleton edges and isolated nodes contribute zero rows/columns.
+    Singleton edges and isolated nodes contribute zero rows/columns. The
+    stored diagonal is zeroed in place, so the one ``compact`` drops it.
     """
-    return _hop(hg, kind, rap=True)
+    H = incidence_matrix(hg)
+    l, w, r = _scales(hg, kind, rap=True)
+    A = sp.csr_matrix(sp.diags(l) @ ((H @ sp.diags(w)) @ H.T) @ sp.diags(r))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[A.indices == rows] = 0.0
+    return compact(A)
 
 
 # bytes of scratch per edge pair in one node block of ``rsi_diag_2``
 _PAIR_BYTES = 96
 
 
-def rsi_diag_2(
-    hg: Hypergraph,
-    kind: NormalizationKind = NormalizationKind.SYMMETRIC,
-    a1_star: sp.csr_matrix | None = None,
-) -> np.ndarray:
+def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.ndarray:
     """Exact two-hop self-information: the diagonal of the two-hop matrix.
 
     rsi_i = sum_k A1*[i,k] * (d_k/(d_k-1)) * A1*[k,i], which counts every
     two-hop path that leaves node i and returns to it, whichever edges the
     path uses. Like the one-hop value, it is the same for both normalization
-    kinds. Given ``a1_star`` it is read off that matrix in O(nnz); otherwise
-    it takes the closed form over pairs of each node's edges (see the module
-    docstring) and no n x n object is formed.
+    kinds, so it takes none. Given ``a1_star`` (of either kind) it is read off
+    that matrix in O(nnz); otherwise it takes the closed form over pairs of
+    each node's edges (see the module docstring) and no n x n object is formed.
     """
-    if not isinstance(kind, NormalizationKind):
-        raise ConfigError(f"bad normalization kind {kind!r}")
     n = hg.num_nodes
     d = degrees(hg).node_degrees
     if a1_star is not None:
@@ -495,7 +479,7 @@ class _Propagation:
         hop, hop2 = _factored_hops(hg, kind, rap)
         if not rap:
             return cls(hop, hop2, None, None)
-        return cls(hop, hop2, rsi_diag_2(hg, kind), _returning_rows(hg))
+        return cls(hop, hop2, rsi_diag_2(hg), _returning_rows(hg))
 
     def absolute(self) -> "_Propagation":
         """Every term of this propagation by its magnitude: the hops'
@@ -564,13 +548,14 @@ def propagated_basis(
     ``rows`` (every row by default).
 
     With ``rap``, A = A1* and the two-hop block is A1* (m * (A1* X)) - rsi_2 * X
-    with m = d/(d-1), which equals A2* X. Without it, A is the plain form of
-    ``plain_adjacency`` and the two-hop block is A (A X). Every hop goes
-    through scaled copies of the incidence H, so no hop matrix is built, and
-    the blocks are written column slice by column slice into preallocated
-    arrays, so no n x d temporary is formed. Given ``rows``, only the rows
-    the two hops read are propagated, and the result is those rows of the
-    whole blocks, bit for bit.
+    with m = d/(d-1), which equals A2* X. Without it, A is the plain HGNN
+    (``sym``) or AllDeepSets (``row``) form and the two-hop block is A (A X);
+    for X = I the second block is A itself. Every hop goes through scaled
+    copies of the incidence H, so no hop matrix is built, and the blocks are
+    written column slice by column slice into preallocated arrays, so no
+    n x d temporary is formed. Given ``rows``, only the rows the two hops
+    read are propagated, and the result is those rows of the whole blocks,
+    bit for bit.
 
     When X is sparse enough (``_sparse_enough``), A X is taken from a CSR copy
     of X and rsi_2 * X is subtracted at X's nonzeros only; otherwise X stays
@@ -582,13 +567,3 @@ def propagated_basis(
         raise DatasetError(f"features have shape {np.shape(X)}, expected ({n}, num_features)")
     return _Propagation.build(hg, kind, rap).basis(X, _feature_csr(X), rows)
 
-
-def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
-    """Standard (self-information kept) one-hop normalization for the ablation.
-
-    Symmetric is the HGNN form D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}; row is the
-    AllDeepSets form D_v^{-1} H D_e^{-1} H^T. These are the usual
-    message-passing forms with plain 1/size edge averaging and no diagonal
-    removal.
-    """
-    return _hop(hg, kind, rap=False)

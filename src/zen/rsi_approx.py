@@ -6,7 +6,9 @@ Two estimators and one oracle:
   uniform incident edge, then a uniform member of it, the current node
   included) and reports how often a walk of fixed length returns to its start.
   Its expectation is the corresponding diagonal entry of the l-th power of the
-  row-stochastic matrix from :func:`walk_transition_matrix`.
+  row-stochastic walk matrix W = D_v^{-1} H D_e^{-1} H^T (rows of isolated
+  nodes zero), the plain ``row`` hop of ``propagation``. ``zen rsi`` applies W
+  through the incidence H, never as a matrix.
 * ``hutchinson_diag`` estimates diag(A) for any linear operator given only
   matrix-vector products, using sign-flip probe vectors.
 * ``dense_diag_oracle`` computes reference diagonals by explicit dense
@@ -22,25 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, IsolatedNodeError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .propagation import NormalizationKind, plain_adjacency
+from .propagation import NormalizationKind
 from .sparsetools import check_guard
 
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def walk_transition_matrix(hg: Hypergraph) -> sp.csr_matrix:
-    """Row-stochastic walk matrix D_v^{-1} H D_e^{-1} H^T.
-
-    Row i is the single-step distribution of the edge-then-member walk from
-    node i (self-transitions included). Rows of isolated nodes are zero.
-    """
-    return plain_adjacency(hg, NormalizationKind.ROW)
 
 
 @dataclass(frozen=True)
@@ -137,10 +129,11 @@ def dense_diag_oracle(
     family="rap" returns the diagonal of the hop matrices of the
     redundancy-removal model: l=0 the identity, l=1 the one-hop adjacency
     with exclusive edge normalization, l=2 the two-hop composition through the
-    diagonal-free one-hop matrix. Only hops 0..2 exist in that model.
+    diagonal-free one-hop matrix. Only hops 0..2 exist in that model, and
+    ``kind`` must be a NormalizationKind (a ConfigError otherwise).
 
     family="walk" returns the diagonal of the l-th power of the row-stochastic
-    walk matrix for any l >= 0.
+    walk matrix for any l >= 0; it has no normalization and ignores ``kind``.
 
     Everything is computed with dense numpy arrays built straight from the
     hyperedge lists, deliberately sharing no code with the sparse builders, so
@@ -165,6 +158,8 @@ def dense_diag_oracle(
         return np.linalg.matrix_power(W, int(l)).diagonal().copy()
     if family != "rap":
         raise ConfigError(f"unknown oracle family {family!r}; expected 'rap' or 'walk'")
+    if not isinstance(kind, NormalizationKind):
+        raise ConfigError(f"bad normalization kind {kind!r}")
 
     if l == 0:
         return np.ones(n, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-edge-file writer, the one-hop A1^ and materialized two-hop references, the
-per-config selection reference, the primal gradient-descent reference, and a
-Cora-shaped instance built in memory."""
+edge-file writer, the one-hop A1^, plain and walk matrices and the
+materialized two-hop reference, the per-config selection reference, the
+primal gradient-descent reference, and a Cora-shaped instance built in
+memory."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zen import (
     build_A1_star,
     degrees,
     incidence_matrix,
+    propagated_basis,
 )
 from zen.classifier import DIVERGENCE_LIMIT, normalize_rows
 from zen.harness import _eval_config, _labeled_rows, _variant_basis
@@ -71,6 +73,23 @@ def random_hypergraph(rng: np.random.Generator, max_nodes: int = 50) -> Hypergra
     return Hypergraph(n, tuple(edges))
 
 
+def _hop_reference(hg: Hypergraph, kind: NormalizationKind, w: np.ndarray) -> sp.csr_matrix:
+    """D H diag(w) H^T D as canonical CSR, with the node scales of ``kind``:
+    D_v^{-1/2} on both sides for symmetric, D_v^{-1} on the left for row."""
+    H = incidence_matrix(hg)
+    d = degrees(hg).node_degrees.astype(np.float64)
+    B = (H @ sp.diags(w)) @ H.T
+    if kind is NormalizationKind.SYMMETRIC:
+        s = sp.diags(np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0))
+        A = sp.csr_matrix(s @ B @ s)
+    else:
+        A = sp.csr_matrix(sp.diags(np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)) @ B)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
+
+
 def build_A1_hat(
     hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SYMMETRIC
 ) -> sp.csr_matrix:
@@ -83,20 +102,37 @@ def build_A1_hat(
     diagonal (``build_A1_star``) and gives the diagonal in closed form
     (``rsi_diag_1``). It is the reference both are checked against.
     """
-    H = incidence_matrix(hg)
-    prof = degrees(hg)
-    sz, d = prof.edge_sizes.astype(np.float64), prof.node_degrees.astype(np.float64)
-    w = np.where(sz >= 2, 1.0 / np.where(sz >= 2, sz - 1.0, 1.0), 0.0)
-    B = (H @ sp.diags(w)) @ H.T
-    if kind is NormalizationKind.SYMMETRIC:
-        s = sp.diags(np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0))
-        A = sp.csr_matrix(s @ B @ s)
-    else:
-        A = sp.csr_matrix(sp.diags(np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)) @ B)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
+    sz = degrees(hg).edge_sizes.astype(np.float64)
+    return _hop_reference(hg, kind, np.where(sz >= 2, 1.0 / np.where(sz >= 2, sz - 1.0, 1.0), 0.0))
+
+
+def plain_adjacency(hg: Hypergraph, kind: NormalizationKind) -> sp.csr_matrix:
+    """The plain one-hop normalization, self-information kept.
+
+    Symmetric is the HGNN form D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2} (Feng et
+    al., arXiv:1809.09401); row is the AllDeepSets form D_v^{-1} H D_e^{-1} H^T.
+    The package never forms this matrix: ``propagated_basis(rap=False)`` and
+    ``zen rsi``'s walk targets apply it through H. It is the reference they
+    are checked against.
+    """
+    sz = degrees(hg).edge_sizes.astype(np.float64)
+    return _hop_reference(hg, kind, np.where(sz > 0, 1.0 / np.where(sz > 0, sz, 1.0), 0.0))
+
+
+def walk_transition_matrix(hg: Hypergraph) -> sp.csr_matrix:
+    """Row-stochastic walk matrix W = D_v^{-1} H D_e^{-1} H^T, the row form of
+    ``plain_adjacency``.
+
+    Row i is the single-step distribution of the edge-then-member walk from
+    node i (self-transitions included). Rows of isolated nodes are zero.
+    """
+    return plain_adjacency(hg, NormalizationKind.ROW)
+
+
+def plain_hop(hg: Hypergraph, kind: NormalizationKind) -> np.ndarray:
+    """The plain one-hop matrix as the package applies it, through H: the A X
+    block of the rap-free basis of X = I, checked against ``plain_adjacency``."""
+    return propagated_basis(hg, np.eye(hg.num_nodes), kind, rap=False)[1]
 
 
 def two_hop_reference(

@@ -82,8 +82,8 @@ def test_criterion_02_self_information_closed_forms():
         for _ in range(200):
             hg = random_hypergraph(rng)  # n <= 50, edge sizes 1..6
             for kind in (NormalizationKind.SYMMETRIC, NormalizationKind.ROW):
-                got1 = rsi_diag_1(hg, kind)
-                got2 = rsi_diag_2(hg, kind)
+                got1 = rsi_diag_1(hg)
+                got2 = rsi_diag_2(hg)
                 ref1 = dense_diag_oracle(hg, kind, 1)
                 ref2 = dense_diag_oracle(hg, kind, 2)
                 assert np.abs(got1 - ref1).max() <= 1e-10

@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from zen import ConfigError, Hypergraph
 from zen.cli import main, parse_seeds
 
-from conftest import serialize_hypergraph
+from conftest import build_A1_hat, serialize_hypergraph, two_hop_reference, walk_transition_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -284,22 +285,55 @@ class TestRsi:
         assert payload["target"] == "rap-hop"
         assert abs(payload["value"] - payload["exact"]) < 0.08
 
-    @pytest.mark.parametrize("hops", ["1", "2"])
-    def test_hutchinson_builds_no_hop_matrix(self, triangle_file, capsys, monkeypatch, hops):
-        # both rap-hop estimates apply A1* through the incidence, as
-        # propagated_basis does: the one-hop matvec adds rsi_1 * z, the two-hop
-        # one multiplies by d/(d-1) between two hops
+    @pytest.mark.parametrize("hops", ["1", "2", "0", "3"])
+    def test_hutchinson_builds_no_hop_matrix(self, tmp_path, capsys, monkeypatch, hops):
+        # every estimate applies its hops through the incidence, as
+        # propagated_basis does: the one-hop matvec adds rsi_1 * z to A1* z,
+        # the two-hop one multiplies by d/(d-1) between two hops, and a walk
+        # target applies the plain row hop l times. Every hop matrix the
+        # package builds passes through ``compact``. Unequal degrees, so the
+        # sym and row forms differ.
         import zen.propagation as propagation
-        calls = []
-        real = propagation._hop
-        monkeypatch.setattr(propagation, "_hop",
-                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        code = main(["rsi", "--edges", str(triangle_file), "--node", "1",
+        import zen.rsi_approx as rsi_approx
+        hg = Hypergraph(5, ((0, 1), (1, 2, 3), (0, 3), (3, 4)))
+        p = tmp_path / "mixed.hg"
+        p.write_text(serialize_hypergraph(hg))
+        built, matvecs = [], []
+        compact, hutchinson_diag = propagation.compact, rsi_approx.hutchinson_diag
+        monkeypatch.setattr(propagation, "compact",
+                            lambda *a, **kw: built.append(a) or compact(*a, **kw))
+        monkeypatch.setattr(rsi_approx, "hutchinson_diag",
+                            lambda matvec, *a: matvecs.append(matvec) or hutchinson_diag(matvec, *a))
+        code = main(["rsi", "--edges", str(p), "--node", "1",
                      "--hops", hops, "--method", "hutchinson",
                      "--probes", "16", "--seed", "6"])
         capsys.readouterr()
         assert code == 0
-        assert calls == []
+        assert built == []
+        # and the matvec applies the target's matrix
+        want = {"0": np.eye(5),
+                "1": build_A1_hat(hg).toarray(),
+                "2": two_hop_reference(hg, keep_diagonal=True).toarray(),
+                "3": np.linalg.matrix_power(walk_transition_matrix(hg).toarray(), 3)}[hops]
+        got = np.column_stack([matvecs[0](e) for e in np.eye(5)])
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_exact_long_horizon_runs_the_oracle_once(self, tmp_path, capsys, monkeypatch):
+        # the value of an exact walk target is the oracle's, and so is "exact"
+        import zen.rsi_approx as rsi_approx
+        p = tmp_path / "mixed.hg"
+        p.write_text(serialize_hypergraph(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 3)))))
+        calls = []
+        real = rsi_approx.dense_diag_oracle
+        monkeypatch.setattr(rsi_approx, "dense_diag_oracle",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        code = main(["rsi", "--edges", str(p), "--node", "1", "--hops", "3"])
+        assert code == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            '{\n  "node": 1,\n  "l": 3,\n  "method": "exact",\n  "target": "walk",\n'
+            '  "value": 0.2945601851851851,\n  "exact": 0.2945601851851851\n}\n'
+        )
 
     def test_hutchinson_long_horizon(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0",

@@ -6,14 +6,19 @@ Invariants are explicit checks that raise ``ZenError`` subclasses: an
 function cannot leave a dangling export behind. And every export must have a
 user: the package's own modules, the benchmark, the acceptance criteria or
 README's library examples. A name that only the unit tests call belongs in
-the tests, not in the API.
+the tests, not in the API. The CLI spells the variant names out, so that
+numpy is not imported before ``--threads`` takes effect; they must stay the
+harness's names.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import zen
+from zen import harness
+from zen.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "zen"
@@ -63,3 +68,17 @@ def test_every_export_has_a_user_outside_the_unit_tests():
     used = set().union(*(_referenced_names(ast.parse(text)) for text in texts))
     unused = sorted(set(zen.__all__) - used)
     assert not unused, f"exported but used only by the unit tests: {', '.join(unused)}"
+
+
+def _choices(command: str, flag: str) -> tuple:
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    action = next(action for action in sub.choices[command]._actions
+                  if flag in action.option_strings)
+    return tuple(action.choices)
+
+
+def test_cli_variant_choices_are_the_harness_variants():
+    assert _choices("run", "--variant") == harness.VARIANTS
+    closed_form = tuple(v for v in harness.VARIANTS if not harness._GD_WEIGHTS[v])
+    assert _choices("explain", "--variant") == closed_form

@@ -28,14 +28,20 @@ from zen import (
     degrees,
     Hypergraph,
     incidence_matrix,
-    plain_adjacency,
     propagated_basis,
     rsi_diag_1,
     rsi_diag_2,
 )
 from zen.harness import VARIANTS, _variant_basis
-from zen.rsi_approx import dense_diag_oracle, walk_transition_matrix
-from conftest import build_A1_hat, random_hypergraph, two_hop_reference
+from zen.rsi_approx import dense_diag_oracle
+from conftest import (
+    build_A1_hat,
+    plain_adjacency,
+    plain_hop,
+    random_hypergraph,
+    two_hop_reference,
+    walk_transition_matrix,
+)
 
 SYM = NormalizationKind.SYMMETRIC
 ROW = NormalizationKind.ROW
@@ -54,7 +60,7 @@ def two_hop_operator(hg, kind=SYM):
 
 def two_hop_hat(hg, kind=SYM):
     """A1* diag(d/(d-1)) A1* with its diagonal, from the basis and rsi_2."""
-    return two_hop_operator(hg, kind) + np.diag(rsi_diag_2(hg, kind))
+    return two_hop_operator(hg, kind) + np.diag(rsi_diag_2(hg))
 
 
 def mixed_operator(hg, alphas, variant="full", kind=SYM):
@@ -114,10 +120,12 @@ class TestOneHop:
         assert build_A1_hat(singleton_hg, SYM).nnz == 0
 
     def test_bad_kind_rejected(self, path_hg):
-        # A1^ is a test reference; the package's hop builders do the checking
-        for build in (build_A1_star, plain_adjacency):
-            with pytest.raises(ConfigError):
-                build(path_hg, "sym")
+        # A1^ is a test reference; the package's hop builder and the plain
+        # propagation do the checking
+        with pytest.raises(ConfigError):
+            build_A1_star(path_hg, "sym")
+        with pytest.raises(ConfigError):
+            propagated_basis(path_hg, np.eye(3), "sym", rap=False)
 
 
 def branchwise_A1_hat(hg, kind):
@@ -176,8 +184,7 @@ class TestHopBuilder:
     @example(hg=_DEGENERATE, kind=SYM)
     @example(hg=_DEGENERATE, kind=ROW)
     def test_returned_matrices_are_canonical_csr(self, hg, kind):
-        for mat in (build_A1_hat(hg, kind), build_A1_star(hg, kind),
-                    plain_adjacency(hg, kind), walk_transition_matrix(hg)):
+        for mat in (build_A1_hat(hg, kind), build_A1_star(hg, kind)):
             assert isinstance(mat, sp.csr_matrix)
             assert mat.has_canonical_format and mat.has_sorted_indices
             # the flags are cached, so check the stored arrays themselves:
@@ -193,17 +200,10 @@ class TestSelfInformation:
         npt.assert_allclose(rsi_diag_1(triangle_hg), [1, 1, 1])
         npt.assert_allclose(rsi_diag_1(star_hg), [1 / 3] * 4)
 
-    def test_one_hop_kind_independent(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            hg = random_hypergraph(rng)
-            npt.assert_allclose(rsi_diag_1(hg, SYM), rsi_diag_1(hg, ROW), atol=1e-15)
-
     def test_two_hop_path(self, path_hg):
         # only walks through the middle node return: 0 -> 1 -> 0 carries
         # (1/sqrt2) * (2/1) * (1/sqrt2) = 1; the middle node has none
         npt.assert_allclose(rsi_diag_2(path_hg), [1, 0, 1], atol=1e-15)
-        npt.assert_allclose(rsi_diag_2(path_hg, ROW), [1, 0, 1], atol=1e-15)
 
     def test_two_hop_counts_cross_edge_returns(self):
         # nodes 0,1 share two edges; two-hop returns can switch edges, which
@@ -252,12 +252,12 @@ class TestSelfInformation:
             hg = random_hypergraph(rng)
             for kind in (SYM, ROW):
                 npt.assert_allclose(
-                    rsi_diag_1(hg, kind),
+                    rsi_diag_1(hg),
                     dense_diag_oracle(hg, kind, 1),
                     atol=1e-10,
                 )
                 npt.assert_allclose(
-                    rsi_diag_2(hg, kind),
+                    rsi_diag_2(hg),
                     dense_diag_oracle(hg, kind, 2),
                     atol=1e-10,
                 )
@@ -356,7 +356,7 @@ def whole_matrix_basis(hg, X, kind, rap=True):
         X1 = L @ (R @ X)
         return [X, X1, L @ (R @ X1)]
     m = np.where(d >= 2, d / np.where(d >= 2, d - 1.0, 1.0), 0.0)
-    r1, r2 = rsi_diag_1(hg, kind), rsi_diag_2(hg, kind)
+    r1, r2 = rsi_diag_1(hg), rsi_diag_2(hg)
     X1 = L @ (R @ X) - r1[:, None] * X
     Rm = canonical(H.T @ sp.diags(r * m))
     X2 = L @ (Rm @ X1) - (r1 * m)[:, None] * X1 - r2[:, None] * X
@@ -520,9 +520,9 @@ class TestPropagatedBasis:
     @example(hg=_DEGENERATE, kind=ROW)
     def test_closed_form_diagonals_on_adversarial_instances(self, hg, kind):
         diag = build_A1_hat(hg, kind).diagonal()
-        npt.assert_allclose(diag, rsi_diag_1(hg, kind), atol=1e-12)
+        npt.assert_allclose(diag, rsi_diag_1(hg), atol=1e-12)
         npt.assert_allclose(diag, dense_diag_oracle(hg, kind, 1), atol=1e-12)
-        npt.assert_allclose(rsi_diag_2(hg, kind), dense_diag_oracle(hg, kind, 2), atol=1e-12)
+        npt.assert_allclose(rsi_diag_2(hg), dense_diag_oracle(hg, kind, 2), atol=1e-12)
 
     # ``block`` edge pairs per node block, so blocks split the nodes anywhere
     # and a node may hold more pairs than one block. In the last examples an
@@ -536,7 +536,7 @@ class TestPropagatedBasis:
     @example(hg=Hypergraph(7, ((0, 1, 2), (2, 3), (4, 5), (2, 3))), kind=ROW, block=3)
     def test_closed_form_rsi_2_matches_the_matrix_route(self, hg, kind, block):
         with mock.patch.object(propagation, "_BLOCK_BYTES", block * propagation._PAIR_BYTES):
-            closed = rsi_diag_2(hg, kind)
+            closed = rsi_diag_2(hg)
         m = propagation._middle_degree_factor(degrees(hg).node_degrees)
         matrix = propagation._two_hop_diag(build_A1_star(hg, kind), m)
         npt.assert_allclose(closed, matrix, rtol=0, atol=1e-12)
@@ -570,7 +570,7 @@ class TestPropagatedBasis:
 
     def test_wrong_shaped_a1_star_is_a_config_error(self):
         with pytest.raises(ConfigError, match=r"shape \(8, 8\), expected \(9, 9\)"):
-            rsi_diag_2(_DEGENERATE, SYM, sp.eye(8, format="csr"))
+            rsi_diag_2(_DEGENERATE, a1_star=sp.eye(8, format="csr"))
 
     def test_huge_hyperedges_propagate_within_a_small_memory_budget(self):
         # 40 edges of 1000-2000 members among 20 000 nodes: A1* would hold
@@ -651,7 +651,7 @@ class TestPropagationOperator:
         assert np.abs(P - full).max() > 0.1
 
     def test_ablation_two_hop_is_square(self, path_hg):
-        base = plain_adjacency(path_hg, SYM).toarray()
+        base = plain_hop(path_hg, SYM)
         P = mixed_operator(path_hg, (0.0, 0.0, 1.0), variant="no_rap")
         npt.assert_allclose(P, base @ base, atol=1e-12)
 
@@ -672,7 +672,7 @@ class TestPropagationOperator:
 
 class TestBaselineRecipes:
     def test_hgnn_triangle(self, triangle_hg):
-        A = plain_adjacency(triangle_hg, SYM).toarray()
+        A = plain_hop(triangle_hg, SYM)
         npt.assert_allclose(
             A, [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], atol=1e-15
         )
@@ -681,8 +681,7 @@ class TestBaselineRecipes:
         rng = np.random.default_rng(15)
         for _ in range(10):
             hg = random_hypergraph(rng)
-            A = plain_adjacency(hg, ROW)
-            row_sums = np.asarray(A.sum(axis=1)).ravel()
+            row_sums = plain_hop(hg, ROW).sum(axis=1)
             non_isolated = degrees(hg).node_degrees > 0
             npt.assert_allclose(row_sums[non_isolated], 1.0, atol=1e-12)
             npt.assert_allclose(row_sums[~non_isolated], 0.0, atol=1e-15)
@@ -701,4 +700,18 @@ class TestBaselineRecipes:
                 expected = np.sqrt(inv(d))[:, None] * mean * np.sqrt(inv(d))[None, :]
             else:
                 expected = inv(d)[:, None] * mean
-            npt.assert_allclose(plain_adjacency(hg, kind).toarray(), expected, atol=1e-12)
+            npt.assert_allclose(plain_hop(hg, kind), expected, atol=1e-12)
+
+    # zen rsi's walk targets apply W = D_v^{-1} H D_e^{-1} H^T l times through
+    # H, as the plain row hop
+    @settings(max_examples=100, deadline=None)
+    @given(hg=adversarial_hypergraphs(), l=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @example(hg=_DEGENERATE, l=3, seed=0)
+    def test_walk_matvec_through_H_matches_the_walk_matrix_power(self, hg, l, seed):
+        walk, _ = propagation._factored_hops(hg, ROW, rap=False)
+        z = np.random.default_rng(seed).choice([-1.0, 1.0], hg.num_nodes)
+        v = z
+        for _ in range(l):
+            v = walk(v)
+        W = walk_transition_matrix(hg).toarray()
+        npt.assert_allclose(v, np.linalg.matrix_power(W, l) @ z, rtol=0, atol=1e-12)

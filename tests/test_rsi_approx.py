@@ -14,7 +14,7 @@ from zen import (
     Hypergraph,
     IsolatedNodeError,
     NormalizationKind,
-    plain_adjacency,
+    degrees,
 )
 from zen.rsi_approx import (
     HutchinsonParams,
@@ -22,46 +22,46 @@ from zen.rsi_approx import (
     dense_diag_oracle,
     hutchinson_diag,
     random_walk_return_prob,
-    walk_transition_matrix,
 )
-from conftest import random_hypergraph, two_hop_reference
+from conftest import plain_hop, random_hypergraph, two_hop_reference, walk_transition_matrix
+
+ROW = NormalizationKind.ROW
 
 
 class TestTransitionMatrix:
+    """The walk matrix W = D_v^{-1} H D_e^{-1} H^T as the package applies it:
+    the plain row hop, through H."""
+
     def test_single_edge(self, single_edge_hg):
-        W = walk_transition_matrix(single_edge_hg).toarray()
+        W = plain_hop(single_edge_hg, ROW)
         npt.assert_allclose(W, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_path(self, path_hg):
-        W = walk_transition_matrix(path_hg).toarray()
+        W = plain_hop(path_hg, ROW)
         npt.assert_allclose(
             W, [[0.5, 0.5, 0], [0.25, 0.5, 0.25], [0, 0.5, 0.5]], atol=1e-15
         )
 
     def test_rows_stochastic_unless_isolated(self, singleton_hg):
-        W = walk_transition_matrix(singleton_hg).toarray()
+        W = plain_hop(singleton_hg, ROW)
         npt.assert_allclose(W, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_random_rows_sum_to_one(self):
         rng = np.random.default_rng(18)
         for _ in range(15):
             hg = random_hypergraph(rng)
-            W = walk_transition_matrix(hg)
-            sums = np.asarray(W.sum(axis=1)).ravel()
-            from zen import degrees
+            sums = plain_hop(hg, ROW).sum(axis=1)
             mask = degrees(hg).node_degrees > 0
             npt.assert_allclose(sums[mask], 1.0, atol=1e-12)
-
 
     def test_is_the_row_normalized_plain_adjacency(self):
         rng = np.random.default_rng(19)
         for _ in range(15):
             hg = random_hypergraph(rng)
-            W = walk_transition_matrix(hg)
-            A = plain_adjacency(hg, NormalizationKind.ROW)
-            npt.assert_array_equal(W.indptr, A.indptr)
-            npt.assert_array_equal(W.indices, A.indices)
-            npt.assert_array_equal(W.data, A.data)
+            W = plain_hop(hg, ROW)
+            A = walk_transition_matrix(hg).toarray()
+            npt.assert_array_equal(W != 0, A != 0)
+            npt.assert_allclose(W, A, rtol=0, atol=1e-15)
 
 
 class TestWalkEstimator:
@@ -183,6 +183,12 @@ class TestDenseOracle:
                 expected = np.linalg.matrix_power(W, l).diagonal()
                 got = dense_diag_oracle(hg, l=l, family="walk")
                 npt.assert_allclose(got, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["bogus", "row", None])
+    def test_bad_kind_rejected_for_the_rap_family(self, path_hg, kind):
+        for l in (0, 1, 2):
+            with pytest.raises(ConfigError, match="normalization kind"):
+                dense_diag_oracle(path_hg, kind, l)
 
     def test_hop_model_limited_to_two(self, path_hg):
         with pytest.raises(ConfigError, match="two-hop"):

@@ -22,6 +22,7 @@ Usage:
 
 import argparse
 import json
+import math
 import os
 import pickle
 import sys
@@ -59,6 +60,19 @@ def _load_pickle(path):
     return n, edges, labels, X, None
 
 
+def _feature_text(v: float) -> str:
+    """``v`` as CSV text that reads back as the same float64.
+
+    Integral values below 1e16 are written as integers (``0``, ``1``, ``3``),
+    so 0/1, one-hot and identity features load as a digit grid; repr would
+    print the same digits plus ``.0``. ``-0.0`` and every other value keep
+    their repr.
+    """
+    if v.is_integer() and abs(v) < 1e16 and not (v == 0 and math.copysign(1.0, v) < 0):
+        return str(int(v))
+    return repr(v)
+
+
 def convert(in_path: str, out_dir: str) -> None:
     ext = os.path.splitext(in_path)[1].lower()
     if ext == ".json":
@@ -88,8 +102,8 @@ def convert(in_path: str, out_dir: str) -> None:
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
         if names is not None:
             fh.write(",".join(str(s) for s in names) + "\n")
-        for row in X:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in X.tolist():
+            fh.write(",".join(map(_feature_text, row)) + "\n")
     with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8") as fh:
         fh.write("node_id,label\n")
         for i, lab in enumerate(labels):

@@ -130,8 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     rsi.add_argument("--method", default="exact",
                      choices=["exact", "walk", "hutchinson"])
     rsi.add_argument("--norm", default=None, choices=["sym", "row"],
-                     help="degree normalization of rap-hop targets (default sym); "
-                          "walk targets have none")
+                     help="degree normalization of the matrix a rap-hop estimate "
+                          "works on (default sym). rsi1 and rsi2 are the same for "
+                          "both kinds, so it moves only the exact oracle's rounding "
+                          "and the Hutchinson probe noise; walk targets have none")
     rsi.add_argument("--trials", type=_positive_int, default=100_000,
                      help="walk trials (default 1e5)")
     rsi.add_argument("--probes", type=_positive_int, default=64,

@@ -24,7 +24,13 @@ Features: CSV with one row per node (row i = node i), optional header row of
 feature names; rows whose fields are all blank are skipped. Values are what
 ``numpy.loadtxt`` reads as float64 (``3``, ``-0.0``, ``.5``, ``1e-310``, with
 optional surrounding spaces or double quotes) and must be finite. Python-only
-spellings that ``float()`` takes, such as ``1_000``, are an error.
+spellings that ``float()`` takes, such as ``1_000``, are an error. The file's
+bytes pick one of two routes that give the same X. When every row after the
+optional header is d single ASCII digits ``0``-``9`` joined by ``,`` and ended
+by ``\\n`` (a 0/1 bag-of-words grid, say), X is read off the bytes as
+float64(byte - 48). Any other layout (signs, ``.``, multi-digit fields,
+spaces, quotes, CRLF, blank or ragged rows, non-ASCII bytes in a data row, no
+final newline) is decoded and parsed by ``numpy.loadtxt``.
 
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
@@ -35,6 +41,7 @@ lexicographic) and the original spellings are kept as class names.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -283,20 +290,77 @@ def _blank(line: str) -> bool:
     return not any(tok.strip() for tok in next(csv.reader([line])))
 
 
+def _header(line: str) -> tuple[str, ...] | None:
+    """Feature names: the stripped fields of a CSV row in which ``float()``
+    refuses some field. None for a row of numbers."""
+    first = next(csv.reader([line]))
+    if all(_parses(float, tok) for tok in first):
+        return None
+    return tuple(tok.strip() for tok in first)
+
+
+def _digit_grid(raw: bytes, start: int) -> np.ndarray | None:
+    """X when ``raw[start:]`` is rows of d single ASCII digits joined by ``,``
+    and each ended by ``\\n``; None for any other layout.
+
+    Every value is an integer 0-9, so float64(byte - 48) is the value
+    ``numpy.loadtxt`` would parse, and no ``-0.0`` can occur.
+    """
+    width = raw.find(b"\n", start) + 1 - start
+    if width < 2 or width % 2 or (len(raw) - start) % width:
+        return None
+    grid = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(-1, width)
+    for rows in (grid[:1], grid):  # the first row turns most other layouts away
+        digits = rows[:, ::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+        if ((digits > 9).any() or (rows[:, 1:-1:2] != ord(",")).any()
+                or (rows[:, -1] != ord("\n")).any()):
+            return None
+    return digits.astype(np.float64)
+
+
+def _grid_features(raw: bytes) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """(X, names) when the rows after an optional header form a digit grid.
+
+    The header is the first line when it is the row the text route would test
+    (valid UTF-8, no carriage return, not blank) and ``_header`` finds names
+    there. Anything else, a header of another width than the grid's included,
+    returns None, so the text route reads the file and raises its own errors.
+    """
+    cut = raw.find(b"\n") + 1
+    try:
+        line = raw[:cut - 1].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    names = None if "\r" in line or _blank(line) else _header(line)
+    X = _digit_grid(raw, 0 if names is None else cut)
+    if X is None or names is not None and len(names) != X.shape[1]:
+        return None
+    return X, names
+
+
 def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a feature CSV. Returns (matrix, feature_names or None).
 
     Values are taken as-is: no scaling, centering, or binarization happens at
-    ingestion. Row i belongs to node i. ``numpy.loadtxt`` parses the numbers.
+    ingestion. Row i belongs to node i. The file is read as bytes once. When
+    its rows after an optional header are a grid of single digits (``0``-``9``
+    joined by ``,``, every row ended by ``\\n``), X is read off the bytes.
+    Any other layout is decoded as UTF-8 with universal newlines, blank rows
+    are dropped, and ``numpy.loadtxt`` parses the numbers.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if not _blank(ln)]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    grid = _grid_features(raw)
+    if grid is not None:
+        return grid
+    # the text a file opened in text mode reads: UTF-8, universal newlines
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read().split("\n")
+    del raw  # loadtxt then runs beside the lines alone, as when reading text
+    lines = [ln for ln in lines if not _blank(ln)]
     if not lines:
         raise DatasetError(f"{path}: no feature rows")
-    names = None
-    first = next(csv.reader(lines[:1]))
-    if not all(_parses(float, tok) for tok in first):
-        names = tuple(tok.strip() for tok in first)
+    names = _header(lines[0])
+    if names is not None:
         lines = lines[1:]
         if not lines:
             raise DatasetError(f"{path}: header but no feature rows")

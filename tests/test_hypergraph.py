@@ -24,6 +24,7 @@ from zen import (
     load_labels,
     parse_hypergraph,
 )
+from zen import hypergraph
 from conftest import random_hypergraph, serialize_hypergraph
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -269,13 +270,17 @@ class TestLoaders:
         with pytest.raises(DatasetError, match=match):
             load_features(p)
 
-    def test_features_allocation_is_a_small_multiple_of_the_matrix(self, tmp_path):
-        # X is 8 MB and the file 2 MB. A csv.reader + float() parse peaks at
-        # 49 MB here (4.9x X + file); one loadtxt pass at 11.5 MB (1.15x).
+    @pytest.mark.parametrize("zero, one", [("0", "1"), ("0.0", "1.0")])
+    def test_features_allocation_is_a_small_multiple_of_the_matrix(self, tmp_path, zero, one):
+        # X is 8 MB and the file 2 MB (0/1) or 4 MB (0.0/1.0). A csv.reader +
+        # float() parse peaks at 49 MB on the 0/1 file (4.9x X + file). The
+        # digit grid (0/1) peaks at 11.0 MB (1.10x), one loadtxt pass over the
+        # 0.0/1.0 file at 13.5 MB (1.13x).
         rng = np.random.default_rng(11)
         dense = (rng.random((2000, 500)) < 0.1).astype(np.int8)
         p = tmp_path / "f.csv"
-        p.write_text("\n".join(",".join(map(str, r)) for r in dense.tolist()) + "\n")
+        p.write_text("\n".join(",".join(one if v else zero for v in r)
+                               for r in dense.tolist()) + "\n")
         file_bytes = p.stat().st_size
         tracemalloc.start()
         X, _ = load_features(p)
@@ -334,7 +339,11 @@ class TestLoaders:
 
 
 def reference_load_features(path):
-    """The csv.reader + per-value float() parser that load_features replaced."""
+    """The csv.reader + per-value float() parser that load_features replaced.
+
+    A DatasetError names the fault in load_features' words, without the path
+    and, for a bad value, without loadtxt's detail.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
     if not rows:
@@ -347,17 +356,52 @@ def reference_load_features(path):
         rows = rows[1:]
         if not rows:
             raise DatasetError("header but no feature rows") from None
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise DatasetError("ragged row")
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise DatasetError(f"row {i} has {len(r)} fields, expected {len(rows[0])}")
     try:
         X = np.array([[float(tok) for tok in r] for r in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise DatasetError(str(exc)) from None
+    except ValueError:
+        raise DatasetError("non-numeric feature value") from None
     if not np.all(np.isfinite(X)):
-        raise DatasetError("NaN or infinity")
+        raise DatasetError("features contain NaN or infinity")
     if names is not None and len(names) != X.shape[1]:
-        raise DatasetError("header width")
+        raise DatasetError(f"{len(names)} header names for {X.shape[1]} columns")
     return X, names
+
+
+def _outcome(load, path):
+    """``load(path)``, or the message of the DatasetError it raises."""
+    try:
+        return load(path)
+    except DatasetError as exc:
+        return str(exc)
+
+
+def assert_loads_like_reference(path):
+    """load_features gives the reference's names and X bit for bit, or fails
+    with a message that begins with the path and the reference's message."""
+    got, want = _outcome(load_features, path), _outcome(reference_load_features, path)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(f"{path}: {want}"), (got, want)
+        return
+    assert not isinstance(got, str), got
+    (X, names), (X_ref, names_ref) = got, want
+    assert names == names_ref
+    assert X.dtype == np.float64 and X.shape == X_ref.shape
+    npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))
+
+
+def loadtxt_calls(mp):
+    """Record every np.loadtxt call zen.hypergraph makes while ``mp`` is active."""
+    calls, real = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    mp.setattr(hypergraph.np, "loadtxt", spy)
+    return calls
 
 
 _SPECIAL_VALUES = ["0", "1", "-0.0", "+2.5", ".5", "5.", "1e5", "1E-5", "-3e+02",
@@ -393,6 +437,76 @@ def feature_files(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+_HEADER_NAMES = ["w", "7", "naïve", " padded ", '"q,r"', "ß-0"]
+_GRID_EDITS = ["two-digit field", "sign", "point", "space", "quote", "non-digit",
+               "separator", "CRLF", "blank row", "ragged row", "joined rows"]
+
+
+@st.composite
+def digit_grid_lines(draw, min_rows=1):
+    """The lines of a digit grid: an optional header of d names, then rows of
+    d single digits joined by commas, for d = 1..5."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(min_rows, 6))
+    digit = st.sampled_from("0123456789")
+    lines = [[draw(digit) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        lines.insert(0, [draw(st.sampled_from(_HEADER_NAMES)) for _ in range(ncols)])
+    return lines
+
+
+@st.composite
+def digit_grids(draw):
+    """Digit-grid CSV bytes, with or without the final newline."""
+    text = "\n".join(",".join(line) for line in draw(digit_grid_lines()))
+    return (text + "\n" if draw(st.booleans()) else text).encode("utf-8")
+
+
+@st.composite
+def edited_digit_grids(draw):
+    """(edit, CSV bytes): a digit grid with its final newline, edited once so
+    that it is no longer one. Some edits keep the row width, so only the byte
+    checks can catch them. A value edit goes to a data row below the first
+    line, which would otherwise become the header of the rows under it. Three
+    rows or more keep two joined rows from forming a grid of their own."""
+    lines = draw(digit_grid_lines(min_rows=3))
+    ends = ["\n"] * len(lines)
+    edit = draw(st.sampled_from(_GRID_EDITS))
+    at = draw(st.integers(1, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[at]) - 1))
+    tok = lines[at][j]
+    if edit == "two-digit field":
+        lines[at][j] = tok + draw(st.sampled_from("0123456789"))
+    elif edit == "sign":
+        lines[at][j] = draw(st.sampled_from(["-", "+"])) + draw(st.sampled_from([tok, ""]))
+    elif edit == "point":
+        lines[at][j] = draw(st.sampled_from([tok + ".", "." + tok, "."]))
+    elif edit == "space":
+        lines[at][j] = draw(st.sampled_from([tok + " ", " " + tok, " "]))
+    elif edit == "quote":
+        lines[at][j] = draw(st.sampled_from([f'"{tok}"', tok + '"']))
+    elif edit == "non-digit":  # the bytes on either side of 0-9, a letter, non-ASCII
+        lines[at][j] = draw(st.sampled_from(["/", ":", "a", "é", tok + "é"]))
+    elif edit == "separator":  # a comma becomes another byte
+        row = lines[at] if len(lines[at]) > 1 else lines[at] + ["0"]
+        k = draw(st.integers(0, len(row) - 2))
+        lines[at] = row[:k] + [draw(st.sampled_from(";.: ")).join(row[k:k + 2])] + row[k + 2:]
+    elif edit == "CRLF":
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r\n"
+    elif edit == "blank row":
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, [])
+        ends.insert(at, "\n")
+    elif edit == "ragged row":  # one field fewer, or one more in a single column
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:-1] if len(lines[at]) > 1 else lines[at] + ["0"]
+    else:  # joined rows: a newline becomes a comma, as wide as two rows
+        lines[at - 1:at + 1] = [lines[at - 1] + lines[at]]
+        del ends[at]
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    return edit, text.encode("utf-8")
+
+
 @pytest.fixture(scope="module")
 def feature_path(tmp_path_factory):
     return tmp_path_factory.mktemp("features") / "f.csv"
@@ -403,8 +517,39 @@ class TestFeatureParser:
     @given(text=feature_files())
     def test_matches_per_value_float_parser(self, feature_path, text):
         feature_path.write_bytes(text.encode("utf-8"))
-        X_ref, names_ref = reference_load_features(feature_path)
-        X, names = load_features(feature_path)
-        assert names == names_ref
-        assert X.dtype == np.float64 and X.shape == X_ref.shape
-        npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))
+        assert_loads_like_reference(feature_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=digit_grids())
+    def test_digit_grids_skip_loadtxt(self, feature_path, raw):
+        feature_path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = loadtxt_calls(mp)
+            assert_loads_like_reference(feature_path)
+        # a grid whose last row lacks its newline is not a grid; the text route reads it
+        assert bool(calls) != raw.endswith(b"\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=edited_digit_grids())
+    def test_edited_digit_grids_fall_back_to_loadtxt(self, feature_path, case):
+        edit, raw = case
+        feature_path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = loadtxt_calls(mp)
+            assert_loads_like_reference(feature_path)
+        assert calls, edit
+
+    def test_the_bytes_pick_the_route(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loadtxt called")
+
+        monkeypatch.setattr(hypergraph.np, "loadtxt", refuse)
+        grid = tmp_path / "grid.csv"
+        grid.write_bytes(b"a,b\n0,1\n1,0\n")
+        X, names = load_features(grid)
+        assert names == ("a", "b")
+        npt.assert_array_equal(X, [[0.0, 1.0], [1.0, 0.0]])
+        text = tmp_path / "text.csv"
+        text.write_bytes(b"0.0,1.0\n")
+        with pytest.raises(AssertionError, match="loadtxt called"):
+            load_features(text)

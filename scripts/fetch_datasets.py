@@ -73,6 +73,17 @@ def _feature_text(v: float) -> str:
     return repr(v)
 
 
+def _csv_fields(what: str, values) -> list[str]:
+    """``values`` as the CSV fields they are written as. The files are written
+    unquoted, so a value holding ``,`` or a line break is refused."""
+    fields = [str(v) for v in values]
+    for text in fields:
+        if any(c in text for c in ",\n\r"):
+            raise SystemExit(f"{what} {text!r} holds ',' or a line break; "
+                             "the CSV files are written unquoted")
+    return fields
+
+
 def convert(in_path: str, out_dir: str) -> None:
     ext = os.path.splitext(in_path)[1].lower()
     if ext == ".json":
@@ -91,6 +102,8 @@ def convert(in_path: str, out_dir: str) -> None:
         names = None
     if X.shape[0] != n:
         raise SystemExit(f"feature matrix has {X.shape[0]} rows for {n} nodes")
+    header = None if names is None else _csv_fields("feature name", names)
+    label_fields = _csv_fields("label", labels)
 
     os.makedirs(out_dir, exist_ok=True)
     hg = Hypergraph(n, tuple(edges))
@@ -100,13 +113,13 @@ def convert(in_path: str, out_dir: str) -> None:
         for e in hg.hyperedges:
             fh.write(" ".join(map(str, e)) + "\n")
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
-        if names is not None:
-            fh.write(",".join(str(s) for s in names) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         for row in X.tolist():
             fh.write(",".join(map(_feature_text, row)) + "\n")
     with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8") as fh:
         fh.write("node_id,label\n")
-        for i, lab in enumerate(labels):
+        for i, lab in enumerate(label_fields):
             fh.write(f"{i},{lab}\n")
     print(f"wrote {out_dir}/edges.hg ({hg.num_edges} edges, {n} nodes), "
           f"features.csv ({X.shape[1]} columns), labels.csv")

@@ -37,7 +37,6 @@ _LAZY_EXPORTS = {
     "hypergraph": (
         "DegreeProfile", "Hypergraph", "LabelSet", "degrees",
         "incidence_matrix", "load_features", "load_hypergraph", "load_labels",
-        "parse_hypergraph",
     ),
     "propagation": (
         "NormalizationKind", "PropagationConfig", "build_A1_star",

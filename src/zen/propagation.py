@@ -54,16 +54,16 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   bounds the rounding of both.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops, the
-  same for both kinds. The two-hop value has a closed form through the
-  edge-overlap Gram E = H^T diag(g) H, with g = 1/(d - 1) (0 where d < 2):
+  same for both kinds. For i != k, A1*[i, k] m_k A1*[k, i] = B[i, k]^2 g_k / d_i
+  with B = H diag(w) H^T and g = 1/(d - 1) (0 where d < 2), so
 
-      rsi_2[i] = d_i^{-1} sum over edges e, f containing i of w_e w_f (E[e, f] - g_i).
+      rsi_2 = D^{-1} offdiag(B o B) g.
 
-  That is O(sum d_i^2) work over the pairs of each node's edges, done in
-  node blocks of about 2 MiB of scratch, and no n x n object. E[e, f] sums
-  g over e and f's common members, i among them, so every term is
-  nonnegative and nothing cancels: a term is exactly 0.0 when no other
-  common member has degree >= 2, as the matrix route's is.
+  B is formed one node block at a time, (H diag(w))[a:b] H^T, each block
+  sized by the entries its rows can hold (H @ sizes) to about 2 MiB of
+  scratch, so no n x n object is held. The block's diagonal entries are
+  zeroed before the sum, so every term is nonnegative and nothing cancels:
+  where every term is zero the sum is exactly +0.0, as the matrix route's is.
 * ``build_A1_star`` is the one hop built as a matrix, for callers that read
   A1* itself: its diagonal is zeroed before the one ``compact`` drops it.
   Every other hop, the plain forms included, goes through H.
@@ -368,8 +368,8 @@ def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SY
     return compact(A)
 
 
-# bytes of scratch per edge pair in one node block of ``rsi_diag_2``
-_PAIR_BYTES = 96
+# bytes of scratch per entry of one node block of B in ``rsi_diag_2``
+_ENTRY_BYTES = 24
 
 
 def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.ndarray:
@@ -379,51 +379,34 @@ def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.nd
     two-hop path that leaves node i and returns to it, whichever edges the
     path uses. Like the one-hop value, it is the same for both normalization
     kinds, so it takes none. Given ``a1_star`` (of either kind) it is read off
-    that matrix in O(nnz); otherwise it takes the closed form over pairs of
-    each node's edges (see the module docstring) and no n x n object is formed.
+    that matrix in O(nnz); otherwise it is D^{-1} offdiag(B o B) g over node
+    blocks of B = H diag(w) H^T (see the module docstring), and no n x n
+    object is formed.
     """
     n = hg.num_nodes
-    d = degrees(hg).node_degrees
+    prof = degrees(hg)
+    d = prof.node_degrees
     if a1_star is not None:
         if a1_star.shape != (n, n):
             raise ConfigError(f"a1_star has shape {a1_star.shape}, expected ({n}, {n})")
         return _two_hop_diag(a1_star, _middle_degree_factor(d))
     H = incidence_matrix(hg)
-    ne = H.shape[1]
-    w = _excl_edge_weight(degrees(hg).edge_sizes)
-    g = _div(1.0, d - 1.0, d >= 2)
+    sizes = prof.edge_sizes
+    Hw = sp.csr_matrix((_excl_edge_weight(sizes)[H.indices], H.indices, H.indptr), shape=H.shape)
     Ht = H.T.tocsr()
-    Hg = sp.csr_matrix((g[Ht.indices], Ht.indices, Ht.indptr), shape=Ht.shape)
-    # the pairs e = f, one per membership: E[e, e] is g summed over e
-    rows = np.repeat(np.arange(n), d)
-    we = w[H.indices]
-    total = np.bincount(rows, weights=we * we * ((Hg @ np.ones(n))[H.indices] - g[rows]),
-                        minlength=n)
-    # the pairs e < f, counted twice, read from E by row-major key; the product
-    # drops the entries that sum to zero, so a key past every stored one ends
-    # the search and reads as 0.0
-    E = Hg @ H
-    E.sort_indices()
-    keys = np.repeat(np.arange(ne, dtype=np.int64), np.diff(E.indptr)) * ne + E.indices
-    keys, vals = np.append(keys, ne * ne), np.append(E.data, 0.0)
-    pairs = d * (d - 1) // 2
-    ends = np.cumsum(pairs)
-    per_block = _slice_len(_PAIR_BYTES)
+    g = _div(1.0, d - 1.0, d >= 2)
+    # row i of B holds at most the members of i's edges, counted with repeats
+    cost = H @ sizes
+    ends = np.cumsum(cost)
+    per_block = _slice_len(_ENTRY_BYTES)
+    total = np.zeros(n)
     a = 0
     while a < n:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - pairs[a] + per_block, side="right")))
-        first = np.arange(H.indptr[a], H.indptr[b])
-        later = np.repeat(H.indptr[a + 1:b + 1], d[a:b]) - first - 1
-        first = np.repeat(first, later)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-        node = rows[first]
-        e = H.indices[first].astype(np.int64)
-        f = H.indices[second]
-        key = e * ne + f
-        pos = np.searchsorted(keys, key)
-        overlap = np.where(keys[pos] == key, vals[pos], 0.0)
-        total[a:b] += np.bincount(node - a, weights=2.0 * w[e] * w[f] * (overlap - g[node]),
-                                  minlength=b - a)
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - cost[a] + per_block, side="right")))
+        B = Hw[a:b] @ Ht
+        B.data[B.indices == np.repeat(np.arange(a, b), np.diff(B.indptr))] = 0.0
+        np.square(B.data, out=B.data)
+        total[a:b] = B @ g
         a = b
     return _div(total, d, d > 0)
 

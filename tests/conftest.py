@@ -4,6 +4,8 @@ materialized two-hop reference, the per-config selection reference, the
 primal gradient-descent reference, and a Cora-shaped instance built in
 memory."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,16 @@ from zen import (
 )
 from zen.classifier import DIVERGENCE_LIMIT, normalize_rows
 from zen.harness import _eval_config, _labeled_rows, _variant_basis
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def src_env(**overrides) -> dict:
+    """This environment with ``overrides`` and ``src`` first on PYTHONPATH,
+    so a child Python imports zen from this checkout."""
+    return dict(os.environ, **overrides,
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ from zen.rsi_approx import (
     hutchinson_diag,
     random_walk_return_prob,
 )
-from conftest import random_hypergraph, serialize_hypergraph
+from conftest import random_hypergraph, serialize_hypergraph, src_env
 
 
 @contextmanager
@@ -263,10 +263,8 @@ def test_criterion_08_pipeline_speed(tmp_path):
     with criterion(8, "full-scale pipeline run in under five seconds, one thread"):
         script = tmp_path / "pipeline_run.py"
         script.write_text(PIPELINE_SCRIPT)
-        env = dict(os.environ)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            env[var] = "1"
+        env = src_env(**dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"), "1"))
         proc = subprocess.run(
             [sys.executable, str(script)], capture_output=True, text=True, env=env,
         )

@@ -12,7 +12,9 @@ import pytest
 from zen import ConfigError, Hypergraph
 from zen.cli import main, parse_seeds
 
-from conftest import build_A1_hat, serialize_hypergraph, two_hop_reference, walk_transition_matrix
+from conftest import (
+    build_A1_hat, serialize_hypergraph, src_env, two_hop_reference, walk_transition_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -517,7 +519,7 @@ class TestParser:
         proc = subprocess.run(
             [sys.executable, "-m", "zen.cli", "errbound",
              "--epsilon", "0.05", "--k", "5", "--c", "10"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "0.53%\n"
@@ -527,7 +529,7 @@ class TestParser:
         # if numpy has not been imported by then
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, zen.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"

@@ -1,7 +1,9 @@
-"""scripts/fetch_datasets.py writes feature files that load back bit for bit."""
+"""scripts/fetch_datasets.py writes feature files that load back bit for bit,
+and refuses values its unquoted CSV fields cannot hold."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +65,17 @@ def test_binary_and_identity_features_load_as_a_digit_grid(fetch_datasets, tmp_p
     X, names = load_features(path)
     assert names is None
     npt.assert_array_equal(X, payload.get("features", np.eye(len(LABELS))))
+
+
+@pytest.mark.parametrize("name", ["x,y", "x\ny", "x\ry"])
+def test_feature_names_that_would_split_a_field_are_refused(fetch_datasets, tmp_path, name):
+    with pytest.raises(SystemExit, match=re.escape(f"feature name {name!r} holds")):
+        convert(fetch_datasets, tmp_path, features=BINARY, feature_names=[name, "z", "w"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+def test_labels_that_would_split_a_field_are_refused(fetch_datasets, tmp_path, label):
+    with pytest.raises(SystemExit, match=re.escape(f"label {label!r} holds")):
+        convert(fetch_datasets, tmp_path, features=BINARY, labels=[label, *LABELS[1:]])
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,6 @@
 """Parsing, serialization, degrees, incidence, and the CSV loaders."""
 
 import csv
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -22,12 +21,10 @@ from zen import (
     load_features,
     load_hypergraph,
     load_labels,
-    parse_hypergraph,
 )
 from zen import hypergraph
-from conftest import random_hypergraph, serialize_hypergraph
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from zen.hypergraph import parse_hypergraph
+from conftest import random_hypergraph, serialize_hypergraph, src_env
 
 
 class TestParsing:
@@ -312,9 +309,8 @@ class TestLoaders:
                   "ls = load_labels(sys.argv[1], 4); print(ls.class_names, ls.labels.tolist())")
         outputs = set()
         for seed in ("1", "2", "3", "4", "5", "6"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+            proc = subprocess.run([sys.executable, "-c", script, str(p)],
+                                  env=src_env(PYTHONHASHSEED=seed),
                                   capture_output=True, text=True, check=True)
             outputs.add(proc.stdout)
         assert outputs == {"('0', '+1', '01', '1') [3, 2, 1, 0]\n"}

@@ -524,9 +524,8 @@ class TestPropagatedBasis:
         npt.assert_allclose(diag, dense_diag_oracle(hg, kind, 1), atol=1e-12)
         npt.assert_allclose(rsi_diag_2(hg), dense_diag_oracle(hg, kind, 2), atol=1e-12)
 
-    # ``block`` edge pairs per node block, so blocks split the nodes anywhere
-    # and a node may hold more pairs than one block. In the last examples an
-    # edge of degree-1 members has a zero overlap, which E drops.
+    # ``block`` entries of B per node block, so blocks split the nodes anywhere
+    # and one node's row may hold more entries than one block.
     @settings(max_examples=200, deadline=None)
     @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
            block=st.integers(1, 40))
@@ -535,7 +534,7 @@ class TestPropagatedBasis:
     @example(hg=Hypergraph(4, ((0, 1, 2, 3),)), kind=SYM, block=2)
     @example(hg=Hypergraph(7, ((0, 1, 2), (2, 3), (4, 5), (2, 3))), kind=ROW, block=3)
     def test_closed_form_rsi_2_matches_the_matrix_route(self, hg, kind, block):
-        with mock.patch.object(propagation, "_BLOCK_BYTES", block * propagation._PAIR_BYTES):
+        with mock.patch.object(propagation, "_BLOCK_BYTES", block * propagation._ENTRY_BYTES):
             closed = rsi_diag_2(hg)
         m = propagation._middle_degree_factor(degrees(hg).node_degrees)
         matrix = propagation._two_hop_diag(build_A1_star(hg, kind), m)
@@ -543,6 +542,20 @@ class TestPropagatedBasis:
         npt.assert_allclose(closed, dense_diag_oracle(hg, kind, 2), rtol=0, atol=1e-12)
         zero = matrix == 0.0
         npt.assert_array_equal(closed[zero].view(np.int64), 0)  # +0.0, bit for bit
+
+    def test_rsi_2_allocates_about_one_block_of_B(self):
+        # one block of B rows at a time, beside O(n + nnz(H)) arrays: the
+        # scaled copies of H and the per-node sums
+        rng = np.random.default_rng(0)
+        n = 2000
+        hg = Hypergraph(n, tuple(tuple(rng.choice(n, size=10, replace=False))
+                                 for _ in range(4000)))
+        nnz = incidence_matrix(hg).nnz
+        tracemalloc.start()
+        rsi_diag_2(hg)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 2 * propagation._BLOCK_BYTES + 64 * (n + nnz)
 
     # where every two-hop walk comes back, the returning walks and rsi_2 * X
     # cancel in exact arithmetic only: two nodes joined by repeated

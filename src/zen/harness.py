@@ -86,8 +86,8 @@ from .propagation import (
     PropagationConfig,
     _feature_csr,
     _Propagation,
-    _slice_len,
 )
+from .sparsetools import _slice_len
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 
@@ -123,6 +123,10 @@ class Dataset:
             raise DatasetError(
                 f"features have shape {X.shape}, expected ({n}, num_features)"
             )
+        # a row slice at a time, so no n x d mask is formed
+        step = _slice_len(X.itemsize * X.shape[1])
+        if not all(np.isfinite(X[a:a + step]).all() for a in range(0, n, step)):
+            raise DatasetError("features contain NaN or infinity")
         if self.labels.num_nodes != n:
             raise DatasetError(
                 f"{self.labels.num_nodes} labels for {n} nodes"

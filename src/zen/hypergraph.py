@@ -28,20 +28,27 @@ spellings that ``float()`` takes, such as ``1_000``, are an error. The file's
 bytes pick one of two routes that give the same X. When every row after the
 optional header is d single ASCII digits ``0``-``9`` joined by ``,`` and ended
 by ``\\n`` (a 0/1 bag-of-words grid, say), X is read off the bytes as
-float64(byte - 48). Any other layout (signs, ``.``, multi-digit fields,
+float64(byte - 48), a block of rows at a time into the preallocated X, so no
+copy of the file is held. Any other layout (signs, ``.``, multi-digit fields,
 spaces, quotes, CRLF, blank or ragged rows, non-ASCII bytes in a data row, no
-final newline) is decoded and parsed by ``numpy.loadtxt``.
+final newline) is read whole, decoded and parsed by ``numpy.loadtxt``.
 
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
 sorted order (numeric sort when every label parses as an integer, otherwise
 lexicographic) and the original spellings are kept as class names.
+
+All three loaders skip a leading UTF-8 byte-order mark, as ``utf-8-sig``
+does, so the "CSV UTF-8" files spreadsheet programs write read as plain
+UTF-8 ones.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -50,6 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetError, HypergraphParseError
+from .sparsetools import _slice_len
 
 
 class Hypergraph:
@@ -222,7 +230,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def load_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_hypergraph(fh.read())
 
 
@@ -299,42 +307,82 @@ def _header(line: str) -> tuple[str, ...] | None:
     return tuple(tok.strip() for tok in first)
 
 
-def _digit_grid(raw: bytes, start: int) -> np.ndarray | None:
-    """X when ``raw[start:]`` is rows of d single ASCII digits joined by ``,``
-    and each ended by ``\\n``; None for any other layout.
+# A digit and the byte after it, read as one little-endian uint16, lie in
+# [base, base + 9] exactly when the digit is 0-9 and the byte is the one in
+# ``base``: a "," inside a line, a newline at its end.
+_DIGIT_COMMA = ord("0") | ord(",") << 8
+_DIGIT_NEWLINE = ord("0") | ord("\n") << 8
+
+
+def _within(a: np.ndarray, base: int) -> bool:
+    """Whether every entry of ``a`` lies in [base, base + 9]; by two
+    reductions, so no mask is formed."""
+    return a.size == 0 or bool(a.min() >= base and a.max() <= base + 9)
+
+
+def _fill_digits(rows: np.ndarray, out: np.ndarray) -> bool:
+    """Write float64(byte - 48) of the even bytes of ``rows`` (lines of a
+    digit grid, one per row, each with its ``\\n``) to ``out``. False unless
+    every even byte is a digit, every other odd byte a ``,`` and the last
+    byte of each line a ``\\n``.
 
     Every value is an integer 0-9, so float64(byte - 48) is the value
     ``numpy.loadtxt`` would parse, and no ``-0.0`` can occur.
     """
-    width = raw.find(b"\n", start) + 1 - start
-    if width < 2 or width % 2 or (len(raw) - start) % width:
-        return None
-    grid = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(-1, width)
-    for rows in (grid[:1], grid):  # the first row turns most other layouts away
-        digits = rows[:, ::2] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-        if ((digits > 9).any() or (rows[:, 1:-1:2] != ord(",")).any()
-                or (rows[:, -1] != ord("\n")).any()):
-            return None
-    return digits.astype(np.float64)
+    pairs = rows.view("<u2")
+    if not (_within(pairs[:, :-1], _DIGIT_COMMA) and _within(pairs[:, -1], _DIGIT_NEWLINE)):
+        return False
+    out[...] = rows[:, ::2]
+    out -= 48.0
+    return True
 
 
-def _grid_features(raw: bytes) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
-    """(X, names) when the rows after an optional header form a digit grid.
+def _grid_features(fh) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """(X, names) when the rows of the binary file ``fh`` after an optional
+    header are rows of d single ASCII digits joined by ``,`` and each ended
+    by ``\\n``; None for any other layout.
 
-    The header is the first line when it is the row the text route would test
-    (valid UTF-8, no carriage return, not blank) and ``_header`` finds names
-    there. Anything else, a header of another width than the grid's included,
-    returns None, so the text route reads the file and raises its own errors.
+    A leading UTF-8 byte-order mark is skipped. The header is the first line
+    when it is the row the text route would test (valid UTF-8, no carriage
+    return, not blank) and ``_header`` finds names there. The first data row
+    sets the width, the file's size the row count, and X is allocated once.
+    The rows are then read into X a block at a time through one buffer of
+    about ``_BLOCK_BYTES``, with the same byte checks on every block, so
+    beside X only that buffer is held. A header of another width than the
+    grid's, a size that is not a whole number of rows, or a block that fails
+    a check returns None, so the text route reads the file and raises its
+    own errors.
     """
-    cut = raw.find(b"\n") + 1
+    size = os.fstat(fh.fileno()).st_size
+    first = fh.readline()
+    if not first.endswith(b"\n"):
+        return None
+    start = len(codecs.BOM_UTF8) if first.startswith(codecs.BOM_UTF8) else 0
     try:
-        line = raw[:cut - 1].decode("utf-8")
+        line = first[start:-1].decode("utf-8")
     except UnicodeDecodeError:
         return None
     names = None if "\r" in line or _blank(line) else _header(line)
-    X = _digit_grid(raw, 0 if names is None else cut)
-    if X is None or names is not None and len(names) != X.shape[1]:
-        return None
+    if names is None:
+        row = first[start:]
+    else:
+        row, start = fh.readline(), len(first)
+    width = len(row)
+    if (width < 2 or width % 2 or (size - start) % width
+            or names is not None and len(names) != width // 2
+            or not _fill_digits(np.frombuffer(row, dtype=np.uint8).reshape(1, width),
+                                np.empty((1, width // 2)))):
+        return None  # the first row turns most other layouts away
+    n = (size - start) // width
+    X = np.empty((n, width // 2))
+    step = _slice_len(width)
+    buf = np.empty(min(step, n) * width, dtype=np.uint8)
+    fh.seek(start)
+    for a in range(0, n, step):
+        block = buf[:min(step, n - a) * width]
+        if (fh.readinto(block) != block.size
+                or not _fill_digits(block.reshape(-1, width), X[a:a + step])):
+            return None
     return X, names
 
 
@@ -342,19 +390,23 @@ def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a feature CSV. Returns (matrix, feature_names or None).
 
     Values are taken as-is: no scaling, centering, or binarization happens at
-    ingestion. Row i belongs to node i. The file is read as bytes once. When
-    its rows after an optional header are a grid of single digits (``0``-``9``
-    joined by ``,``, every row ended by ``\\n``), X is read off the bytes.
-    Any other layout is decoded as UTF-8 with universal newlines, blank rows
-    are dropped, and ``numpy.loadtxt`` parses the numbers.
+    ingestion. Row i belongs to node i. A leading UTF-8 byte-order mark is
+    skipped. When the rows after an optional header are a grid of single
+    digits (``0``-``9`` joined by ``,``, every row ended by ``\\n``), X is
+    read off the file's bytes in row blocks, straight into the float64
+    result. Any other layout, or a file that cannot seek, is read whole,
+    decoded as UTF-8 with universal newlines, blank rows are dropped, and
+    ``numpy.loadtxt`` parses the numbers.
     """
     with open(path, "rb") as fh:
+        if fh.seekable():
+            grid = _grid_features(fh)
+            if grid is not None:
+                return grid
+            fh.seek(0)
         raw = fh.read()
-    grid = _grid_features(raw)
-    if grid is not None:
-        return grid
     # the text a file opened in text mode reads: UTF-8, universal newlines
-    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read().split("\n")
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig").read().split("\n")
     del raw  # loadtxt then runs beside the lines alone, as when reading text
     lines = [ln for ln in lines if not _blank(ln)]
     if not lines:
@@ -383,7 +435,7 @@ def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
 
 def load_labels(path, num_nodes: int) -> LabelSet:
     """Read a node_id,label CSV covering every node exactly once."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
     if rows and not _parses(int, rows[0][0]):
         rows = rows[1:]  # header

@@ -32,11 +32,11 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   the returning walks and rsi_2 * X cancel only to rounding, and row
   normalization would blow that residue up to a unit row; those rows are
   set to 0.0 (``_returning_rows``, O(nnz(H)) integer counts). Without
-  ``rap`` the block is A (A X). The blocks are filled in column slices of
-  about 2 MiB of scratch, so beside X only the kept blocks are allocated.
-  Each output column of a CSR times dense product is summed on its own and
-  the elementwise steps are exact, so the slices give the whole-matrix
-  expression bit for bit.
+  ``rap`` the block is A (A X). For a dense X the blocks are filled in
+  column slices of about 2 MiB of scratch, so beside X only the kept blocks
+  are allocated. Each output column of a CSR times dense product is summed
+  on its own and the elementwise steps are exact, so the slices give the
+  whole-matrix expression bit for bit.
 
   Given ``rows``, the second hop is cut down to those rows and the first to
   the nodes the second reads: the members of the edges at ``rows`` (and
@@ -69,18 +69,22 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   Every other hop, the plain forms included, goes through H.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
-first hop: X is copied to CSR once, A X is taken by CSR times CSR products,
-and rsi_2 * X is subtracted at X's nonzeros only. The layout is chosen from
-X's measured density alone (``_sparse_enough``); denser X stays dense.
+route: X is copied to CSR once, both hops are CSR times CSR products, and
+rsi_2 * X is subtracted at X's nonzeros only. A X stays CSR: the second hop
+reads it as CSR, and only the rows of it that are returned are made dense,
+so a row set's second hop holds the rows of A X it reads at their nonzeros
+alone. The layout is chosen from X's measured density alone
+(``_sparse_enough``); denser X stays dense.
 
-Both routes give the same bits. Each entry of T = H^T (r * X) and of A X is
-summed over the stored entries of one row of a scaled copy, in the same
-order either way; the CSR route only skips the terms whose factor from X or
-T is zero. The stored scales are finite, so each skipped term is +0.0 or
--0.0; every running sum starts at +0.0, so it is never -0.0, and adding a
-zero of either sign leaves it unchanged. An entry of T the CSR product drops
-because it summed to zero is +0.0 in the dense T, so it too only adds zeros.
-For the same reason subtracting rsi_2 * 0 where X is zero changes nothing.
+Both routes give the same bits. Each entry of T = H^T (r * V) and of the hop
+of V, for V = X and then V = A X, is summed over the stored entries of one
+row of a scaled copy, in the same order either way; the CSR route only skips
+the terms whose factor from V or T is zero. The stored scales are finite, so
+each skipped term is +0.0 or -0.0; every running sum starts at +0.0, so it
+is never -0.0, and adding a zero of either sign leaves it unchanged. An
+entry of T or of A X that a CSR product drops because it summed to zero is
++0.0 on the dense route, so it too only adds zeros. For the same reason
+subtracting rsi_2 * 0 where X is zero changes nothing.
 
 Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
@@ -98,17 +102,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DatasetError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import compact
+from .sparsetools import _slice_len, compact
 
 SIMPLEX_TOL = 1e-9
-
-# scratch bytes of one slice when an n x d product is filled piecewise
-_BLOCK_BYTES = 1 << 21
-
-
-def _slice_len(line_bytes: int) -> int:
-    """Rows or columns of ``line_bytes`` each that fit one slice; at least 1."""
-    return max(1, _BLOCK_BYTES // max(1, line_bytes))
 
 
 def _sparse_enough(n: int, d: int, nnz: int) -> bool:
@@ -267,22 +263,20 @@ class _Hop:
     left: sp.csr_matrix
     right: sp.csr_matrix
 
-    def __call__(self, V, buffer=None) -> np.ndarray:
+    def __call__(self, V, buffer=None):
         """The hop of V, a vector, an n x k array or a CSR matrix; the result is
-        dense. A dense stack [right V; V] is built in the front of the flat
-        array ``buffer`` when one is given."""
+        CSR for a CSR V, else dense. A dense stack [right V; V] is built in the
+        front of the flat array ``buffer`` when one is given."""
         ne, n = self.right.shape
         if self.left.shape[1] == ne:
-            out = self.left @ (self.right @ V)
-        elif sp.issparse(V):
-            out = self.left @ sp.vstack([self.right @ V, V], format="csr")
-        else:
-            shape = (ne + n,) + V.shape[1:]
-            B = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
-            B[ne:] = V
-            B[:ne] = self.right @ B[ne:]
-            out = self.left @ B
-        return out.toarray() if sp.issparse(out) else out
+            return self.left @ (self.right @ V)
+        if sp.issparse(V):
+            return self.left @ sp.vstack([self.right @ V, V], format="csr")
+        shape = (ne + n,) + V.shape[1:]
+        B = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+        B[ne:] = V
+        B[:ne] = self.right @ B[ne:]
+        return self.left @ B
 
     def restrict(self, rows: np.ndarray | None) -> tuple["_Hop", np.ndarray | None]:
         """The hop's rows ``rows`` as a hop of V's rows at the returned nodes:
@@ -479,37 +473,25 @@ class _Propagation:
         The second hop is restricted to ``rows`` and the first to the nodes it
         reads, so only those rows are propagated; each is bit for bit the
         same row of the whole blocks. ``Xs`` is X as CSR when the first hop
-        is to take the sparse route.
+        is to take the sparse route: A X then stays CSR through the second
+        hop, and only its rows at ``rows`` are made dense.
         """
         hop2, mid = self.hop2.restrict(rows)
         hop, src = self.hop.restrict(mid)
-        d = X.shape[1]
+        rsi_2 = _take(self.rsi_2, rows)
         if Xs is None:
-            X1 = np.empty((X.shape[0] if mid is None else mid.size, d))
+            X1, X2 = _dense_hops(hop, hop2, X, src, rows, rsi_2)
         else:
             X1 = hop(_take(Xs, src))
-        X2 = np.empty((X.shape[0] if rows is None else len(rows), d))
-        rsi_2 = _take(self.rsi_2, rows)
-        # one flat scratch array, reused by every slice, for the stacks of the
-        # hops and the rsi_2 * X term
-        stack_rows = max(sum(h.right.shape) for h in (hop, hop2))
-        step = _slice_len(X1.itemsize * max(stack_rows, X1.shape[0]))
-        stack = np.empty(stack_rows * min(step, d)) if rsi_2 is not None else None
-        for start in range(0, d, step):
-            cols = slice(start, start + step)
-            if Xs is None:
-                X1[:, cols] = hop(_take(X, src, cols), stack)
-            X2[:, cols] = hop2(X1[:, cols], stack)
-            if rsi_2 is not None and Xs is None:
-                _subtract_rows(X2[:, cols], rsi_2, _take(X, rows, cols), stack)
-        if rsi_2 is not None and Xs is not None:
-            _subtract_rows(X2, rsi_2, _take(Xs, rows), stack)
+            X2 = hop2(X1).toarray()
+            if rsi_2 is not None:
+                _subtract_rows(X2, rsi_2, _take(Xs, rows), None)
         if self.returning is not None:
             # rounding leaves a residue where the returning walks and rsi_2 cancel
             X2[_take(self.returning, rows)] = 0.0
-        if rows is None:
-            return [X, X1, X2]
-        return [X[rows], X1[np.searchsorted(mid, rows)], X2]
+        if rows is not None:
+            X, X1 = X[rows], X1[np.searchsorted(mid, rows)]
+        return [X, X1.toarray() if sp.issparse(X1) else X1, X2]
 
 
 def _take(V, rows, cols=None):
@@ -518,6 +500,27 @@ def _take(V, rows, cols=None):
     if V is not None and cols is not None:
         V = V[:, cols]
     return V if V is None or rows is None else V[rows]
+
+
+def _dense_hops(hop, hop2, X, src, rows, rsi_2):
+    """The output rows of ``hop`` and of ``hop2`` after it, for a dense X
+    read at the nodes ``src`` and rsi_2 * X subtracted at ``rows``, filled
+    in column slices through one reused scratch array."""
+    d = X.shape[1]
+    X1 = np.empty((hop.left.shape[0], d))
+    X2 = np.empty((hop2.left.shape[0], d))
+    # one flat scratch array, reused by every slice, for the stacks of the
+    # hops and the rsi_2 * X term
+    stack_rows = max(sum(h.right.shape) for h in (hop, hop2))
+    step = _slice_len(X1.itemsize * max(stack_rows, X1.shape[0]))
+    stack = np.empty(stack_rows * min(step, d)) if rsi_2 is not None else None
+    for start in range(0, d, step):
+        cols = slice(start, start + step)
+        X1[:, cols] = hop(_take(X, src, cols), stack)
+        X2[:, cols] = hop2(X1[:, cols], stack)
+        if rsi_2 is not None:
+            _subtract_rows(X2[:, cols], rsi_2, _take(X, rows, cols), stack)
+    return X1, X2
 
 
 def propagated_basis(
@@ -540,10 +543,11 @@ def propagated_basis(
     read are propagated, and the result is those rows of the whole blocks,
     bit for bit.
 
-    When X is sparse enough (``_sparse_enough``), A X is taken from a CSR copy
-    of X and rsi_2 * X is subtracted at X's nonzeros only; otherwise X stays
-    dense and each slice takes its own columns of X. The two routes agree bit
-    for bit (see the module docstring). A wrong-shaped X is a DatasetError.
+    When X is sparse enough (``_sparse_enough``), both hops are taken from a
+    CSR copy of X, A X stays CSR until its returned rows, and rsi_2 * X is
+    subtracted at X's nonzeros only; otherwise X stays dense and each slice
+    takes its own columns of X. The two routes agree bit for bit (see the
+    module docstring). A wrong-shaped X is a DatasetError.
     """
     n = hg.num_nodes
     if np.ndim(X) != 2 or np.shape(X)[0] != n:

@@ -1,4 +1,5 @@
-"""Small helpers around scipy CSR matrices: canonical form and the dense-size guard."""
+"""Small helpers: canonical CSR form, the dense-size guard, and the scratch
+budget of the loops that fill a large array a slice at a time."""
 
 from __future__ import annotations
 
@@ -9,6 +10,14 @@ import scipy.sparse as sp
 from .errors import GuardError
 
 DEFAULT_DENSE_GUARD = 2000
+
+# scratch bytes of one slice when an n x d array is filled piecewise
+_BLOCK_BYTES = 1 << 21
+
+
+def _slice_len(line_bytes: int) -> int:
+    """Rows or columns of ``line_bytes`` each that fit one slice; at least 1."""
+    return max(1, _BLOCK_BYTES // max(1, line_bytes))
 
 
 def dense_guard() -> int:

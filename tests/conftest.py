@@ -1,10 +1,11 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
 edge-file writer, the one-hop A1^, plain and walk matrices and the
 materialized two-hop reference, the per-config selection reference, the
-primal gradient-descent reference, and a Cora-shaped instance built in
-memory."""
+primal gradient-descent reference, the allocation-peak probe, and a
+Cora-shaped instance built in memory."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def src_env(**overrides) -> dict:
     so a child Python imports zen from this checkout."""
     return dict(os.environ, **overrides,
                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes during the call).
+    numpy reports its buffers to tracemalloc, so the peak counts arrays."""
+    tracemalloc.start()
+    try:
+        value = fn(*args, **kwargs)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

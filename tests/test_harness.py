@@ -4,7 +4,6 @@ import contextlib
 import json
 import os
 import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,7 +29,7 @@ from zen import (
     run_config,
     simplex_grid,
 )
-from zen import harness, propagation
+from zen import harness, propagation, sparsetools
 from zen.classifier import (
     Split,
     normalize_rows,
@@ -48,6 +47,7 @@ from zen.harness import (
 
 from conftest import (
     edgeless_basis,
+    peak_bytes,
     select_reference,
     serialize_hypergraph,
     whole_matrix_test_scoring,
@@ -137,7 +137,7 @@ def zero_rows_dataset(isolated=6) -> Dataset:
 
 def rows_per_block(ds, rows):
     """Patch the slice budget so test scoring takes ``rows`` rows at a time."""
-    return mock.patch.object(propagation, "_BLOCK_BYTES", 8 * ds.num_features * rows)
+    return mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * ds.num_features * rows)
 
 
 class TestDataset:
@@ -150,6 +150,19 @@ class TestDataset:
         labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
         with pytest.raises(DatasetError, match="features"):
             Dataset("bad", Hypergraph(3, ((0, 1),)), np.ones((4, 2)), labels)
+
+    # the check goes a row slice at a time; one-row slices put the bad value
+    # in a later slice than the first
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slice_rows", [1, None])
+    def test_non_finite_features_rejected(self, bad, slice_rows):
+        labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
+        X = np.ones((3, 2))
+        X[2, 1] = bad
+        budget = 16 * slice_rows if slice_rows else sparsetools._BLOCK_BYTES
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", budget), \
+                pytest.raises(DatasetError, match="features contain NaN or infinity"):
+            Dataset("bad", Hypergraph(3, ((0, 1),)), X, labels)
 
     def test_label_count_checked(self):
         labels = LabelSet(labels=np.zeros(2, dtype=np.int64), num_classes=1)
@@ -594,7 +607,7 @@ def configs_per_chunk(split, configs):
     if configs is None:
         return contextlib.nullcontext()
     L = int(split.train_mask.sum() + split.val_mask.sum())
-    return mock.patch.object(propagation, "_BLOCK_BYTES", 8 * L * L * configs)
+    return mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * L * L * configs)
 
 
 # d = 1; the only training nodes of the two classes are isolated with equal
@@ -708,11 +721,8 @@ class TestGramSelection:
         basis = [rng.random((labels.num_nodes, d)) for _ in range(3)]
         split = make_kshot_split(labels, k, 0)
         L = 2 * k * c
-        tracemalloc.start()
-        _select_config(basis, split, labels, simplex_grid(9), "full", None)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= (3 * L) ** 2 * 8 + 3 * propagation._BLOCK_BYTES
+        _, peak = peak_bytes(_select_config, basis, split, labels, simplex_grid(9), "full", None)
+        assert peak <= (3 * L) ** 2 * 8 + 3 * sparsetools._BLOCK_BYTES
 
 
 class TestBlockedTestScoring:
@@ -738,10 +748,7 @@ class TestBlockedTestScoring:
         split = make_kshot_split(ds.labels, 5, 0)
         grid = simplex_grid(9)
         idx, _, W = _select_config(basis, split, ds.labels, grid, "full", None)
-        tracemalloc.start()
-        _test_accuracy(basis, grid.alphas[idx], W, split, ds.labels)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        _, peak = peak_bytes(_test_accuracy, basis, grid.alphas[idx], W, split, ds.labels)
         assert peak <= 0.1 * ds.features.nbytes
 
 
@@ -792,15 +799,15 @@ class TestScoringThroughXW:
     def test_grid_search_allocates_no_basis(self, cora_shaped, variant):
         # X is 31 MB; the whole basis [X, A X, A_2 X] held two more blocks
         # of its size and peaked at 2.2 x X. Scoring through X W propagates
-        # n x c blocks, and the labeled rows read a few hundred rows of A X:
-        # about 0.4 x X on either first-hop route
-        for X in (cora_shaped.features, cora_shaped.features + 0.5):
+        # n x c blocks, and the labeled rows read a few hundred rows of A X.
+        # The dense route (X + 0.5) holds those rows dense, about 0.34-0.40
+        # x X; the sparse one (1.3%-nonzero X) keeps A X as CSR and makes
+        # only the labeled rows dense, about 0.15-0.22 x X
+        for X, bound in ((cora_shaped.features, 0.3), (cora_shaped.features + 0.5, 0.5)):
             ds = Dataset("cora", cora_shaped.hypergraph, X, cora_shaped.labels)
-            tracemalloc.start()
-            grid_search(ds, simplex_grid(9), k=5, seeds=[0, 1], variant=variant)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            assert peak <= 0.5 * X.nbytes
+            _, peak = peak_bytes(grid_search, ds, simplex_grid(9), k=5, seeds=[0, 1],
+                                 variant=variant)
+            assert peak <= bound * X.nbytes
 
 
 class TestRunResultJson:

@@ -1,9 +1,9 @@
 """Parsing, serialization, degrees, incidence, and the CSV loaders."""
 
+import codecs
 import csv
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -22,9 +22,9 @@ from zen import (
     load_hypergraph,
     load_labels,
 )
-from zen import hypergraph
+from zen import hypergraph, sparsetools
 from zen.hypergraph import parse_hypergraph
-from conftest import random_hypergraph, serialize_hypergraph, src_env
+from conftest import peak_bytes, random_hypergraph, serialize_hypergraph, src_env
 
 
 class TestParsing:
@@ -153,10 +153,7 @@ class TestIncidence:
             for _ in range(m)
         )
         nnz = sum(map(len, edges))
-        tracemalloc.start()
-        hg = Hypergraph(n, edges)  # H and the degrees are built here
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        hg, peak = peak_bytes(Hypergraph, n, edges)  # H and the degrees are built here
         assert incidence_matrix(hg).nnz == nnz
         assert peak < 150 * nnz + 10_000_000
 
@@ -271,18 +268,15 @@ class TestLoaders:
     def test_features_allocation_is_a_small_multiple_of_the_matrix(self, tmp_path, zero, one):
         # X is 8 MB and the file 2 MB (0/1) or 4 MB (0.0/1.0). A csv.reader +
         # float() parse peaks at 49 MB on the 0/1 file (4.9x X + file). The
-        # digit grid (0/1) peaks at 11.0 MB (1.10x), one loadtxt pass over the
-        # 0.0/1.0 file at 13.5 MB (1.13x).
+        # digit grid (0/1), read in row blocks, peaks at 10.1 MB (1.01x), one
+        # loadtxt pass over the 0.0/1.0 file at 13.5 MB (1.13x).
         rng = np.random.default_rng(11)
         dense = (rng.random((2000, 500)) < 0.1).astype(np.int8)
         p = tmp_path / "f.csv"
         p.write_text("\n".join(",".join(one if v else zero for v in r)
                                for r in dense.tolist()) + "\n")
         file_bytes = p.stat().st_size
-        tracemalloc.start()
-        X, _ = load_features(p)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        (X, _), peak = peak_bytes(load_features, p)
         npt.assert_array_equal(X, dense)
         assert peak < 2 * (X.nbytes + file_bytes)
 
@@ -332,6 +326,32 @@ class TestLoaders:
         p.write_text("0,a\n9,b\n")
         with pytest.raises(DatasetError, match="outside"):
             load_labels(p, 2)
+
+    # "CSV UTF-8" files from spreadsheet programs begin with a byte-order mark
+    @pytest.mark.parametrize("text", ["0,1,0\n1,0,1\n0,0,1\n", "a,b,c\n0,1,0\n1,0,1\n",
+                                      "0.5,1,0\n1,0,1\n", "a,b,c\n1,2,3"])
+    def test_features_skip_a_byte_order_mark(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        X, names = load_features(marked)
+        X_ref, names_ref = load_features(plain)
+        assert names == names_ref
+        npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))
+
+    def test_labels_skip_a_byte_order_mark(self, tmp_path):
+        for text in ("0,a\n1,b\n2,a\n", "node_id,label\n0,a\n1,b\n2,a\n"):
+            p = tmp_path / "l.csv"
+            p.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+            ls = load_labels(p, 3)
+            assert ls.class_names == ("a", "b")
+            assert ls.labels.tolist() == [0, 1, 0]
+
+    def test_hypergraph_skips_a_byte_order_mark(self, tmp_path):
+        for text in ("%nodes 4\n0 1\n1 2\n", "0 1\n1 2\n"):
+            p = tmp_path / "e.hg"
+            p.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+            assert load_hypergraph(p) == parse_hypergraph(text)
 
 
 def reference_load_features(path):
@@ -386,6 +406,11 @@ def assert_loads_like_reference(path):
     assert names == names_ref
     assert X.dtype == np.float64 and X.shape == X_ref.shape
     npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))
+
+
+def grid_block_rows(mp, rows):
+    """Make the grid route read ``rows`` rows a block while ``mp`` is active."""
+    mp.setattr(hypergraph, "_slice_len", lambda line_bytes: rows)
 
 
 def loadtxt_calls(mp):
@@ -515,25 +540,75 @@ class TestFeatureParser:
         feature_path.write_bytes(text.encode("utf-8"))
         assert_loads_like_reference(feature_path)
 
+    # blocks of 1-3 rows put a later block's rows, and an edit, past the first
     @settings(max_examples=300, deadline=None)
-    @given(raw=digit_grids())
-    def test_digit_grids_skip_loadtxt(self, feature_path, raw):
+    @given(raw=digit_grids(), block_rows=st.integers(1, 3))
+    def test_digit_grids_skip_loadtxt(self, feature_path, raw, block_rows):
         feature_path.write_bytes(raw)
         with pytest.MonkeyPatch.context() as mp:
             calls = loadtxt_calls(mp)
+            grid_block_rows(mp, block_rows)
             assert_loads_like_reference(feature_path)
         # a grid whose last row lacks its newline is not a grid; the text route reads it
         assert bool(calls) != raw.endswith(b"\n")
 
     @settings(max_examples=500, deadline=None)
-    @given(case=edited_digit_grids())
-    def test_edited_digit_grids_fall_back_to_loadtxt(self, feature_path, case):
+    @given(case=edited_digit_grids(), block_rows=st.integers(1, 3))
+    def test_edited_digit_grids_fall_back_to_loadtxt(self, feature_path, case, block_rows):
         edit, raw = case
         feature_path.write_bytes(raw)
         with pytest.MonkeyPatch.context() as mp:
             calls = loadtxt_calls(mp)
+            grid_block_rows(mp, block_rows)
             assert_loads_like_reference(feature_path)
         assert calls, edit
+
+    # a grid of five rows read two rows a block: the last block holds one row
+    @pytest.mark.parametrize("raw", [
+        b"0,1\n1,0\n0,0\n1,1\n0,1x",      # a bad last byte
+        b"0,1\n1,0\n0,0\n1,1\n0,1\r",     # a carriage return for the last newline
+        b"0,1\n1,0\n0,0\n1,1\n0,",        # a truncated last row
+        b"0,1\n1,0\n0,0\n1,1\n0,1",       # no final newline
+        b"a,b\n0,1\n1,0\n0,0\n1,1\n0,:\n",  # a bad digit in the last block
+    ], ids=["bad-last-byte", "carriage-return", "truncated", "no-final-newline",
+            "bad-digit"])
+    def test_a_fault_in_the_last_block_falls_back_to_loadtxt(self, feature_path, raw):
+        feature_path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = loadtxt_calls(mp)
+            grid_block_rows(mp, 2)
+            assert_loads_like_reference(feature_path)
+        assert calls
+
+    # four rows in blocks of three (two blocks), four (exactly one) and five
+    # (one block, the buffer cut to the rows there are)
+    @pytest.mark.parametrize("block_rows", [3, 4, 5])
+    def test_grid_read_in_blocks_of_any_size(self, feature_path, block_rows):
+        feature_path.write_bytes(b"a,b,c\n0,1,2\n3,4,5\n6,7,8\n9,0,1\n")
+        with pytest.MonkeyPatch.context() as mp:
+            calls = loadtxt_calls(mp)
+            grid_block_rows(mp, block_rows)
+            X, names = load_features(feature_path)
+        assert not calls
+        assert names == ("a", "b", "c")
+        npt.assert_array_equal(X, np.arange(12).reshape(4, 3) % 10)
+
+    def test_cora_shaped_grid_peaks_within_two_blocks_of_the_matrix(self, tmp_path):
+        # 2708 x 1433, about 1.3% ones: X is 31 MB and the file 7.8 MB. Read
+        # whole, with digit and mask arrays beside it, the grid peaked about
+        # 11 MB above X; in row blocks, one buffer of about 2 MB
+        rng = np.random.default_rng(1433)
+        n, d = 2708, 1433
+        dense = rng.random((n, d)) < 18 / d
+        grid = np.full((n, 2 * d), ord(","), dtype=np.uint8)
+        grid[:, ::2] = ord("0") + dense
+        grid[:, -1] = ord("\n")
+        p = tmp_path / "f.csv"
+        grid.tofile(p)
+        (X, names), peak = peak_bytes(load_features, p)
+        assert names is None
+        npt.assert_array_equal(X, dense)
+        assert peak <= X.nbytes + 2 * sparsetools._BLOCK_BYTES
 
     def test_the_bytes_pick_the_route(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

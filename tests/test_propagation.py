@@ -6,7 +6,6 @@ builders.
 """
 
 import contextlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from zen import propagation
+from zen import propagation, sparsetools
 
 from zen import (
     ConfigError,
@@ -36,6 +35,7 @@ from zen.harness import VARIANTS, _variant_basis
 from zen.rsi_approx import dense_diag_oracle
 from conftest import (
     build_A1_hat,
+    peak_bytes,
     plain_adjacency,
     plain_hop,
     random_hypergraph,
@@ -392,7 +392,7 @@ class TestPropagatedBasis:
         self, hg, kind, seed, cols, width, rap
     ):
         X = np.random.default_rng(seed).standard_normal((hg.num_nodes, width))
-        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * hg.num_nodes):
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * hg.num_nodes):
             basis = propagated_basis(hg, X, kind, rap)
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
 
@@ -425,7 +425,7 @@ class TestPropagatedBasis:
         X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
         X[rng.random(n) < 0.3] = -0.0
         force = mock.patch.object(propagation, "_sparse_enough", return_value=True)
-        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * n), \
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
                 (force if forced else contextlib.nullcontext()):
             basis = propagated_basis(hg, X, kind, rap)
         assert basis[0] is X
@@ -460,7 +460,7 @@ class TestPropagatedBasis:
         rows = np.array([i for i in picks if i < n], dtype=np.intp)
         rap = variant in ("full", "no_tcs")
         ds = Dataset("rows", hg, X, LabelSet(np.zeros(n, dtype=np.int64), 1))
-        with mock.patch.object(propagation, "_BLOCK_BYTES", cols * 8 * n), \
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
                 mock.patch.object(propagation, "_sparse_enough", return_value=csr):
             whole = propagated_basis(hg, X, kind, rap)
             assert_bit_identical(propagated_basis(hg, X, kind, rap, rows),
@@ -489,10 +489,7 @@ class TestPropagatedBasis:
         hg = cora_shaped.hypergraph
         for X, csr in ((cora_shaped.features, True), (cora_shaped.features + 0.5, False)):
             assert sparse_enough(X != 0) is csr
-            tracemalloc.start()
-            basis = propagated_basis(hg, X, kind)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+            basis, peak = peak_bytes(propagated_basis, hg, X, kind)
             assert peak <= 2.5 * X.nbytes
             assert_bit_identical(basis, whole_matrix_basis(hg, X, kind))
 
@@ -534,7 +531,7 @@ class TestPropagatedBasis:
     @example(hg=Hypergraph(4, ((0, 1, 2, 3),)), kind=SYM, block=2)
     @example(hg=Hypergraph(7, ((0, 1, 2), (2, 3), (4, 5), (2, 3))), kind=ROW, block=3)
     def test_closed_form_rsi_2_matches_the_matrix_route(self, hg, kind, block):
-        with mock.patch.object(propagation, "_BLOCK_BYTES", block * propagation._ENTRY_BYTES):
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", block * propagation._ENTRY_BYTES):
             closed = rsi_diag_2(hg)
         m = propagation._middle_degree_factor(degrees(hg).node_degrees)
         matrix = propagation._two_hop_diag(build_A1_star(hg, kind), m)
@@ -551,11 +548,8 @@ class TestPropagatedBasis:
         hg = Hypergraph(n, tuple(tuple(rng.choice(n, size=10, replace=False))
                                  for _ in range(4000)))
         nnz = incidence_matrix(hg).nnz
-        tracemalloc.start()
-        rsi_diag_2(hg)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= 2 * propagation._BLOCK_BYTES + 64 * (n + nnz)
+        _, peak = peak_bytes(rsi_diag_2, hg)
+        assert peak <= 2 * sparsetools._BLOCK_BYTES + 64 * (n + nnz)
 
     # where every two-hop walk comes back, the returning walks and rsi_2 * X
     # cancel in exact arithmetic only: two nodes joined by repeated
@@ -598,10 +592,7 @@ class TestPropagatedBasis:
         covered = degrees(hg).node_degrees > 0
         for kind in (SYM, ROW):
             for rap in (True, False):
-                tracemalloc.start()
-                basis = propagated_basis(hg, X, kind, rap)
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
+                basis, peak = peak_bytes(propagated_basis, hg, X, kind, rap)
                 assert peak < 32 * 2**20
                 if kind is ROW and not rap:
                     # the AllDeepSets hop is row-stochastic on covered nodes

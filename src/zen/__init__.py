@@ -30,13 +30,12 @@ _LAZY_EXPORTS = {
         "tcs_weights", "train_weights_gd",
     ),
     "harness": (
-        "Dataset", "RunResult", "SeedResult", "SimplexGrid", "WeightReport",
-        "explain_weights", "grid_search", "load_dataset", "make_kshot_split",
-        "run_config", "simplex_grid",
+        "Dataset", "RunResult", "explain_weights", "grid_search",
+        "load_dataset", "make_kshot_split", "run_config", "simplex_grid",
     ),
     "hypergraph": (
-        "DegreeProfile", "Hypergraph", "LabelSet", "degrees",
-        "incidence_matrix", "load_features", "load_hypergraph", "load_labels",
+        "Hypergraph", "LabelSet", "degrees", "incidence_matrix",
+        "load_features", "load_hypergraph", "load_labels",
     ),
     "propagation": (
         "NormalizationKind", "PropagationConfig", "build_A1_star",

@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["full", "no_rap", "no_tcs", "no_both", "linearized_hgnn"],
                      help="ablation variant (default full)")
     run.add_argument("--norm", default="sym", choices=["sym", "row"],
-                     help="degree normalization (default sym)")
+                     help="degree normalization (default sym); linearized_hgnn "
+                          "ignores it, its propagation is always sym")
     run.add_argument("--threads", type=_positive_int, default=None,
                      help="BLAS/OpenMP thread cap (default: machine parallelism)")
     run.add_argument("--format", default="table", choices=["json", "table"],
@@ -211,7 +212,7 @@ def _cmd_rsi(args) -> int:
     import json as _json
 
     from .hypergraph import load_hypergraph
-    from .propagation import NormalizationKind, _factored_hops, rsi_diag_1, rsi_diag_2
+    from .propagation import NormalizationKind, _factored_hops, _Hop, rsi_diag_1, rsi_diag_2
     from .rsi_approx import (
         HutchinsonParams,
         WalkParams,
@@ -262,15 +263,12 @@ def _cmd_rsi(args) -> int:
     else:
         params = HutchinsonParams(num_probes=args.probes, rng_seed=args.seed)
         # the hops go through H as in propagated_basis, so no hop matrix is
-        # built: A1^ z = A1* z + rsi_1 * z, the two-hop composition is
-        # A1* (m * A1* z), and W is the plain row hop, applied l times
+        # built: A1^ is the rap hop with its diagonal kept, the two-hop
+        # composition is A1* (m * A1* z), and W is the plain row hop, applied
+        # l times
         if l in (1, 2):
             hop, hop2 = _factored_hops(hg, kind, rap=True)
-            if l == 1:
-                r1 = rsi_diag_1(hg)
-                matvec = lambda z: hop(z) + r1 * z
-            else:
-                matvec = lambda z: hop2(hop(z))
+            matvec = _Hop(hop.left, hop.right) if l == 1 else lambda z: hop2(hop(z))
         else:
             walk, _ = _factored_hops(hg, NormalizationKind.ROW, rap=False)
 

@@ -46,8 +46,9 @@ sum_j a_j (A_j (X W))_i, an n x c propagation costing O(nnz(H) c) per seed
 round differently, so a row whose top two scores lie within ``_NEAR_TIE``
 of its rounding bound, the same propagation of |X| |W| through the hops'
 magnitudes, is re-scored through the row route: its rows of the blocks
-mixed, normalized and multiplied by W. A row the mix leaves structurally
-zero predicts class 0 without either. ``linearized_hgnn`` has a single
+mixed, normalized and multiplied by W. A row whose mix has only zero
+terms, found by pushing |X| 1 through the same magnitudes, is exactly zero
+and predicts class 0 without either. ``linearized_hgnn`` has a single
 block and no mixing, so it is evaluated once per seed, at the first grid
 point, instead of at all of them.
 """
@@ -248,7 +249,8 @@ class _Basis:
     ``rows`` gives the blocks the variant mixes at any rows, bit for bit the
     same rows of the whole blocks, by propagating only what those rows read.
     ``scores`` gives a configuration's class scores at every row through
-    the propagation of X W, and a bound on their rounding.
+    the propagation of X W, a bound on their rounding, and the rows the mix
+    leaves zero.
     """
 
     features: np.ndarray
@@ -256,7 +258,6 @@ class _Basis:
     propagation: _Propagation
     bounds: _Propagation                # its terms by magnitude
     blocks: slice                       # the blocks of [X, A X, A_2 X] mixed
-    live: np.ndarray                    # n x 3: where each block can be nonzero
 
     @property
     def num_nodes(self) -> int:
@@ -272,34 +273,31 @@ class _Basis:
             return np.asarray(alphas, dtype=np.float64)
         return np.array([0.0, 0.0, 1.0])
 
-    def zero_rows(self, alphas) -> np.ndarray:
-        """Rows where every block the mix weighs is structurally zero, so the
-        mix is exactly zero whatever X holds: isolated nodes, nodes in no
-        edge of two or more members under RAP, and, for A2* X, nodes whose
-        two-hop walks all return."""
-        return ~self.live[:, self.weights(alphas) != 0].any(axis=1)
-
-    def scores(self, alphas, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_j a_j A_j (X W) at every row, and each row's bound on the
-        rounding of both it and the row route's scores: the largest entry of
+    def scores(self, alphas, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sum_j a_j A_j (X W) at every row; each row's bound on the rounding
+        of both it and the row route's scores, the largest entry of
         sum_j a_j |A_j| (|X| |W|), where |A_j| sums the magnitudes of A_j's
-        terms. Row normalization divides a row's scores by a positive
-        number, so their argmax is the embedding's."""
+        terms; and the rows where sum_j a_j |A_j| (|X| 1) is 0.0, whose
+        mixed row has only zero terms and so is exactly zero. Row
+        normalization divides a row's scores by a positive number, so their
+        argmax is the embedding's."""
         P, Q = _products(self.sparse if self.sparse is not None else self.features, W)
         a = self.weights(alphas)
         mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
-        return mix(self.propagation.basis(P)), mix(self.bounds.basis(Q)).max(axis=1)
+        bounds = mix(self.bounds.basis(Q))
+        return mix(self.propagation.basis(P)), bounds[:, :-1].max(axis=1), bounds[:, -1] == 0.0
 
 
 def _products(X, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X W and |X| |W| for a dense or CSR X; a dense |X| is formed a row
+    """X W and |X| [|W| 1] for a dense or CSR X; a dense |X| is formed a row
     slice at a time."""
+    M = np.hstack([np.abs(W), np.ones((W.shape[0], 1))])
     if sp.issparse(X):
-        return X @ W, abs(X) @ np.abs(W)
-    Q = np.empty((X.shape[0], W.shape[1]))
+        return X @ W, abs(X) @ M
+    Q = np.empty((X.shape[0], M.shape[1]))
     step = _slice_len(X.itemsize * X.shape[1])
     for start in range(0, X.shape[0], step):
-        np.matmul(np.abs(X[start:start + step]), np.abs(W), out=Q[start:start + step])
+        np.matmul(np.abs(X[start:start + step]), M, out=Q[start:start + step])
     return X @ W, Q
 
 
@@ -319,13 +317,9 @@ def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _
     if variant == "linearized_hgnn":
         kind, blocks = NormalizationKind.SYMMETRIC, slice(2, None)
     propagation = _Propagation.build(hg, kind, rap=variant in ("full", "no_tcs"))
-    bounds = propagation.absolute()
-    # a block's row is structurally zero where the magnitudes of its terms
-    # sum to zero for X = 1
-    live = np.hstack(bounds.basis(np.ones((hg.num_nodes, 1)))) > 0
     X = dataset.features
     return _Basis(features=X, sparse=_feature_csr(X), propagation=propagation,
-                  bounds=bounds, blocks=blocks, live=live)
+                  bounds=propagation.absolute(), blocks=blocks)
 
 
 def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:
@@ -353,11 +347,9 @@ class _LabeledRows:
     labels: LabelSet
 
 
-def _labeled_rows(basis, split: Split, labels: LabelSet) -> _LabeledRows:
-    """The split's labeled rows of ``basis``: a ``_Basis``, which propagates
-    only those rows, or a list of stored n-row blocks."""
-    stored = not isinstance(basis, _Basis)
-    n = basis[0].shape[0] if stored else basis.num_nodes
+def _labeled_rows(basis: _Basis, split: Split, labels: LabelSet) -> _LabeledRows:
+    """The split's labeled rows of ``basis``, which propagates only those rows."""
+    n = basis.num_nodes
     if split.num_nodes != n or labels.num_nodes != n:
         raise SplitError(
             f"inconsistent sizes: basis has {n} rows, split {split.num_nodes}, "
@@ -371,7 +363,7 @@ def _labeled_rows(basis, split: Split, labels: LabelSet) -> _LabeledRows:
     rows = np.concatenate([np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)])
     first = np.arange(rows.size) < np.count_nonzero(split.train_mask)
     return _LabeledRows(
-        blocks=[block[rows] for block in basis] if stored else basis.rows(rows),
+        blocks=basis.rows(rows),
         split=Split(first, ~first, np.zeros(rows.size, dtype=bool)),
         labels=LabelSet(labels.labels[rows], labels.num_classes),
     )
@@ -400,7 +392,7 @@ def _eval_config(
 
 
 def _select_config(
-    basis: list[np.ndarray],
+    basis: _Basis,
     split: Split,
     labels: LabelSet,
     grid: SimplexGrid,
@@ -531,17 +523,14 @@ def _test_accuracy(
     rounding, may rank the classes the other way or find a zero row. Unsure
     rows are scored through the row route, their rows of the blocks mixed,
     normalized and multiplied by W, about 2 MiB of rows at a time. A row
-    the mix leaves structurally zero (``_Basis.zero_rows``) predicts class
-    0 with neither. One warning is logged with the count of zero embedding
-    rows.
+    whose mix has only zero terms (``_Basis.scores``) predicts class 0 with
+    neither. One warning is logged with the count of zero embedding rows.
     """
     rows = np.flatnonzero(split.test_mask)
     truth = labels.labels[rows]
     if rows.size == 0:
         return _accuracy(rows, truth)  # raises the empty-mask SplitError
-    scores, bound = basis.scores(alphas, W)
-    scores, bound = scores[rows], bound[rows]
-    zero = basis.zero_rows(alphas)[rows]
+    scores, bound, zero = (v[rows] for v in basis.scores(alphas, W))
     if scores.shape[1] > 1:
         ranked = np.sort(scores, axis=1)
         gap = ranked[:, -1] - ranked[:, -2]

@@ -22,21 +22,22 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   with the subtraction under ``rap`` only. l and w are folded into one
   scaled CSR copy of H and r into one of H^T, built once in O(nnz(H)), so a
   hop costs products over about 2 nnz(H) + n entries per column instead of
-  one over the about sum size^2 entries of the hop matrix. The subtraction
-  rides in the second product: -diag(rsi_1) is appended to the copy of H as
-  n more columns and V below H^T (r * V), so each row sums its edge terms
-  and then subtracts its own term. With ``rap`` the two-hop block is
-  A2* X = A1* (m * A1* X) - rsi_2 * X with m = d/(d - 1); m is folded into
-  a second copy of H^T, and the second hop removes (rsi_1 m) * (A1* X). On
-  the rows where every two-hop walk returns, A2* is structurally zero, but
-  the returning walks and rsi_2 * X cancel only to rounding, and row
-  normalization would blow that residue up to a unit row; those rows are
-  set to 0.0 (``_returning_rows``, O(nnz(H)) integer counts). Without
-  ``rap`` the block is A (A X). For a dense X the blocks are filled in
-  column slices of about 2 MiB of scratch, so beside X only the kept blocks
-  are allocated. Each output column of a CSR times dense product is summed
-  on its own and the elementwise steps are exact, so the slices give the
-  whole-matrix expression bit for bit.
+  one over the about sum size^2 entries of the hop matrix. Every removed
+  diagonal is subtracted after its product (``_minus_rows``), so each row
+  sums its edge terms and then subtracts its own term: in place for a
+  dense V, as one CSR difference for a CSR V. With ``rap`` the two-hop
+  block is A2* X = A1* (m * A1* X) - rsi_2 * X with m = d/(d - 1); m is
+  folded into a second copy of H^T, and the second hop removes
+  (rsi_1 m) * (A1* X). On the rows where every two-hop walk returns, A2* is
+  structurally zero, but the returning walks and rsi_2 * X cancel only to
+  rounding, and row normalization would blow that residue up to a unit
+  row; those rows are set to 0.0 (``_returning_rows``, O(nnz(H)) integer
+  counts). Without ``rap`` the block is A (A X). Both feature routes run
+  one two-hop body: the first hop, the second, then rsi_2 * X. For a dense
+  X it fills the blocks in column slices of about 2 MiB of scratch, so
+  beside X only the kept blocks are allocated. Each output column of a CSR
+  times dense product is summed on its own and the elementwise steps are
+  exact, so the slices give the whole-matrix expression bit for bit.
 
   Given ``rows``, the second hop is cut down to those rows and the first to
   the nodes the second reads: the members of the edges at ``rows`` (and
@@ -70,11 +71,11 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
 route: X is copied to CSR once, both hops are CSR times CSR products, and
-rsi_2 * X is subtracted at X's nonzeros only. A X stays CSR: the second hop
-reads it as CSR, and only the rows of it that are returned are made dense,
-so a row set's second hop holds the rows of A X it reads at their nonzeros
-alone. The layout is chosen from X's measured density alone
-(``_sparse_enough``); denser X stays dense.
+each removed diagonal is subtracted at the nonzeros of the V it scales. A X
+stays CSR: the second hop reads it as CSR, and only the rows of it that are
+returned are made dense, so a row set's second hop holds the rows of A X it
+reads at their nonzeros alone. The layout is chosen from X's measured
+density alone (``_sparse_enough``); denser X stays dense.
 
 Both routes give the same bits. Each entry of T = H^T (r * V) and of the hop
 of V, for V = X and then V = A X, is summed over the stored entries of one
@@ -84,7 +85,9 @@ each skipped term is +0.0 or -0.0; every running sum starts at +0.0, so it
 is never -0.0, and adding a zero of either sign leaves it unchanged. An
 entry of T or of A X that a CSR product drops because it summed to zero is
 +0.0 on the dense route, so it too only adds zeros. For the same reason
-subtracting rsi_2 * 0 where X is zero changes nothing.
+subtracting c * 0 where V is zero changes nothing, and an entry that a CSR
+difference drops because it came out zero is +0.0 on the dense route,
+since x - x is +0.0 and no sum is -0.0.
 
 Degenerate structure never divides by zero: singleton edges contribute no
 propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
@@ -93,7 +96,6 @@ propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -231,15 +233,14 @@ def _scales(hg: Hypergraph, kind: NormalizationKind, rap: bool):
     raise ConfigError(f"bad normalization kind {kind!r}")
 
 
-def _subtract_rows(out: np.ndarray, c: np.ndarray, V, scratch: np.ndarray) -> None:
-    """out -= c * V in place, row i of V scaled by c[i]; at V's stored entries
-    only when V is sparse. A dense c * V is written to the front of the flat
-    array ``scratch``."""
-    if sp.issparse(V):
-        nz = V.tocoo()
-        out[nz.row, nz.col] -= c[nz.row] * nz.data
-    else:
-        out -= np.multiply(c[:, None], V, out=scratch[:V.size].reshape(V.shape))
+def _minus_rows(out, c: np.ndarray, V):
+    """out - c * V, row i of V scaled by c[i]: in place when ``out`` is dense
+    (V a vector or an array), a new CSR matrix when it is CSR (V too)."""
+    if sp.issparse(out):
+        scaled = np.repeat(c, np.diff(V.indptr)) * V.data
+        return out - sp.csr_matrix((scaled, V.indices, V.indptr), shape=V.shape)
+    out -= (c * V.T).T    # c scales V's rows, whether V is a vector or not
+    return out
 
 
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,31 +253,28 @@ def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Hop:
-    """V -> left [right V; V]: a hop through scaled copies of H, never built.
+    """V -> left (right V) - diag * V[own]: a hop through scaled copies of H,
+    never built.
 
-    ``right`` is H^T diag(r), e x n. ``left`` is diag(l) H diag(w), n x e,
-    with -diag(c) appended as n more columns when the hop removes a diagonal
-    c, so one product sums a row's edge terms and then subtracts its own.
-    Without a diagonal it is left (right V).
+    ``right`` is H^T diag(r), e x n, and ``left`` is diag(l) H diag(w), n x e.
+    ``diag`` is the diagonal the hop removes, None when it keeps it: each
+    output row sums its edge terms and then subtracts its own term, its row
+    of V scaled by diag. ``own`` is None when the output rows are V's rows,
+    and on a restricted hop the positions of the output rows among V's.
     """
 
     left: sp.csr_matrix
     right: sp.csr_matrix
+    diag: np.ndarray | None = None
+    own: np.ndarray | None = None
 
-    def __call__(self, V, buffer=None):
+    def __call__(self, V):
         """The hop of V, a vector, an n x k array or a CSR matrix; the result is
-        CSR for a CSR V, else dense. A dense stack [right V; V] is built in the
-        front of the flat array ``buffer`` when one is given."""
-        ne, n = self.right.shape
-        if self.left.shape[1] == ne:
-            return self.left @ (self.right @ V)
-        if sp.issparse(V):
-            return self.left @ sp.vstack([self.right @ V, V], format="csr")
-        shape = (ne + n,) + V.shape[1:]
-        B = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
-        B[ne:] = V
-        B[:ne] = self.right @ B[ne:]
-        return self.left @ B
+        CSR for a CSR V, else dense."""
+        out = self.left @ (self.right @ V)
+        if self.diag is None:
+            return out
+        return _minus_rows(out, self.diag, _take(V, self.own))
 
     def restrict(self, rows: np.ndarray | None) -> tuple["_Hop", np.ndarray | None]:
         """The hop's rows ``rows`` as a hop of V's rows at the returned nodes:
@@ -291,18 +289,15 @@ class _Hop:
             return self, None
         ne, n = self.right.shape
         left = self.left[rows]
-        at_edge = left.indices < ne
-        edges, edge_at = _renumber(left.indices[at_edge], ne)
+        edges, edge_at = _renumber(left.indices, ne)
         right = self.right[edges]
         nodes, node_at = _renumber(np.concatenate([right.indices, rows]), n)
-        cols = np.empty_like(left.indices)
-        cols[at_edge] = edge_at[left.indices[at_edge]]
-        cols[~at_edge] = edges.size + node_at[left.indices[~at_edge] - ne]
-        width = edges.size + (nodes.size if self.left.shape[1] > ne else 0)
         return _Hop(
-            sp.csr_matrix((left.data, cols, left.indptr), shape=(len(rows), width)),
+            sp.csr_matrix((left.data, edge_at[left.indices], left.indptr),
+                          shape=(len(rows), edges.size)),
             sp.csr_matrix((right.data, node_at[right.indices], right.indptr),
                           shape=(edges.size, nodes.size)),
+            _take(self.diag, rows), node_at[rows],
         ), nodes
 
 
@@ -320,10 +315,8 @@ def _factored_hops(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> tuple[
     Ht = H.T.tocsr()
 
     def hop(scale, diag):
-        right = sp.csr_matrix((scale[Ht.indices], Ht.indices, Ht.indptr), shape=Ht.shape)
-        if diag is None:
-            return _Hop(left, right)
-        return _Hop(sp.hstack([left, sp.diags(-diag)], format="csr"), right)
+        return _Hop(left, sp.csr_matrix((scale[Ht.indices], Ht.indices, Ht.indptr),
+                                        shape=Ht.shape), diag)
 
     if not rap:
         plain = hop(r, None)
@@ -460,12 +453,13 @@ class _Propagation:
 
     def absolute(self) -> "_Propagation":
         """Every term of this propagation by its magnitude: the hops'
-        factors, and rsi_2 added instead of subtracted. Applied to |V| it
-        gives, entry by entry, the sum of the magnitudes of the terms this
-        one sums for V, which bounds their rounding."""
-        rsi_2 = None if self.rsi_2 is None else -self.rsi_2
-        hop, hop2 = (_Hop(abs(h.left), abs(h.right)) for h in (self.hop, self.hop2))
-        return _Propagation(hop, hop2, rsi_2, self.returning)
+        factors, and every removed diagonal added instead of subtracted.
+        Applied to |V| it gives, entry by entry, the sum of the magnitudes
+        of the terms this one sums for V, which bounds their rounding."""
+        flip = lambda v: None if v is None else -v
+        hop, hop2 = (_Hop(abs(h.left), abs(h.right), flip(h.diag), h.own)
+                     for h in (self.hop, self.hop2))
+        return _Propagation(hop, hop2, flip(self.rsi_2), self.returning)
 
     def basis(self, X, Xs: sp.csr_matrix | None = None, rows=None) -> list[np.ndarray]:
         """[X, A X, A_2 X] at ``rows`` (every row when None), in their order.
@@ -479,13 +473,28 @@ class _Propagation:
         hop2, mid = self.hop2.restrict(rows)
         hop, src = self.hop.restrict(mid)
         rsi_2 = _take(self.rsi_2, rows)
-        if Xs is None:
-            X1, X2 = _dense_hops(hop, hop2, X, src, rows, rsi_2)
+        own = None if rows is None else np.searchsorted(src, rows)
+
+        def hops(V):
+            """A V and the two-hop block of V, for V read at the nodes ``src``."""
+            at_rows = None if rsi_2 is None else _take(V, own)
+            V1 = hop(V)
+            del V   # freed before the second hop, which reads only V1
+            V2 = hop2(V1)
+            return V1, (V2 if rsi_2 is None else _minus_rows(V2, rsi_2, at_rows))
+
+        if Xs is not None:
+            X1, X2 = hops(_take(Xs, src))
+            X2 = X2.toarray()
         else:
-            X1 = hop(_take(Xs, src))
-            X2 = hop2(X1).toarray()
-            if rsi_2 is not None:
-                _subtract_rows(X2, rsi_2, _take(Xs, rows), None)
+            d = X.shape[1]
+            X1 = np.empty((hop.left.shape[0], d))
+            X2 = np.empty((hop2.left.shape[0], d))
+            # a slice's temporaries hold a hop's rows of V and of right V
+            step = _slice_len(X1.itemsize * max(sum(h.right.shape) for h in (hop, hop2)))
+            for start in range(0, d, step):
+                cols = slice(start, start + step)
+                X1[:, cols], X2[:, cols] = hops(_take(X[:, cols], src))
         if self.returning is not None:
             # rounding leaves a residue where the returning walks and rsi_2 cancel
             X2[_take(self.returning, rows)] = 0.0
@@ -494,33 +503,9 @@ class _Propagation:
         return [X, X1.toarray() if sp.issparse(X1) else X1, X2]
 
 
-def _take(V, rows, cols=None):
-    """Rows ``rows`` of V, or V itself when ``rows`` is None; of the columns
-    ``cols`` only, when given."""
-    if V is not None and cols is not None:
-        V = V[:, cols]
+def _take(V, rows):
+    """Rows ``rows`` of V, or V itself when either is None."""
     return V if V is None or rows is None else V[rows]
-
-
-def _dense_hops(hop, hop2, X, src, rows, rsi_2):
-    """The output rows of ``hop`` and of ``hop2`` after it, for a dense X
-    read at the nodes ``src`` and rsi_2 * X subtracted at ``rows``, filled
-    in column slices through one reused scratch array."""
-    d = X.shape[1]
-    X1 = np.empty((hop.left.shape[0], d))
-    X2 = np.empty((hop2.left.shape[0], d))
-    # one flat scratch array, reused by every slice, for the stacks of the
-    # hops and the rsi_2 * X term
-    stack_rows = max(sum(h.right.shape) for h in (hop, hop2))
-    step = _slice_len(X1.itemsize * max(stack_rows, X1.shape[0]))
-    stack = np.empty(stack_rows * min(step, d)) if rsi_2 is not None else None
-    for start in range(0, d, step):
-        cols = slice(start, start + step)
-        X1[:, cols] = hop(_take(X, src, cols), stack)
-        X2[:, cols] = hop2(X1[:, cols], stack)
-        if rsi_2 is not None:
-            _subtract_rows(X2[:, cols], rsi_2, _take(X, rows, cols), stack)
-    return X1, X2
 
 
 def propagated_basis(
@@ -544,10 +529,11 @@ def propagated_basis(
     bit for bit.
 
     When X is sparse enough (``_sparse_enough``), both hops are taken from a
-    CSR copy of X, A X stays CSR until its returned rows, and rsi_2 * X is
-    subtracted at X's nonzeros only; otherwise X stays dense and each slice
-    takes its own columns of X. The two routes agree bit for bit (see the
-    module docstring). A wrong-shaped X is a DatasetError.
+    CSR copy of X, A X stays CSR until its returned rows, and each removed
+    diagonal is subtracted at the nonzeros of the V it scales; otherwise X
+    stays dense and each slice takes its own columns of X. The two routes
+    agree bit for bit (see the module docstring). A wrong-shaped X is a
+    DatasetError.
     """
     n = hg.num_nodes
     if np.ndim(X) != 2 or np.shape(X)[0] != n:

@@ -1,8 +1,8 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
 edge-file writer, the one-hop A1^, plain and walk matrices and the
-materialized two-hop reference, the per-config selection reference, the
-primal gradient-descent reference, the allocation-peak probe, and a
-Cora-shaped instance built in memory."""
+materialized two-hop reference, a basis over stored blocks, the per-config
+selection reference, the primal gradient-descent reference, the
+allocation-peak probe, and a Cora-shaped instance built in memory."""
 
 import os
 import tracemalloc
@@ -187,6 +187,21 @@ def edgeless_basis(X: np.ndarray):
     n = X.shape[0]
     ds = Dataset("edgeless", Hypergraph(n, ()), X, LabelSet(np.zeros(n, dtype=np.int64), 1))
     return _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+
+
+class StoredBlocks:
+    """Stored n-row blocks standing in for a ``harness._Basis``: ``rows``
+    gives their rows at a row set, every row when None."""
+
+    def __init__(self, *blocks: np.ndarray):
+        self.blocks = blocks
+
+    @property
+    def num_nodes(self) -> int:
+        return self.blocks[0].shape[0]
+
+    def rows(self, rows=None) -> list[np.ndarray]:
+        return [block if rows is None else block[rows] for block in self.blocks]
 
 
 def select_reference(basis, split, labels, grid, variant, training):

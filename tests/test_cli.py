@@ -290,11 +290,12 @@ class TestRsi:
     @pytest.mark.parametrize("hops", ["1", "2", "0", "3"])
     def test_hutchinson_builds_no_hop_matrix(self, tmp_path, capsys, monkeypatch, hops):
         # every estimate applies its hops through the incidence, as
-        # propagated_basis does: the one-hop matvec adds rsi_1 * z to A1* z,
-        # the two-hop one multiplies by d/(d-1) between two hops, and a walk
-        # target applies the plain row hop l times. Every hop matrix the
-        # package builds passes through ``compact``. Unequal degrees, so the
-        # sym and row forms differ.
+        # propagated_basis does: the one-hop matvec is the rap hop with its
+        # diagonal kept, the two-hop one multiplies by d/(d-1) between two
+        # hops that each subtract their diagonal, and a walk target applies
+        # the plain row hop l times. Every hop matrix the package builds
+        # passes through ``compact``. Unequal degrees, so the sym and row
+        # forms differ.
         import zen.propagation as propagation
         import zen.rsi_approx as rsi_approx
         hg = Hypergraph(5, ((0, 1), (1, 2, 3), (0, 3), (3, 4)))

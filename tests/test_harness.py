@@ -46,6 +46,7 @@ from zen.harness import (
 )
 
 from conftest import (
+    StoredBlocks,
     edgeless_basis,
     peak_bytes,
     select_reference,
@@ -551,6 +552,21 @@ class TestLabeledRowSearch:
             assert r.val_acc == val
             assert r.test_acc == test
 
+    def test_sparse_labeled_rows_allocate_little(self, cora_shaped):
+        # X is 31 MB and 1.3% nonzero, so it takes the sparse route: A X stays
+        # CSR and every removed diagonal is subtracted from a CSR product.
+        # One split's labeled rows peak at about 0.11-0.13 x X; stacking
+        # -diag(rsi_1) columns and a copy of V into each hop took 0.15-0.18
+        ds = cora_shaped
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        assert basis.sparse is not None
+        for seed in range(4):
+            split = make_kshot_split(ds.labels, 5, seed)
+            labeled = np.concatenate([np.flatnonzero(split.train_mask),
+                                      np.flatnonzero(split.val_mask)])
+            _, peak = peak_bytes(basis.rows, labeled)
+            assert peak <= 0.14 * ds.features.nbytes, seed
+
 
 def selection_instance(labels, roles, X, edges):
     """A dataset and a split given node by node: role t, v or x is train,
@@ -652,9 +668,9 @@ class TestGramSelection:
         # wherever a1 == a2. Row v2 (class 1) mixes to (a1, a0 + a2). Both
         # are right only at (1/9, 4/9, 4/9), one of the tied configs.
         e0, e1, ones = [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
-        basis = [np.array([e0, e1, ones, e1, e1]),
-                 np.array([e0, e1, e0, e1, e0]),
-                 np.array([e0, e1, e1, e1, e1])]
+        basis = StoredBlocks(np.array([e0, e1, ones, e1, e1]),
+                             np.array([e0, e1, e0, e1, e0]),
+                             np.array([e0, e1, e1, e1, e1]))
         labels = LabelSet(labels=np.array([0, 1, 0, 1, 1]), num_classes=2)
         split = Split(np.array([1, 1, 0, 0, 0], bool), np.array([0, 0, 1, 1, 1], bool),
                       np.zeros(5, bool))
@@ -697,8 +713,8 @@ class TestGramSelection:
         # the diverging configs' scores neither tie nor win: only the freeze
         # flags them.
         eye, u0, u1 = np.eye(4), [1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 0.5, 1.0]
-        basis = [np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),
-                 np.zeros((6, 4)), np.array([u0, u0, u1, u1, u1, u0])]
+        basis = StoredBlocks(np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),
+                             np.zeros((6, 4)), np.array([u0, u0, u1, u1, u1, u0]))
         labels = LabelSet(labels=np.array([0, 0, 1, 1, 0, 1]), num_classes=2)
         split = Split(np.arange(6) < 4, np.arange(6) >= 4, np.zeros(6, bool))
         training = TrainingParams(lr=0.5)
@@ -718,7 +734,7 @@ class TestGramSelection:
         rng = np.random.default_rng(800)
         c, k, d = 4, 100, 8
         labels = LabelSet(labels=np.arange(2 * k * c + 40) % c, num_classes=c)
-        basis = [rng.random((labels.num_nodes, d)) for _ in range(3)]
+        basis = StoredBlocks(*(rng.random((labels.num_nodes, d)) for _ in range(3)))
         split = make_kshot_split(labels, k, 0)
         L = 2 * k * c
         _, peak = peak_bytes(_select_config, basis, split, labels, simplex_grid(9), "full", None)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from zen import (
     DatasetError,
-    DegreeProfile,
     Hypergraph,
     HypergraphParseError,
     LabelSet,
@@ -23,7 +22,7 @@ from zen import (
     load_labels,
 )
 from zen import hypergraph, sparsetools
-from zen.hypergraph import parse_hypergraph
+from zen.hypergraph import DegreeProfile, parse_hypergraph
 from conftest import peak_bytes, random_hypergraph, serialize_hypergraph, src_env
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, GuardError, SplitError
+from .errors import ConfigError, DivergenceError, GuardError, SplitError, check_count
 from .hypergraph import LabelSet
 from .sparsetools import check_guard
 
@@ -136,8 +136,7 @@ class TrainingParams:
     def __post_init__(self):
         if self.lr is not None and not (0 < self.lr < np.inf):
             raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
+        check_count("epochs", self.epochs)
 
 
 def _descend(K, Y, params: TrainingParams, limit: float = DIVERGENCE_LIMIT):
@@ -203,10 +202,8 @@ class SpectralComponents:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
             raise ConfigError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
-        for name in ("k", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        check_count("k", self.k)
+        check_count("c", self.c)
 
     @property
     def lambda1(self) -> float:

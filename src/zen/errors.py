@@ -4,6 +4,8 @@ Everything raised on purpose derives from ZenError so callers (and the CLI)
 can separate computation failures from usage mistakes.
 """
 
+from numbers import Integral
+
 
 class ZenError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,6 +27,14 @@ class DatasetError(ZenError):
 
 class ConfigError(ZenError):
     """Invalid configuration value (weights off the simplex, bad hop count, ...)."""
+
+
+def check_count(name, value, minimum=1) -> None:
+    """Raise ConfigError unless ``value`` is an integer (numpy's included,
+    which register as ``numbers.Integral``) of at least ``minimum``, 1 or 0."""
+    if not isinstance(value, Integral) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 class GuardError(ZenError):

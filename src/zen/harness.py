@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,7 +74,7 @@ from .classifier import (
     tcs_weights,
     train_weights_gd,
 )
-from .errors import ConfigError, DatasetError, SplitError
+from .errors import ConfigError, DatasetError, SplitError, check_count
 from .hypergraph import (
     Hypergraph,
     LabelSet,
@@ -187,8 +187,7 @@ def simplex_grid(denominator: int) -> SimplexGrid:
     Enumerated lexicographically by (a, b); the count is (q+1)(q+2)/2, which
     is 55 at the default denominator 9.
     """
-    if not isinstance(denominator, (int, np.integer)) or denominator < 1:
-        raise ConfigError(f"denominator must be a positive integer, got {denominator!r}")
+    check_count("denominator", denominator)
     q = int(denominator)
     triples = []
     for a in range(q + 1):
@@ -200,8 +199,7 @@ def simplex_grid(denominator: int) -> SimplexGrid:
 
 def _check_split_args(k, seeds) -> None:
     """Reject a non-positive or non-integer k and any seed outside [0, 2**128)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    check_count("k", k)
     for seed in seeds:
         if not 0 <= seed < 2**128:
             raise ConfigError(f"seed must be in [0, 2**128), got {seed!r}")
@@ -595,27 +593,11 @@ class RunResult:
     timing_ms: dict
 
     def to_json(self, include_timing: bool = False) -> str:
-        """Serialize with a fixed key order; timing is null unless asked for,
-        so identical runs serialize to identical bytes."""
-        payload = {
-            "dataset": self.dataset,
-            "k": self.k,
-            "variant": self.variant,
-            "grid_denominator": self.grid_denominator,
-            "seeds": list(self.seeds),
-            "per_seed": [
-                {
-                    "seed": r.seed,
-                    "selected_alphas": list(r.selected_alphas),
-                    "val_acc": r.val_acc,
-                    "test_acc": r.test_acc,
-                }
-                for r in self.per_seed
-            ],
-            "mean_test": self.mean_test,
-            "std_test": self.std_test,
-            "timing_ms": dict(self.timing_ms) if include_timing else None,
-        }
+        """Serialize the fields in declaration order; timing is null unless
+        asked for, so identical runs serialize to identical bytes."""
+        payload = asdict(self)
+        if not include_timing:
+            payload["timing_ms"] = None
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -714,8 +696,8 @@ class WeightReport:
         payload = {
             "features": list(self.feature_names),
             "classes": list(self.class_names),
-            "values": [[float(v) for v in row] for row in self.values],
-            "ranks": [[int(r) for r in row] for row in self.ranks],
+            "values": self.values.tolist(),
+            "ranks": self.ranks.tolist(),
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -734,21 +716,20 @@ def explain_weights(
     if W.ndim != 2:
         raise DatasetError(f"weight matrix must be 2-d, got shape {W.shape}")
     d, c = W.shape
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(d))
-    else:
-        feature_names = tuple(str(s) for s in feature_names)
-        if len(feature_names) != d:
-            raise DatasetError(f"{len(feature_names)} feature names for {d} rows")
-    if class_names is None:
-        class_names = tuple(f"c{i}" for i in range(c))
-    else:
-        class_names = tuple(str(s) for s in class_names)
-        if len(class_names) != c:
-            raise DatasetError(f"{len(class_names)} class names for {c} columns")
-    ranks = np.empty_like(W, dtype=np.int64)
-    for i in range(d):
-        order = np.argsort(-W[i], kind="stable")
-        ranks[i, order] = np.arange(1, c + 1)
+    feature_names = _names(feature_names, "f", d, "feature names for {} rows")
+    class_names = _names(class_names, "c", c, "class names for {} columns")
+    # each row's ranks invert its stable order, so ties go to the lower class id
+    ranks = np.argsort(np.argsort(-W, axis=1, kind="stable"), axis=1) + 1
     return WeightReport(values=W.copy(), feature_names=feature_names,
                         class_names=class_names, ranks=ranks)
+
+
+def _names(names, prefix: str, count: int, mismatch: str) -> tuple[str, ...]:
+    """``names`` as strings, or prefix0.. when None. Any other count than
+    ``count`` is a DatasetError, "{len} " + ``mismatch`` filled with ``count``."""
+    if names is None:
+        return tuple(f"{prefix}{i}" for i in range(count))
+    names = tuple(str(s) for s in names)
+    if len(names) != count:
+        raise DatasetError(f"{len(names)} " + mismatch.format(count))
+    return names

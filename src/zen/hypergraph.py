@@ -65,7 +65,9 @@ class Hypergraph:
 
     ``hyperedges`` is an iterable of node-id collections, one per edge, in any
     order and possibly with repeated ids. Edges of any size >= 1 are allowed,
-    including singletons and verbatim duplicates; nodes may be isolated.
+    including singletons and verbatim duplicates; nodes may be isolated. An
+    id is an integer or a whole float such as 2.0; anything else, NaN and
+    infinity included, is a DatasetError.
     """
 
     __slots__ = ("num_nodes", "_incidence", "_degrees")
@@ -78,8 +80,15 @@ class Hypergraph:
         lengths = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
         if lengths.size and lengths.min() == 0:
             raise DatasetError("empty hyperedge")
-        members = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                              count=int(lengths.sum()))
+        try:
+            members = np.fromiter(chain.from_iterable(edges), dtype=np.float64,
+                                  count=int(lengths.sum()))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(f"node ids must be numbers: {exc}") from None
+        whole = np.isfinite(members) & (members == np.trunc(members))
+        if not whole.all():
+            bad = [*chain.from_iterable(edges)][whole.argmin()]
+            raise DatasetError(f"node id {bad!r} is not an integer")
         cols = np.repeat(np.arange(len(edges)), lengths)
         outside = (members < 0) | (members >= num_nodes)
         if outside.any():
@@ -87,7 +96,7 @@ class Hypergraph:
             raise DatasetError(
                 f"hyperedge {bad} references a node outside [0, {num_nodes})"
             )
-        H = sp.csr_matrix((np.ones(members.size), (members, cols)),
+        H = sp.csr_matrix((np.ones(members.size), (members.astype(np.int64), cols)),
                           shape=(num_nodes, len(edges)))
         H.sum_duplicates()  # a repeated id inside an edge is one membership
         H.sort_indices()
@@ -207,8 +216,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if v < 0:
                 raise HypergraphParseError(f"negative node id {v}", line=lineno)
             ids.append(v)
-        if not ids:
-            raise HypergraphParseError("empty hyperedge", line=lineno)
         if len(set(ids)) < len(ids):
             dup_edges += 1
         edges.append(ids)

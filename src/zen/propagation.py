@@ -533,10 +533,17 @@ def propagated_basis(
     diagonal is subtracted at the nonzeros of the V it scales; otherwise X
     stays dense and each slice takes its own columns of X. The two routes
     agree bit for bit (see the module docstring). A wrong-shaped X is a
-    DatasetError.
+    DatasetError, and ``rows`` other than a 1-d array of node ids in [0, n)
+    a ConfigError.
     """
     n = hg.num_nodes
     if np.ndim(X) != 2 or np.shape(X)[0] != n:
         raise DatasetError(f"features have shape {np.shape(X)}, expected ({n}, num_features)")
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            rows = rows.astype(np.int64)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
+            raise ConfigError(f"rows must be a 1-d array of node ids in [0, {n})")
     return _Propagation.build(hg, kind, rap).basis(X, _feature_csr(X), rows)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IsolatedNodeError
+from .errors import ConfigError, IsolatedNodeError, check_count
 from .hypergraph import Hypergraph, degrees, incidence_matrix
 from .propagation import NormalizationKind
 from .sparsetools import check_guard
@@ -44,12 +44,9 @@ class WalkParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.walk_length, (int, np.integer)) or self.walk_length < 1:
-            raise ConfigError(f"walk_length must be a positive integer, got {self.walk_length!r}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
+        check_count("walk_length", self.walk_length)
+        check_count("trials", self.trials)
+        check_count("rng_seed", self.rng_seed, minimum=0)
 
 
 def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> float:
@@ -90,10 +87,8 @@ class HutchinsonParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.num_probes, (int, np.integer)) or self.num_probes < 1:
-            raise ConfigError(f"num_probes must be a positive integer, got {self.num_probes!r}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
+        check_count("num_probes", self.num_probes)
+        check_count("rng_seed", self.rng_seed, minimum=0)
 
 
 def hutchinson_diag(matvec, n: int, params: HutchinsonParams) -> np.ndarray:
@@ -142,8 +137,7 @@ def dense_diag_oracle(
     stored incidence, which the tests check against raw edge lists.
     """
     check_guard(hg.num_nodes, "dense diagonal oracle")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ConfigError(f"hop count must be a nonnegative integer, got {l!r}")
+    check_count("hop count", l, minimum=0)
     n, m = hg.num_nodes, hg.num_edges
     Hd = np.zeros((n, m), dtype=np.float64)
     for j, e in enumerate(hg.hyperedges):

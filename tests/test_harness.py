@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zen import (
     ConfigError,
@@ -888,6 +889,16 @@ class TestExplainWeights:
     def test_rank_ties_prefer_lower_class(self):
         report = explain_weights(np.array([[1.0, 1.0, 0.5]]))
         npt.assert_array_equal(report.ranks, [[1, 2, 3]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(W=hnp.arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                        elements=st.integers(-2, 2).map(float)))
+    def test_ranks_follow_each_rows_stable_order(self, W):
+        ranks = np.zeros(W.shape, dtype=np.int64)
+        for i, row in enumerate(W):
+            for rank, j in enumerate(sorted(range(W.shape[1]), key=lambda j: (-row[j], j)), 1):
+                ranks[i, j] = rank
+        npt.assert_array_equal(explain_weights(W).ranks, ranks)
 
     def test_names_are_used(self):
         report = explain_weights(

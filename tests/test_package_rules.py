@@ -8,20 +8,31 @@ user: the package's own modules, the benchmark, the acceptance criteria or
 README's library examples. A name that only the unit tests call belongs in
 the tests, not in the API. The CLI spells the variant names out, so that
 numpy is not imported before ``--threads`` takes effect; they must stay the
-harness's names.
+harness's names. Every count argument goes through ``errors.check_count``,
+so each call site gives the same message for the same mistake. README's
+library example runs, and its quickstart prints the line README quotes.
 """
 
 import argparse
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import zen
-from zen import harness
-from zen.cli import build_parser
+from zen import (
+    ConfigError, Hypergraph, HutchinsonParams, LabelSet, SpectralComponents,
+    TrainingParams, WalkParams, dense_diag_oracle, harness, make_kshot_split,
+    simplex_grid,
+)
+from zen.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "zen"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_package_has_no_assert_statements():
@@ -63,8 +74,7 @@ def test_every_export_has_a_user_outside_the_unit_tests():
     sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     sources += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     texts = [path.read_text(encoding="utf-8") for path in sources]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    texts += re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    texts += re.findall(r"^```python\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
     used = set().union(*(_referenced_names(ast.parse(text)) for text in texts))
     unused = sorted(set(zen.__all__) - used)
     assert not unused, f"exported but used only by the unit tests: {', '.join(unused)}"
@@ -82,3 +92,52 @@ def test_cli_variant_choices_are_the_harness_variants():
     assert _choices("run", "--variant") == harness.VARIANTS
     closed_form = tuple(v for v in harness.VARIANTS if not harness._GD_WEIGHTS[v])
     assert _choices("explain", "--variant") == closed_form
+
+
+_LABELS = LabelSet(np.repeat(np.arange(2), 5), 2)
+_EDGE = Hypergraph(2, ((0, 1),))
+
+# (argument name, smallest accepted value, a call that checks it)
+_COUNT_SITES = [
+    ("epochs", 1, lambda v: TrainingParams(epochs=v)),
+    ("k", 1, lambda v: SpectralComponents(0.1, v, 2)),
+    ("c", 1, lambda v: SpectralComponents(0.1, 2, v)),
+    ("denominator", 1, lambda v: simplex_grid(v)),
+    ("k", 1, lambda v: make_kshot_split(_LABELS, v, 0)),
+    ("walk_length", 1, lambda v: WalkParams(v, 1)),
+    ("trials", 1, lambda v: WalkParams(1, v)),
+    ("rng_seed", 0, lambda v: WalkParams(1, 1, v)),
+    ("num_probes", 1, lambda v: HutchinsonParams(v)),
+    ("rng_seed", 0, lambda v: HutchinsonParams(1, v)),
+    ("hop count", 0, lambda v: dense_diag_oracle(_EDGE, l=v)),
+]
+
+
+@pytest.mark.parametrize("name, minimum, site", _COUNT_SITES,
+                         ids=[f"{i}-{s[0]}" for i, s in enumerate(_COUNT_SITES)])
+def test_count_arguments_share_one_check(name, minimum, site):
+    kind = "positive" if minimum == 1 else "nonnegative"
+    for bad in (minimum - 1, 2.5):
+        with pytest.raises(ConfigError) as info:
+            site(bad)
+        assert str(info.value) == f"{name} must be a {kind} integer, got {bad!r}"
+    site(np.int64(minimum + 1))
+
+
+def _readme_block(fence: str, starts: str) -> str:
+    blocks = re.findall(rf"^```{fence}\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+    return next(block for block in blocks if block.startswith(starts))
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    exec(compile(_readme_block("python", ""), "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_readme_quickstart_line_is_what_zen_run_prints(monkeypatch, capsys):
+    command = _readme_block("sh", "zen run").replace("\\\n", " ")
+    quoted = re.search(r"^```\n(toy .*)\n```", README, flags=re.MULTILINE).group(1)
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == quoted + "\n"

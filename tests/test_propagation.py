@@ -431,6 +431,15 @@ class TestPropagatedBasis:
         assert basis[0] is X
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
 
+    def test_rows_must_be_node_ids(self):
+        # the row lookups would misplace a negative id instead of failing
+        X = np.random.default_rng(0).standard_normal((_DEGENERATE.num_nodes, 3))
+        for rows in ([-1, 3], [0, 9], np.ones(9, dtype=bool), [[1, 2]], [1.0]):
+            with pytest.raises(ConfigError, match="node ids"):
+                propagated_basis(_DEGENERATE, X, rows=rows)
+        empty = propagated_basis(_DEGENERATE, X, rows=[])
+        assert [block.shape for block in empty] == [(0, 3)] * 3
+
     # any rows, in any order, propagated alone, on both first-hop routes and
     # for every variant, where X holds -0.0 and the graphs hold singletons,
     # duplicate edges, isolated nodes and nodes whose two-hop walks all return

@@ -30,9 +30,9 @@ class ConfigError(ZenError):
 
 
 def check_count(name, value, minimum=1) -> None:
-    """Raise ConfigError unless ``value`` is an integer (numpy's included,
-    which register as ``numbers.Integral``) of at least ``minimum``, 1 or 0."""
-    if not isinstance(value, Integral) or value < minimum:
+    """Raise ConfigError unless ``value`` is an integer (numpy's included, as
+    ``numbers.Integral``; a bool is not a count) of at least ``minimum``, 1 or 0."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
         raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 

@@ -52,6 +52,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import pos
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,8 +82,8 @@ class Hypergraph:
         if lengths.size and lengths.min() == 0:
             raise DatasetError("empty hyperedge")
         try:
-            members = np.fromiter(chain.from_iterable(edges), dtype=np.float64,
-                                  count=int(lengths.sum()))
+            members = np.fromiter(map(pos, chain.from_iterable(edges)), dtype=np.float64,
+                                  count=int(lengths.sum()))    # +"2" raises; "2" parses
         except (TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"node ids must be numbers: {exc}") from None
         whole = np.isfinite(members) & (members == np.trunc(members))

@@ -62,9 +62,10 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
 
   B is formed one node block at a time, (H diag(w))[a:b] H^T, each block
   sized by the entries its rows can hold (H @ sizes) to about 2 MiB of
-  scratch, so no n x n object is held. The block's diagonal entries are
-  zeroed before the sum, so every term is nonnegative and nothing cancels:
-  where every term is zero the sum is exactly +0.0, as the matrix route's is.
+  scratch, so no n x n object is held, even for a caller that holds A1*. The
+  block's diagonal entries are zeroed before the sum, so every term is
+  nonnegative and nothing cancels: where every term is zero the sum is
+  exactly +0.0, as on the matrix route diag(A1* diag(m) A1*).
 * ``build_A1_star`` is the one hop built as a matrix, for callers that read
   A1* itself: its diagonal is zeroed before the one ``compact`` drops it.
   Every other hop, the plain forms included, goes through H.
@@ -365,20 +366,17 @@ def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.nd
     rsi_i = sum_k A1*[i,k] * (d_k/(d_k-1)) * A1*[k,i], which counts every
     two-hop path that leaves node i and returns to it, whichever edges the
     path uses. Like the one-hop value, it is the same for both normalization
-    kinds, so it takes none. Given ``a1_star`` (of either kind) it is read off
-    that matrix in O(nnz); otherwise it is D^{-1} offdiag(B o B) g over node
-    blocks of B = H diag(w) H^T (see the module docstring), and no n x n
-    object is formed.
+    kinds, so it takes none. It is D^{-1} offdiag(B o B) g over node blocks
+    of B = H diag(w) H^T (see the module docstring), and no n x n object is
+    formed. A given ``a1_star`` is checked for its shape and not read: the
+    product that reads rsi_2 off it holds two more copies of A1*.
     """
     n = hg.num_nodes
+    if a1_star is not None and a1_star.shape != (n, n):
+        raise ConfigError(f"a1_star has shape {a1_star.shape}, expected ({n}, {n})")
     prof = degrees(hg)
-    d = prof.node_degrees
-    if a1_star is not None:
-        if a1_star.shape != (n, n):
-            raise ConfigError(f"a1_star has shape {a1_star.shape}, expected ({n}, {n})")
-        return _two_hop_diag(a1_star, _middle_degree_factor(d))
+    d, sizes = prof.node_degrees, prof.edge_sizes
     H = incidence_matrix(hg)
-    sizes = prof.edge_sizes
     Hw = sp.csr_matrix((_excl_edge_weight(sizes)[H.indices], H.indices, H.indptr), shape=H.shape)
     Ht = H.T.tocsr()
     g = _div(1.0, d - 1.0, d >= 2)
@@ -423,11 +421,6 @@ def _returning_rows(hg: Hypergraph) -> np.ndarray:
     linking = (sizes >= 2).astype(np.float64)
     via = H @ (linking * (H.T @ branching)) - (H @ linking) * branching
     return via == 0
-
-
-def _two_hop_diag(a1_star: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
-    prod = a1_star.multiply(a1_star.T.tocsr())
-    return np.asarray(prod @ m).ravel()
 
 
 @dataclass(frozen=True)

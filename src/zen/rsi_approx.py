@@ -53,29 +53,37 @@ def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> fl
     """Fraction of simulated walks of length ``walk_length`` that end at their start.
 
     All trials advance in lockstep: each step draws one uniform per trial to
-    pick an incident edge and one more to pick a member of that edge. Walks
-    can only visit nodes with at least one incident edge, so every step is
-    well defined; starting from an isolated node is an error.
+    pick an incident edge and one more to pick a member of that edge, into
+    one reused buffer scaled by float64 degrees and sizes, and gathers with
+    int64 indices. Walks only visit nodes with an incident edge, so starting
+    from an isolated node is an error.
     """
-    if not (0 <= node < hg.num_nodes):
+    check_count("node", node, minimum=0)
+    if node >= hg.num_nodes:
         raise ConfigError(f"node {node} outside [0, {hg.num_nodes})")
     prof = degrees(hg)
     if prof.node_degrees[node] == 0:
         raise IsolatedNodeError(f"node {node} has no incident hyperedge")
     H = incidence_matrix(hg)
-    node_ptr, node_edges = H.indptr, H.indices         # incident edges per node
     Hc = H.tocsc()
-    edge_ptr, edge_members = Hc.indptr, Hc.indices     # members per edge
-    deg = prof.node_degrees
-    sz = prof.edge_sizes
+    node_ptr, node_edges, edge_ptr, edge_members = (
+        a.astype(np.int64) for a in (H.indptr, H.indices, Hc.indptr, Hc.indices))
+    deg, sz = (c.astype(np.float64) for c in (prof.node_degrees, prof.edge_sizes))
 
     rng = _generator(params.rng_seed)
-    cur = np.full(params.trials, node, dtype=np.int64)
+    u, at = np.empty(params.trials), np.empty(params.trials, dtype=np.int64)
+    cur = node     # every trial starts here, so the first step reads scalars
     for _ in range(params.walk_length):
-        u = rng.random(params.trials)
-        e = node_edges[node_ptr[cur] + (u * deg[cur]).astype(np.int64)]
-        u = rng.random(params.trials)
-        cur = edge_members[edge_ptr[e] + (u * sz[e]).astype(np.int64)].astype(np.int64)
+        np.multiply(rng.random(out=u), deg[cur], out=u)
+        np.copyto(at, u, casting="unsafe")     # truncates, as astype does
+        at += node_ptr[cur]
+        del cur     # each del frees a trial-length array before the next is made
+        e = node_edges[at]
+        np.multiply(rng.random(out=u), sz[e], out=u)
+        np.copyto(at, u, casting="unsafe")
+        at += edge_ptr[e]
+        del e
+        cur = edge_members[at]
     return float(np.count_nonzero(cur == node)) / params.trials
 
 
@@ -100,12 +108,12 @@ def hutchinson_diag(matvec, n: int, params: HutchinsonParams) -> np.ndarray:
     probe sequence. The estimate is unbiased, exact in every entry whose row
     has no off-diagonal mass, and its error shrinks as 1/sqrt(num_probes).
     """
-    if n < 1:
-        raise ConfigError(f"dimension must be positive, got {n}")
+    check_count("dimension", n)
     rng = _generator(params.rng_seed)
     acc = np.zeros(n, dtype=np.float64)
     for _ in range(params.num_probes):
-        z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
+        z = rng.integers(0, 2, size=n) * 2.0     # float64 0.0 or 2.0
+        z -= 1.0
         az = np.asarray(matvec(z), dtype=np.float64).reshape(-1)
         if az.shape != (n,):
             raise ConfigError(f"matvec returned shape {az.shape}, expected ({n},)")
@@ -142,11 +150,10 @@ def dense_diag_oracle(
     Hd = np.zeros((n, m), dtype=np.float64)
     for j, e in enumerate(hg.hyperedges):
         Hd[list(e), j] = 1.0
-    d = Hd.sum(axis=1)
-    sz = Hd.sum(axis=0)
+    d, sz = Hd.sum(axis=1), Hd.sum(axis=0)
+    inv_d = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
 
     if family == "walk":
-        inv_d = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
         inv_sz = np.where(sz > 0, 1.0 / np.where(sz > 0, sz, 1.0), 0.0)
         W = inv_d[:, None] * ((Hd * inv_sz[None, :]) @ Hd.T)
         return np.linalg.matrix_power(W, int(l)).diagonal().copy()
@@ -167,7 +174,6 @@ def dense_diag_oracle(
         isq = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
         A1h = isq[:, None] * B * isq[None, :]
     else:
-        inv_d = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
         A1h = inv_d[:, None] * B
     if l == 1:
         return A1h.diagonal().copy()

@@ -1,7 +1,8 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-edge-file writer, the one-hop A1^, plain and walk matrices and the
-materialized two-hop reference, a basis over stored blocks, the per-config
-selection reference, the primal gradient-descent reference, the
+adversarial-hypergraph strategy, the edge-file writer, the one-hop A1^,
+plain and walk matrices and the materialized two-hop reference and
+diagonal, the lockstep walk reference, a basis over stored blocks, the
+per-config selection reference, the primal gradient-descent reference, the
 allocation-peak probe, and a Cora-shaped instance built in memory."""
 
 import os
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from zen import (
     Dataset,
@@ -97,6 +99,21 @@ def random_hypergraph(rng: np.random.Generator, max_nodes: int = 50) -> Hypergra
     return Hypergraph(n, tuple(edges))
 
 
+@st.composite
+def adversarial_hypergraphs(draw):
+    """Small instances that mix singletons, duplicate edges, isolated and
+    degree-1 nodes, and optionally one edge holding every covered node."""
+    n = draw(st.integers(1, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    edges = [tuple(sorted(e)) for e in draw(st.lists(edge, max_size=10))]
+    if edges and draw(st.booleans()):
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    if draw(st.booleans()):
+        edges.append(tuple(range(n)))
+    isolated = draw(st.integers(0, 2))
+    return Hypergraph(n + isolated, tuple(edges))
+
+
 def _hop_reference(hg: Hypergraph, kind: NormalizationKind, w: np.ndarray) -> sp.csr_matrix:
     """D H diag(w) H^T D as canonical CSR, with the node scales of ``kind``:
     D_v^{-1/2} on both sides for symmetric, D_v^{-1} on the left for row."""
@@ -179,6 +196,31 @@ def two_hop_reference(
         keep = A2.row != A2.col
         A2 = sp.coo_matrix((A2.data[keep], (A2.row[keep], A2.col[keep])), shape=A2.shape)
     return A2.tocsr()
+
+
+def two_hop_diag(a1_star: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
+    """diag(A1* diag(m) A1*) read off the matrix, as sum_k A1*[i, k] m_k
+    A1*[k, i]: the matrix route the closed-form rsi_2 is checked against."""
+    prod = a1_star.multiply(a1_star.T.tocsr())
+    return np.asarray(prod @ m).ravel()
+
+
+def walk_return_reference(hg: Hypergraph, node: int, params) -> float:
+    """The lockstep return-probability walk in its plainest form: a fresh
+    uniform array per draw, H's own index tables, int64 degrees and sizes,
+    and every trial's position held from the first step.
+    ``random_walk_return_prob`` must give its result bit for bit."""
+    H = incidence_matrix(hg)
+    Hc = H.tocsc()
+    deg, sz = degrees(hg).node_degrees, degrees(hg).edge_sizes
+    rng = np.random.Generator(np.random.Philox(key=params.rng_seed))
+    cur = np.full(params.trials, node, dtype=np.int64)
+    for _ in range(params.walk_length):
+        u = rng.random(params.trials)
+        e = H.indices[H.indptr[cur] + (u * deg[cur]).astype(np.int64)]
+        u = rng.random(params.trials)
+        cur = Hc.indices[Hc.indptr[e] + (u * sz[e]).astype(np.int64)].astype(np.int64)
+    return float(np.count_nonzero(cur == node)) / params.trials
 
 
 def edgeless_basis(X: np.ndarray):

@@ -96,7 +96,7 @@ class TestHypergraphType:
 
     def test_node_ids_are_whole_numbers(self):
         # truncating 1.5 or -0.5 to an id would build the wrong edge
-        for bad in (1.5, -0.5, "a", None, float("nan"), float("inf")):
+        for bad in (1.5, -0.5, "a", "2", b"2", None, float("nan"), float("inf")):
             with pytest.raises(DatasetError):
                 Hypergraph(3, ((0, bad),))
         assert Hypergraph(3, ((2, np.int64(2), 2.0, 0),)) == Hypergraph(3, ((0, 2),))

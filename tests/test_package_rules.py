@@ -10,11 +10,13 @@ the tests, not in the API. The CLI spells the variant names out, so that
 numpy is not imported before ``--threads`` takes effect; they must stay the
 harness's names. Every count argument goes through ``errors.check_count``,
 so each call site gives the same message for the same mistake. README's
-library example runs, and its quickstart prints the line README quotes.
+library example runs, its quickstart prints the line README quotes, and its
+``zen rsi`` commands print the values README quotes, rounded.
 """
 
 import argparse
 import ast
+import json
 import re
 import shlex
 from pathlib import Path
@@ -25,8 +27,8 @@ import pytest
 import zen
 from zen import (
     ConfigError, Hypergraph, HutchinsonParams, LabelSet, SpectralComponents,
-    TrainingParams, WalkParams, dense_diag_oracle, harness, make_kshot_split,
-    simplex_grid,
+    TrainingParams, WalkParams, dense_diag_oracle, harness, hutchinson_diag,
+    make_kshot_split, random_walk_return_prob, simplex_grid,
 )
 from zen.cli import build_parser, main
 
@@ -110,6 +112,8 @@ _COUNT_SITES = [
     ("num_probes", 1, lambda v: HutchinsonParams(v)),
     ("rng_seed", 0, lambda v: HutchinsonParams(1, v)),
     ("hop count", 0, lambda v: dense_diag_oracle(_EDGE, l=v)),
+    ("node", 0, lambda v: random_walk_return_prob(_EDGE, v, WalkParams(1, 1))),
+    ("dimension", 1, lambda v: hutchinson_diag(lambda z: z, v, HutchinsonParams(1))),
 ]
 
 
@@ -117,7 +121,7 @@ _COUNT_SITES = [
                          ids=[f"{i}-{s[0]}" for i, s in enumerate(_COUNT_SITES)])
 def test_count_arguments_share_one_check(name, minimum, site):
     kind = "positive" if minimum == 1 else "nonnegative"
-    for bad in (minimum - 1, 2.5):
+    for bad in (minimum - 1, 2.5, True):
         with pytest.raises(ConfigError) as info:
             site(bad)
         assert str(info.value) == f"{name} must be a {kind} integer, got {bad!r}"
@@ -141,3 +145,22 @@ def test_readme_quickstart_line_is_what_zen_run_prints(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == quoted + "\n"
+
+
+def test_readme_rsi_figures_are_what_zen_rsi_prints(monkeypatch, capsys):
+    block = _readme_block("sh", "# which features")
+    commands = [line for line in block.splitlines() if line.startswith("zen rsi")]
+    monkeypatch.chdir(ROOT)
+    printed = []
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0
+        report = json.loads(capsys.readouterr().out)
+        printed += [report["value"], report["exact"]]
+    # exact and Hutchinson rsi2, then the walk's estimate and exact value
+    assert printed == [0.5, 0.5, 0.5190237243993278, 0.5, 0.27104, 0.2731481481481481]
+    prose = re.search(r"^The first two measure .*?\n\n", README,
+                      flags=re.DOTALL | re.MULTILINE).group(0)
+    quoted = re.findall(r"\b0\.\d+", prose)
+    assert quoted == ["0.5", "0.519", "0.271", "0.273"]
+    for text, value in zip(quoted, [printed[0], printed[2], printed[4], printed[5]]):
+        assert float(text) == round(value, len(text) - 2)

@@ -34,11 +34,13 @@ from zen import (
 from zen.harness import VARIANTS, _variant_basis
 from zen.rsi_approx import dense_diag_oracle
 from conftest import (
+    adversarial_hypergraphs,
     build_A1_hat,
     peak_bytes,
     plain_adjacency,
     plain_hop,
     random_hypergraph,
+    two_hop_diag,
     two_hop_reference,
     walk_transition_matrix,
 )
@@ -73,21 +75,6 @@ def mixed_operator(hg, alphas, variant="full", kind=SYM):
     ds = Dataset("op", hg, np.eye(n), LabelSet(np.zeros(n, dtype=np.int64), 1))
     basis = _variant_basis(ds, kind, variant).rows()
     return sum(a * block for a, block in zip(alphas, basis))
-
-
-@st.composite
-def adversarial_hypergraphs(draw):
-    """Small instances that mix singletons, duplicate edges, isolated and
-    degree-1 nodes, and optionally one edge holding every covered node."""
-    n = draw(st.integers(1, 12))
-    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    edges = [tuple(sorted(e)) for e in draw(st.lists(edge, max_size=10))]
-    if edges and draw(st.booleans()):
-        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
-    if draw(st.booleans()):
-        edges.append(tuple(range(n)))
-    isolated = draw(st.integers(0, 2))
-    return Hypergraph(n + isolated, tuple(edges))
 
 
 # every degenerate case at once: a singleton edge, a duplicated edge, a giant
@@ -540,10 +527,13 @@ class TestPropagatedBasis:
     @example(hg=Hypergraph(4, ((0, 1, 2, 3),)), kind=SYM, block=2)
     @example(hg=Hypergraph(7, ((0, 1, 2), (2, 3), (4, 5), (2, 3))), kind=ROW, block=3)
     def test_closed_form_rsi_2_matches_the_matrix_route(self, hg, kind, block):
+        A1 = build_A1_star(hg, kind)
         with mock.patch.object(sparsetools, "_BLOCK_BYTES", block * propagation._ENTRY_BYTES):
             closed = rsi_diag_2(hg)
+            given = rsi_diag_2(hg, a1_star=A1)  # shape-checked, then the same blocks
+        npt.assert_array_equal(given.view(np.int64), closed.view(np.int64))
         m = propagation._middle_degree_factor(degrees(hg).node_degrees)
-        matrix = propagation._two_hop_diag(build_A1_star(hg, kind), m)
+        matrix = two_hop_diag(A1, m)
         npt.assert_allclose(closed, matrix, rtol=0, atol=1e-12)
         npt.assert_allclose(closed, dense_diag_oracle(hg, kind, 2), rtol=0, atol=1e-12)
         zero = matrix == 0.0
@@ -551,14 +541,15 @@ class TestPropagatedBasis:
 
     def test_rsi_2_allocates_about_one_block_of_B(self):
         # one block of B rows at a time, beside O(n + nnz(H)) arrays: the
-        # scaled copies of H and the per-node sums
+        # scaled copies of H and the per-node sums, also when A1* is given
         rng = np.random.default_rng(0)
         n = 2000
         hg = Hypergraph(n, tuple(tuple(rng.choice(n, size=10, replace=False))
                                  for _ in range(4000)))
         nnz = incidence_matrix(hg).nnz
-        _, peak = peak_bytes(rsi_diag_2, hg)
-        assert peak <= 2 * sparsetools._BLOCK_BYTES + 64 * (n + nnz)
+        for a1_star in (None, build_A1_star(hg)):
+            _, peak = peak_bytes(rsi_diag_2, hg, a1_star=a1_star)
+            assert peak <= 2 * sparsetools._BLOCK_BYTES + 64 * (n + nnz)
 
     # where every two-hop walk comes back, the returning walks and rsi_2 * X
     # cancel in exact arithmetic only: two nodes joined by repeated

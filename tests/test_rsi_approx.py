@@ -7,6 +7,7 @@ standard errors, checked against the exact values before freezing.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zen import (
     ConfigError,
@@ -23,7 +24,14 @@ from zen.rsi_approx import (
     hutchinson_diag,
     random_walk_return_prob,
 )
-from conftest import plain_hop, random_hypergraph, two_hop_reference, walk_transition_matrix
+from conftest import (
+    adversarial_hypergraphs,
+    plain_hop,
+    random_hypergraph,
+    two_hop_reference,
+    walk_return_reference,
+    walk_transition_matrix,
+)
 
 ROW = NormalizationKind.ROW
 
@@ -98,6 +106,24 @@ class TestWalkEstimator:
         p = random_walk_return_prob(triangle_hg, 0, WalkParams(1, 1, 0))
         assert p in (0.0, 1.0)
 
+    # the kernel's tables, buffers and scalar first step against the loop
+    # that held every array anew: the same draws give the same bits
+    @settings(max_examples=150, deadline=None)
+    @given(hg=adversarial_hypergraphs(), pick=st.integers(0, 2**16),
+           length=st.integers(1, 4), trials=st.integers(1, 3000),
+           seed=st.integers(0, 2**64 - 1))
+    @example(hg=Hypergraph(3, ((0,), (0, 1), (1, 2))), pick=0, length=3, trials=3000,
+             seed=0)    # a start in a singleton edge
+    @example(hg=Hypergraph(4, ((0, 1), (0, 2), (2, 3), (0, 1))), pick=0, length=4,
+             trials=3000, seed=1)    # a start whose edges all have two members
+    def test_matches_the_lockstep_reference_bit_for_bit(self, hg, pick, length, trials, seed):
+        starts = np.flatnonzero(degrees(hg).node_degrees)
+        assume(starts.size)
+        node = int(starts[pick % starts.size])
+        params = WalkParams(length, trials, seed)
+        got = random_walk_return_prob(hg, node, params)
+        assert got == walk_return_reference(hg, node, params)
+
     def test_isolated_start_rejected(self, singleton_hg):
         with pytest.raises(IsolatedNodeError):
             random_walk_return_prob(singleton_hg, 1, WalkParams(1, 10, 0))
@@ -107,6 +133,9 @@ class TestWalkEstimator:
             random_walk_return_prob(path_hg, 3, WalkParams(1, 10, 0))
         with pytest.raises(ConfigError):
             random_walk_return_prob(path_hg, -1, WalkParams(1, 10, 0))
+        for bad in ("1", None):     # -1, 2.5 and True: test_package_rules
+            with pytest.raises(ConfigError, match="node must be a nonnegative integer"):
+                random_walk_return_prob(path_hg, bad, WalkParams(1, 10, 0))
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):

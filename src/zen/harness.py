@@ -18,10 +18,11 @@ re-running a selected configuration reproduces the grid's numbers bit for
 bit and ``zen explain`` gets the winner's weights the same way.
 
 No n x d block is propagated whole. ``_variant_basis`` prepares a
-variant's propagation once per run (the hops through the incidence, rsi_2,
-X's CSR copy), and ``_Basis.rows`` propagates only the rows asked for, bit
-for bit the same rows of the whole blocks: each seed's labeled rows, and
-the test rows whose class the scores below cannot settle.
+variant's propagation once per run (the hops through the incidence and
+rsi_2) beside the dataset's one stored X, dense or CSR, and ``_Basis.rows``
+propagates only the rows asked for, bit for bit the same rows of the whole
+blocks: each seed's labeled rows, and the test rows whose class the scores
+below cannot settle.
 
 Selection does not call ``_eval_config`` once per configuration. Once per
 seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
@@ -82,13 +83,8 @@ from .hypergraph import (
     load_hypergraph,
     load_labels,
 )
-from .propagation import (
-    NormalizationKind,
-    PropagationConfig,
-    _feature_csr,
-    _Propagation,
-)
-from .sparsetools import _slice_len
+from .propagation import NormalizationKind, PropagationConfig, _Propagation
+from .sparsetools import _as_features, _dense, _feature_csr, _slice_len
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 
@@ -106,28 +102,63 @@ _NEAR_TIE = 1e-9
 _CANCELLATION = 1e-2
 
 
+class _Features:
+    """The ``features`` field of a Dataset: given a dense array or a scipy
+    sparse matrix, read back as a dense n x d array.
+
+    The value given is kept as it is, in ``_features``, and
+    ``Dataset.__post_init__`` replaces it with X's one stored form. Reading
+    the field returns a stored dense X itself and a new dense copy of a
+    stored CSR one, bit for bit (``-0.0`` included), so callers that need an
+    array get one; the package reads ``_features``.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("features")    # the field has no default
+        X = obj._features
+        return _dense(X) if sp.issparse(X) else X
+
+    def __set__(self, obj, value):
+        object.__setattr__(obj, "_features", value)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """A hypergraph with per-node features and labels, plus printable names."""
+    """A hypergraph with per-node features and labels, plus printable names.
+
+    ``features`` may be a dense array or a scipy sparse matrix, and X is
+    stored once, in the form ``_sparse_enough`` picks. A sparse matrix is
+    kept sparse, as canonical float64 CSR; a dense array is kept as it is
+    unless it is sparse enough, when its CSR copy (``_feature_csr``, which
+    keeps ``-0.0`` entries) is stored instead. X must be finite, which is
+    checked on the stored values. Reading ``features`` gives X as a dense
+    array (see ``_Features``).
+    """
 
     name: str
     hypergraph: Hypergraph
-    features: np.ndarray
+    features: np.ndarray = _Features()
     labels: LabelSet
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        object.__setattr__(self, "features", X)
+        X = _as_features(self._features)
         n = self.hypergraph.num_nodes
         if X.ndim != 2 or X.shape[0] != n:
             raise DatasetError(
                 f"features have shape {X.shape}, expected ({n}, num_features)"
             )
-        # a row slice at a time, so no n x d mask is formed
-        step = _slice_len(X.itemsize * X.shape[1])
-        if not all(np.isfinite(X[a:a + step]).all() for a in range(0, n, step)):
+        if not sp.issparse(X):
+            csr = _feature_csr(X)
+            X = X if csr is None else csr
+        # the stored values; a dense X a row slice at a time, so no n x d
+        # mask is formed
+        step = _slice_len(8 * X.shape[1])
+        parts = [X.data] if sp.issparse(X) else (X[a:a + step] for a in range(0, n, step))
+        if not all(np.isfinite(part).all() for part in parts):
             raise DatasetError("features contain NaN or infinity")
+        object.__setattr__(self, "_features", X)
         if self.labels.num_nodes != n:
             raise DatasetError(
                 f"{self.labels.num_nodes} labels for {n} nodes"
@@ -143,7 +174,7 @@ class Dataset:
 
     @property
     def num_features(self) -> int:
-        return self.features.shape[1]
+        return self._features.shape[1]
 
 
 def load_dataset(edges_path, features_path, labels_path, name: str | None = None) -> Dataset:
@@ -151,7 +182,9 @@ def load_dataset(edges_path, features_path, labels_path, name: str | None = None
 
     Features are used exactly as stored (no scaling or binarization at
     ingestion); the classifier's row normalization after propagation is the
-    only rescaling anywhere in the pipeline.
+    only rescaling anywhere in the pipeline. X is kept in the form
+    ``load_features`` returns, so a sparse enough file is never made dense,
+    and the Dataset's finite check reads only a CSR X's stored values.
     """
     hg = load_hypergraph(edges_path)
     X, feature_names = load_features(features_path)
@@ -251,8 +284,7 @@ class _Basis:
     leaves zero.
     """
 
-    features: np.ndarray
-    sparse: sp.csr_matrix | None        # X as CSR for the sparse first hop
+    features: np.ndarray | sp.csr_matrix    # X in the dataset's stored form
     propagation: _Propagation
     bounds: _Propagation                # its terms by magnitude
     blocks: slice                       # the blocks of [X, A X, A_2 X] mixed
@@ -263,7 +295,7 @@ class _Basis:
 
     def rows(self, rows=None) -> list[np.ndarray]:
         """The blocks at ``rows``, every row when None."""
-        return self.propagation.basis(self.features, self.sparse, rows)[self.blocks]
+        return self.propagation.basis(self.features, rows)[self.blocks]
 
     def weights(self, alphas) -> np.ndarray:
         """The weight of each of [X, A X, A_2 X] in a configuration's mix."""
@@ -279,7 +311,7 @@ class _Basis:
         mixed row has only zero terms and so is exactly zero. Row
         normalization divides a row's scores by a positive number, so their
         argmax is the embedding's."""
-        P, Q = _products(self.sparse if self.sparse is not None else self.features, W)
+        P, Q = _products(self.features, W)
         a = self.weights(alphas)
         mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
         bounds = mix(self.bounds.basis(Q))
@@ -305,8 +337,9 @@ def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _
     full/no_tcs get [X, A1* X, A2* X] with redundancy-aware propagation,
     no_rap/no_both get [X, A X, A (A X)] with the plain normalization
     (``rap=False``), and linearized_hgnn gets the single block A (A X) of its
-    fixed symmetric two-hop propagation. Building it makes the hops, rsi_2
-    and X's CSR copy once; no block is propagated until rows are asked for.
+    fixed symmetric two-hop propagation. Building it makes the hops and
+    rsi_2 once and takes X in the dataset's stored form, dense or CSR; no
+    block is propagated until rows are asked for.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -315,8 +348,7 @@ def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _
     if variant == "linearized_hgnn":
         kind, blocks = NormalizationKind.SYMMETRIC, slice(2, None)
     propagation = _Propagation.build(hg, kind, rap=variant in ("full", "no_tcs"))
-    X = dataset.features
-    return _Basis(features=X, sparse=_feature_csr(X), propagation=propagation,
+    return _Basis(features=dataset._features, propagation=propagation,
                   bounds=propagation.absolute(), blocks=blocks)
 
 
@@ -538,7 +570,7 @@ def _test_accuracy(
     hard_labels = np.argmax(scores, axis=1)
     hard_labels[zero] = 0
     zero_rows = int(np.count_nonzero(zero))
-    step = _slice_len(basis.features.itemsize * basis.features.shape[1])
+    step = _slice_len(8 * basis.features.shape[1])     # float64 rows of a block
     for start in range(0, unsure.size, step):
         block = unsure[start:start + step]
         Z = _mixed_embedding(basis.rows(rows[block]), alphas)
@@ -623,7 +655,7 @@ def grid_search(
 
     ``timing_ms`` splits the search's wall time into three phases timed back
     to back: ``propagation_ms`` prepares the propagation once (the hops,
-    the rsi diagonals, X's CSR copy), ``search_ms`` draws each seed's split,
+    the rsi diagonals), ``search_ms`` draws each seed's split,
     propagates its labeled rows and screens the grid, and ``test_ms``
     propagates each winner's scores and re-scores its unsure test rows.
     """

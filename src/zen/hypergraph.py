@@ -28,10 +28,13 @@ spellings that ``float()`` takes, such as ``1_000``, are an error. The file's
 bytes pick one of two routes that give the same X. When every row after the
 optional header is d single ASCII digits ``0``-``9`` joined by ``,`` and ended
 by ``\\n`` (a 0/1 bag-of-words grid, say), X is read off the bytes as
-float64(byte - 48), a block of rows at a time into the preallocated X, so no
-copy of the file is held. Any other layout (signs, ``.``, multi-digit fields,
-spaces, quotes, CRLF, blank or ragged rows, non-ASCII bytes in a data row, no
-final newline) is read whole, decoded and parsed by ``numpy.loadtxt``.
+float64(byte - 48), a block of rows at a time, so no copy of the file is
+held. Any other layout (signs, ``.``, multi-digit fields, spaces, quotes,
+CRLF, blank or ragged rows, non-ASCII bytes in a data row, no final newline)
+is read whole, decoded and parsed by ``numpy.loadtxt``. Either way X comes
+in one stored form: CSR when it is sparse enough
+(``sparsetools._sparse_enough``), else a dense array. The grid route builds
+that form straight from the bytes, so a sparse grid is never held dense.
 
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
@@ -58,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetError, HypergraphParseError
-from .sparsetools import _slice_len
+from .sparsetools import _csr_rows, _feature_csr, _slice_len, _sparse_enough
 
 
 class Hypergraph:
@@ -328,24 +331,23 @@ def _within(a: np.ndarray, base: int) -> bool:
     return a.size == 0 or bool(a.min() >= base and a.max() <= base + 9)
 
 
-def _fill_digits(rows: np.ndarray, out: np.ndarray) -> bool:
-    """Write float64(byte - 48) of the even bytes of ``rows`` (lines of a
-    digit grid, one per row, each with its ``\\n``) to ``out``. False unless
-    every even byte is a digit, every other odd byte a ``,`` and the last
-    byte of each line a ``\\n``.
-
-    Every value is an integer 0-9, so float64(byte - 48) is the value
-    ``numpy.loadtxt`` would parse, and no ``-0.0`` can occur.
-    """
+def _digit_rows(rows: np.ndarray) -> bool:
+    """Whether ``rows`` (lines of the same width, one per row, each with its
+    ``\\n``) are digit-grid lines: every even byte a digit, every other odd
+    byte a ``,`` and the last byte of each line a ``\\n``."""
     pairs = rows.view("<u2")
-    if not (_within(pairs[:, :-1], _DIGIT_COMMA) and _within(pairs[:, -1], _DIGIT_NEWLINE)):
-        return False
+    return _within(pairs[:, :-1], _DIGIT_COMMA) and _within(pairs[:, -1], _DIGIT_NEWLINE)
+
+
+def _fill_digits(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write float64(byte - 48) of the even bytes of the digit-grid lines
+    ``rows`` to ``out``: every value is an integer 0-9, so this is the value
+    ``numpy.loadtxt`` would parse, and no ``-0.0`` can occur."""
     out[...] = rows[:, ::2]
     out -= 48.0
-    return True
 
 
-def _grid_features(fh) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+def _grid_features(fh) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | None] | None:
     """(X, names) when the rows of the binary file ``fh`` after an optional
     header are rows of d single ASCII digits joined by ``,`` and each ended
     by ``\\n``; None for any other layout.
@@ -353,13 +355,17 @@ def _grid_features(fh) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
     A leading UTF-8 byte-order mark is skipped. The header is the first line
     when it is the row the text route would test (valid UTF-8, no carriage
     return, not blank) and ``_header`` finds names there. The first data row
-    sets the width, the file's size the row count, and X is allocated once.
-    The rows are then read into X a block at a time through one buffer of
-    about ``_BLOCK_BYTES``, with the same byte checks on every block, so
-    beside X only that buffer is held. A header of another width than the
-    grid's, a size that is not a whole number of rows, or a block that fails
-    a check returns None, so the text route reads the file and raises its
-    own errors.
+    sets the width and the file's size the row count. The rows are then read
+    a block at a time through one buffer of about ``_BLOCK_BYTES``, with the
+    same byte checks on every block. While the nonzeros counted so far leave
+    X sparse enough (``_sparse_enough``), only each block's nonzero positions
+    and digits are kept; once they do not, X is allocated dense, what was
+    kept is scattered into it and the remaining blocks are written into it.
+    So X comes in the form ``_sparse_enough`` picks for the whole file, and a
+    sparse grid is never held as an n x d array. A header of another width
+    than the grid's, a size that is not a whole number of rows, or a block
+    that fails a check returns None, so the text route reads the file and
+    raises its own errors.
     """
     size = os.fstat(fh.fileno()).st_size
     first = fh.readline()
@@ -378,33 +384,53 @@ def _grid_features(fh) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
     width = len(row)
     if (width < 2 or width % 2 or (size - start) % width
             or names is not None and len(names) != width // 2
-            or not _fill_digits(np.frombuffer(row, dtype=np.uint8).reshape(1, width),
-                                np.empty((1, width // 2)))):
+            or not _digit_rows(np.frombuffer(row, dtype=np.uint8).reshape(1, width))):
         return None  # the first row turns most other layouts away
-    n = (size - start) // width
-    X = np.empty((n, width // 2))
+    n, d = (size - start) // width, width // 2
+    X = None
+    nnz, flat, digits = 0, [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     step = _slice_len(width)
     buf = np.empty(min(step, n) * width, dtype=np.uint8)
     fh.seek(start)
     for a in range(0, n, step):
         block = buf[:min(step, n - a) * width]
-        if (fh.readinto(block) != block.size
-                or not _fill_digits(block.reshape(-1, width), X[a:a + step])):
+        rows = block.reshape(-1, width)
+        if fh.readinto(block) != block.size or not _digit_rows(rows):
             return None
+        if X is None:
+            nonzero = rows[:, ::2] != ord("0")
+            count = np.count_nonzero(nonzero)   # counted first: a dense block extracts nothing
+            if _sparse_enough(n, d, nnz + count):
+                nnz += count
+                at = np.flatnonzero(nonzero)
+                flat.append(at + a * d)
+                digits.append(block[2 * at])    # a line is 2 d bytes: entry j at byte 2 j
+                continue
+            del nonzero
+            X = np.zeros((n, d))
+            X.reshape(-1)[np.concatenate(flat)] = np.concatenate(digits) - 48.0
+            del flat, digits
+        _fill_digits(rows, X[a:a + step])
+    if X is None:
+        X = _csr_rows(n, d, np.concatenate(flat), np.concatenate(digits) - 48.0)
     return X, names
 
 
-def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Read a feature CSV. Returns (matrix, feature_names or None).
+def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | None]:
+    """Read a feature CSV. Returns (X, feature_names or None).
 
-    Values are taken as-is: no scaling, centering, or binarization happens at
-    ingestion. Row i belongs to node i. A leading UTF-8 byte-order mark is
-    skipped. When the rows after an optional header are a grid of single
-    digits (``0``-``9`` joined by ``,``, every row ended by ``\\n``), X is
-    read off the file's bytes in row blocks, straight into the float64
-    result. Any other layout, or a file that cannot seek, is read whole,
-    decoded as UTF-8 with universal newlines, blank rows are dropped, and
-    ``numpy.loadtxt`` parses the numbers.
+    X is the n x d float64 feature matrix in its stored form: a CSR matrix
+    when it is sparse enough (``sparsetools._sparse_enough`` of its nonzero
+    count), else a dense array. Values are taken as-is: no scaling,
+    centering, or binarization happens at ingestion. Row i belongs to node
+    i. A leading UTF-8 byte-order mark is skipped. When the rows after an
+    optional header are a grid of single digits (``0``-``9`` joined by
+    ``,``, every row ended by ``\\n``), X is read off the file's bytes in
+    row blocks, straight into its stored form, so a sparse grid is never
+    held dense. Any other layout, or a file that cannot seek, is read whole,
+    decoded as UTF-8 with universal newlines, blank rows are dropped,
+    ``numpy.loadtxt`` parses the numbers and ``sparsetools._feature_csr``
+    picks the form, storing every entry that is not +0.0, ``-0.0`` included.
     """
     with open(path, "rb") as fh:
         if fh.seekable():
@@ -438,7 +464,8 @@ def load_features(path) -> tuple[np.ndarray, tuple[str, ...] | None]:
         raise DatasetError(f"{path}: features contain NaN or infinity")
     if names is not None and len(names) != X.shape[1]:
         raise DatasetError(f"{path}: {len(names)} header names for {X.shape[1]} columns")
-    return X, names
+    csr = _feature_csr(X)
+    return (X if csr is None else csr), names
 
 
 def load_labels(path, num_nodes: int) -> LabelSet:

@@ -71,17 +71,22 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   Every other hop, the plain forms included, goes through H.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
-route: X is copied to CSR once, both hops are CSR times CSR products, and
-each removed diagonal is subtracted at the nonzeros of the V it scales. A X
+route: X is a CSR matrix, both hops are CSR times CSR products, and each
+removed diagonal is subtracted at the nonzeros of the V it scales. A X
 stays CSR: the second hop reads it as CSR, and only the rows of it that are
 returned are made dense, so a row set's second hop holds the rows of A X it
-reads at their nonzeros alone. The layout is chosen from X's measured
-density alone (``_sparse_enough``); denser X stays dense.
+reads at their nonzeros alone. ``_Propagation.basis`` takes the route its X
+is in. The layout is chosen from X's measured density alone
+(``sparsetools._sparse_enough``): ``load_features`` and ``Dataset`` store a
+sparse enough X as CSR, with every entry that is not +0.0, and
+``propagated_basis`` takes a CSR copy of a dense X that is; denser X stays
+dense.
 
 Both routes give the same bits. Each entry of T = H^T (r * V) and of the hop
 of V, for V = X and then V = A X, is summed over the stored entries of one
 row of a scaled copy, in the same order either way; the CSR route only skips
-the terms whose factor from V or T is zero. The stored scales are finite, so
+the terms whose factor from V or T is zero (a stored ``-0.0`` of X is not
+skipped, but its terms are zeros too). The stored scales are finite, so
 each skipped term is +0.0 or -0.0; every running sum starts at +0.0, so it
 is never -0.0, and adding a zero of either sign leaves it unchanged. An
 entry of T or of A X that a CSR product drops because it summed to zero is
@@ -105,51 +110,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DatasetError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import _slice_len, compact
+from .sparsetools import _as_features, _dense, _feature_csr, _slice_len, compact
 
 SIMPLEX_TOL = 1e-9
-
-
-def _sparse_enough(n: int, d: int, nnz: int) -> bool:
-    """Whether an n x d X with nnz nonzeros is multiplied as CSR.
-
-    A CSR first hop costs about nnz(A) (1 + rho d) for X with a fraction rho
-    of nonzeros, a dense one about nnz(A) d, so the cut is
-    32 (n + nnz(X)) <= n d: 1.6% nonzero at d = 64, 2.7% at d = 256 and
-    3.1% at d = 1433.
-
-    Measured on the first hop the harness takes, restricted to the labeled
-    rows of a k = 5 split, on the benchmark's two graphs with random 0/1 X
-    (2-core host, one BLAS thread, medians over six splits), the routes
-    cross at about 6% nonzero at d = 1433 (at 3%: CSR 7.6 ms, dense 13.9
-    ms), about 4% at d = 256, and at d = 64 at about 1.2% on ``wide-edges``
-    (at 1.6%: CSR 4.4 ms, dense 4.0 ms) and below 0.5% on the Cora-shaped
-    graph, where either route takes about 1 ms. The cut is within a factor
-    of two of every crossover, on the dense side at large d. Neither route
-    wins on both benchmark inputs: the Cora-shaped X (1.25% nonzero,
-    d = 1433) takes 5.1 ms as CSR and 14.4 ms dense, the ``wide-edges`` X
-    (8.9%, d = 64) 7.4 ms as CSR and 4.0 ms dense, and the cut sends each
-    to its faster route.
-    """
-    return 32 * (n + nnz) <= n * d
-
-
-def _feature_csr(X: np.ndarray) -> sp.csr_matrix | None:
-    """X as CSR if it is sparse enough, else None. The nonzeros are found a
-    row slice at a time, and the scan stops once they are too many, so no
-    n x d mask is formed."""
-    n, d = X.shape
-    step = _slice_len(8 * d)    # rows whose int64 positions fill a slice
-    found, nnz = [], 0
-    for start in range(0, n, step):
-        found.append(np.flatnonzero(X[start:start + step] != 0) + start * d)
-        nnz += found[-1].size
-        if not _sparse_enough(n, d, nnz):
-            return None
-    rows, cols = np.divmod(np.concatenate(found), d)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((X[rows, cols], cols, indptr), shape=X.shape)
 
 
 class NormalizationKind(Enum):
@@ -454,14 +417,22 @@ class _Propagation:
                      for h in (self.hop, self.hop2))
         return _Propagation(hop, hop2, flip(self.rsi_2), self.returning)
 
-    def basis(self, X, Xs: sp.csr_matrix | None = None, rows=None) -> list[np.ndarray]:
-        """[X, A X, A_2 X] at ``rows`` (every row when None), in their order.
+    def basis(self, X, rows=None) -> list[np.ndarray]:
+        """[X, A X, A_2 X] at ``rows`` (every row when None), in their order,
+        as dense arrays: X's rows (a dense X itself when ``rows`` is None)
+        and ``hop_blocks``."""
+        blocks = self.hop_blocks(X, rows)   # X's rows are taken after their peak
+        return [_dense_rows(X, rows), *blocks]
+
+    def hop_blocks(self, X, rows=None) -> list[np.ndarray]:
+        """[A X, A_2 X] at ``rows`` (every row when None), as dense arrays.
 
         The second hop is restricted to ``rows`` and the first to the nodes it
         reads, so only those rows are propagated; each is bit for bit the
-        same row of the whole blocks. ``Xs`` is X as CSR when the first hop
-        is to take the sparse route: A X then stays CSR through the second
-        hop, and only its rows at ``rows`` are made dense.
+        same row of the whole blocks. A CSR X (canonical, float64) takes the
+        sparse route: A X then stays CSR through the second hop, and only
+        its rows at ``rows`` are made dense. A dense X is propagated in
+        column slices.
         """
         hop2, mid = self.hop2.restrict(rows)
         hop, src = self.hop.restrict(mid)
@@ -476,8 +447,8 @@ class _Propagation:
             V2 = hop2(V1)
             return V1, (V2 if rsi_2 is None else _minus_rows(V2, rsi_2, at_rows))
 
-        if Xs is not None:
-            X1, X2 = hops(_take(Xs, src))
+        if sp.issparse(X):
+            X1, X2 = hops(_take(X, src))
             X2 = X2.toarray()
         else:
             d = X.shape[1]
@@ -492,8 +463,8 @@ class _Propagation:
             # rounding leaves a residue where the returning walks and rsi_2 cancel
             X2[_take(self.returning, rows)] = 0.0
         if rows is not None:
-            X, X1 = X[rows], X1[np.searchsorted(mid, rows)]
-        return [X, X1.toarray() if sp.issparse(X1) else X1, X2]
+            X1 = X1[np.searchsorted(mid, rows)]
+        return [X1.toarray() if sp.issparse(X1) else X1, X2]
 
 
 def _take(V, rows):
@@ -501,15 +472,22 @@ def _take(V, rows):
     return V if V is None or rows is None else V[rows]
 
 
+def _dense_rows(X, rows):
+    """X's rows ``rows`` (all when None) as a dense array, bit for bit: a
+    dense X itself when ``rows`` is None."""
+    X = _take(X, rows)
+    return _dense(X) if sp.issparse(X) else X
+
+
 def propagated_basis(
     hg: Hypergraph,
-    X: np.ndarray,
+    X,
     kind: NormalizationKind = NormalizationKind.SYMMETRIC,
     rap: bool = True,
     rows=None,
 ) -> list[np.ndarray]:
     """The blocks [X, A X, A_2 X] of the one- and two-hop propagation, at
-    ``rows`` (every row by default).
+    ``rows`` (every row by default), as dense arrays.
 
     With ``rap``, A = A1* and the two-hop block is A1* (m * (A1* X)) - rsi_2 * X
     with m = d/(d-1), which equals A2* X. Without it, A is the plain HGNN
@@ -521,22 +499,27 @@ def propagated_basis(
     read are propagated, and the result is those rows of the whole blocks,
     bit for bit.
 
-    When X is sparse enough (``_sparse_enough``), both hops are taken from a
-    CSR copy of X, A X stays CSR until its returned rows, and each removed
-    diagonal is subtracted at the nonzeros of the V it scales; otherwise X
-    stays dense and each slice takes its own columns of X. The two routes
-    agree bit for bit (see the module docstring). A wrong-shaped X is a
-    DatasetError, and ``rows`` other than a 1-d array of node ids in [0, n)
-    a ConfigError.
+    X is a dense array or a scipy sparse matrix, as ``load_features``
+    returns it. A sparse X takes the sparse route: both hops are CSR
+    products, A X stays CSR until its returned rows, and each removed
+    diagonal is subtracted at the nonzeros of the V it scales. A dense X
+    takes it too when it is sparse enough (``_sparse_enough``), from a CSR
+    copy, and otherwise stays dense, each slice taking its own columns of X;
+    either way the first block is X itself (its rows at ``rows``). The
+    routes agree bit for bit (see the module docstring), so a sparse X gives
+    the blocks of its dense twin. A wrong-shaped X is a DatasetError, and
+    ``rows`` other than a 1-d array of node ids in [0, n) a ConfigError.
     """
     n = hg.num_nodes
-    if np.ndim(X) != 2 or np.shape(X)[0] != n:
-        raise DatasetError(f"features have shape {np.shape(X)}, expected ({n}, num_features)")
+    X = _as_features(X)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DatasetError(f"features have shape {X.shape}, expected ({n}, num_features)")
     if rows is not None:
         rows = np.asarray(rows)
         if rows.size == 0:
             rows = rows.astype(np.int64)
         if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
             raise ConfigError(f"rows must be a 1-d array of node ids in [0, {n})")
-    return _Propagation.build(hg, kind, rap).basis(X, _feature_csr(X), rows)
-
+    Xs = None if sp.issparse(X) else _feature_csr(X)
+    blocks = _Propagation.build(hg, kind, rap).hop_blocks(X if Xs is None else Xs, rows)
+    return [_dense_rows(X, rows), *blocks]

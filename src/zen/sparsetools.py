@@ -1,10 +1,12 @@
-"""Small helpers: canonical CSR form, the dense-size guard, and the scratch
-budget of the loops that fill a large array a slice at a time."""
+"""Small helpers: canonical CSR form, the dense-size guard, the scratch
+budget of the loops that fill a large array a slice at a time, and the
+stored form of a feature matrix."""
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardError
@@ -57,4 +59,79 @@ def compact(mat) -> sp.csr_matrix:
     out.sum_duplicates()
     out.eliminate_zeros()
     out.sort_indices()
+    return out
+
+
+def _sparse_enough(n: int, d: int, nnz: int) -> bool:
+    """Whether an n x d X with nnz nonzeros is stored and multiplied as CSR.
+
+    A CSR first hop costs about nnz(A) (1 + rho d) for X with a fraction rho
+    of nonzeros, a dense one about nnz(A) d, so the cut is
+    32 (n + nnz(X)) <= n d: 1.6% nonzero at d = 64, 2.7% at d = 256 and
+    3.1% at d = 1433.
+
+    Measured on the first hop the harness takes, restricted to the labeled
+    rows of a k = 5 split, on the benchmark's two graphs with random 0/1 X
+    (2-core host, one BLAS thread, medians over six splits), the routes
+    cross at about 6% nonzero at d = 1433 (at 3%: CSR 7.6 ms, dense 13.9
+    ms), about 4% at d = 256, and at d = 64 at about 1.2% on ``wide-edges``
+    (at 1.6%: CSR 4.4 ms, dense 4.0 ms) and below 0.5% on the Cora-shaped
+    graph, where either route takes about 1 ms. The cut is within a factor
+    of two of every crossover, on the dense side at large d. Neither route
+    wins on both benchmark inputs: the Cora-shaped X (1.25% nonzero,
+    d = 1433) takes 5.1 ms as CSR and 14.4 ms dense, the ``wide-edges`` X
+    (8.9%, d = 64) 7.4 ms as CSR and 4.0 ms dense, and the cut sends each
+    to its faster route.
+    """
+    return 32 * (n + nnz) <= n * d
+
+
+def _csr_rows(n: int, d: int, flat: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
+    """The n x d CSR matrix holding ``data`` at the ascending row-major
+    positions ``flat``."""
+    rows, cols = np.divmod(flat, d)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((data, cols, indptr), shape=(n, d))
+
+
+def _feature_csr(X: np.ndarray) -> sp.csr_matrix | None:
+    """X (float64, 2-d) as CSR if it is sparse enough, else None.
+
+    Every entry whose bits are not those of +0.0 is stored, ``-0.0``
+    included, so ``_dense`` gives X back bit for bit. The entries are found
+    a row slice at a time, and the scan stops once they are too many, so no
+    n x d mask is formed.
+    """
+    n, d = X.shape
+    step = _slice_len(8 * d)    # rows whose int64 positions fill a slice
+    found, nnz = [], 0
+    for start in range(0, n, step):
+        found.append(np.flatnonzero(X[start:start + step].view(np.int64)) + start * d)
+        nnz += found[-1].size
+        if not _sparse_enough(n, d, nnz):
+            return None
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *found])
+    return _csr_rows(n, d, flat, X[np.divmod(flat, d)])
+
+
+def _as_features(X):
+    """X as float64, in a form the package computes with: a scipy sparse X
+    as canonical CSR (duplicates summed, indices sorted, explicit zeros
+    kept, copied only to do so), anything else as an array."""
+    if not sp.issparse(X):
+        return np.asarray(X, dtype=np.float64)
+    X = sp.csr_matrix(X, dtype=np.float64)
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    return X
+
+
+def _dense(X: sp.csr_matrix) -> np.ndarray:
+    """A canonical CSR X as a new dense array. Each stored value is written,
+    not added to a zero, so a stored ``-0.0`` keeps its sign, which
+    ``toarray`` loses."""
+    out = np.zeros(X.shape)
+    out[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)), X.indices] = X.data
     return out

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -27,6 +28,7 @@ from zen import (
     grid_search,
     load_dataset,
     make_kshot_split,
+    propagated_basis,
     run_config,
     simplex_grid,
 )
@@ -38,6 +40,7 @@ from zen.classifier import (
     train_weights_gd,
 )
 from zen.harness import (
+    VARIANTS,
     SeedResult,
     RunResult,
     _mixed_embedding,
@@ -142,6 +145,23 @@ def rows_per_block(ds, rows):
     return mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * ds.num_features * rows)
 
 
+# 90 nodes in 3 classes on edges of 2-5 members; the last 6 nodes are isolated
+TWIN_GRAPH = Hypergraph(90, tuple(
+    tuple(sorted(np.random.default_rng(e).choice(84, size=2 + e % 4, replace=False).tolist()))
+    for e in range(70)))
+TWIN_LABELS = LabelSet(labels=np.arange(90, dtype=np.int64) % 3, num_classes=3)
+
+
+def signed_zero_features(density, d=200):
+    """90 x d features with a fraction ``density`` of nonzeros, a class
+    signal in the first three columns, and -0.0 at a few of the zeros."""
+    rng = np.random.default_rng(90)
+    X = np.where(rng.random((90, d)) < density, rng.standard_normal((90, d)), 0.0)
+    X[np.arange(90), TWIN_LABELS.labels] += 1.0
+    X[(rng.random((90, d)) < 0.004) & (X == 0)] = -0.0
+    return X
+
+
 class TestDataset:
     def test_properties(self):
         ds = cross_pair_dataset()
@@ -178,6 +198,67 @@ class TestDataset:
                 "bad", Hypergraph(3, ((0, 1),)), np.ones((3, 2)), labels,
                 feature_names=("only_one",),
             )
+
+    # 1% nonzero X is stored as CSR whichever form it comes in; 30% nonzero
+    # X stays dense when given dense and CSR when given CSR, so the two
+    # datasets then take different propagation routes
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_a_csr_and_a_dense_x_give_the_same_bytes(self, density):
+        X = signed_zero_features(density)
+        dense, csr = (Dataset("twins", TWIN_GRAPH, F, TWIN_LABELS) for F in (X, sp.csr_matrix(X)))
+        assert sp.issparse(dense._features) == (density < 0.1)
+        assert sp.issparse(csr._features)
+        for ds in (dense, csr):
+            assert isinstance(ds.features, np.ndarray)
+            npt.assert_array_equal(ds.features, X)
+        assert (dense.features is X) == (density > 0.1)
+        grid, training = simplex_grid(3), TrainingParams(epochs=40)
+        for variant in VARIANTS:
+            got, want = (grid_search(ds, grid, k=3, seeds=[0, 1], variant=variant,
+                                     training=training).to_json() for ds in (csr, dense))
+            assert got == want, variant
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_csr_features_rejected(self, bad):
+        X = sp.csr_matrix(np.eye(3, 2))
+        X.data[-1] = bad
+        labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
+        with pytest.raises(DatasetError, match="features contain NaN or infinity"):
+            Dataset("bad", Hypergraph(3, ((0, 1),)), X, labels)
+
+    # the stored CSR keeps X's -0.0 entries, so block 0 keeps their bits
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", list(NormalizationKind))
+    def test_stored_x_propagates_like_the_array(self, variant, kind):
+        X = signed_zero_features(0.01)
+        ds = Dataset("twins", TWIN_GRAPH, X, TWIN_LABELS)
+        assert sp.issparse(ds._features)
+        assert ds.features.view(np.int64).tolist() == X.view(np.int64).tolist()
+        rows = np.random.default_rng(5).permutation(X.shape[0])[:17]
+        rap = variant in ("full", "no_tcs")
+        want = propagated_basis(TWIN_GRAPH, X, kind, rap, rows)
+        if variant == "linearized_hgnn":
+            want = propagated_basis(TWIN_GRAPH, X, NormalizationKind.SYMMETRIC, False, rows)[2:]
+        got = _variant_basis(ds, kind, variant).rows(rows)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            npt.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_the_package_never_reads_the_dense_features(self, monkeypatch):
+        def refuse(self, obj, owner=None):
+            if obj is None:
+                raise AttributeError("features")
+            raise AssertionError("Dataset.features read")
+
+        ds = Dataset("twins", TWIN_GRAPH, signed_zero_features(0.01), TWIN_LABELS)
+        monkeypatch.setattr(harness._Features, "__get__", refuse)
+        split = make_kshot_split(ds.labels, 3, 0)
+        for variant in VARIANTS:
+            run_config(ds, PropagationConfig((0.2, 0.5, 0.3)), split, variant,
+                       TrainingParams(epochs=5))
+            grid_search(ds, simplex_grid(2), k=3, seeds=[0], variant=variant,
+                        training=TrainingParams(epochs=5))
+        assert ds.num_features == 200
 
     def test_load_dataset_roundtrip(self, tmp_path):
         ds = cross_pair_dataset()
@@ -560,7 +641,7 @@ class TestLabeledRowSearch:
         # -diag(rsi_1) columns and a copy of V into each hop took 0.15-0.18
         ds = cora_shaped
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
-        assert basis.sparse is not None
+        assert sp.issparse(basis.features)
         for seed in range(4):
             split = make_kshot_split(ds.labels, 5, seed)
             labeled = np.concatenate([np.flatnonzero(split.train_mask),

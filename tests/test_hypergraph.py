@@ -2,12 +2,14 @@
 
 import codecs
 import csv
+import io
 import subprocess
 import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from zen import (
@@ -534,6 +536,32 @@ def edited_digit_grids(draw):
     return edit, text.encode("utf-8")
 
 
+@st.composite
+def density_grids(draw):
+    """(CSV bytes, header rows, n, d, nnz) of digit grids around the density
+    cut ``_sparse_enough`` draws, 32 (n + nnz) <= n d: all-zero, at the cut,
+    one past it and full, with the nonzeros first, last (a file sparse early
+    and dense later, so the cut is crossed mid-file) or anywhere; d = 1 and
+    d = 2 can never be sparse. An optional header and byte-order mark."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.sampled_from([1, 2, 32, 33, 40, 64, 70]))
+    cut = max(0, n * d // 32 - n)     # the most nonzeros a CSR X holds
+    nnz = draw(st.one_of(st.sampled_from([0, cut, min(cut + 1, n * d), n * d]),
+                         st.integers(0, n * d)))
+    order = draw(st.sampled_from(["first", "last", "anywhere"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at = {"first": np.arange(nnz), "last": np.arange(n * d - nnz, n * d),
+          "anywhere": rng.choice(n * d, nnz, replace=False)}[order]
+    digits = np.full(n * d, ord("0"), dtype=np.uint8)
+    digits[at] = rng.integers(ord("1"), ord("9") + 1, nnz)
+    lines = [b",".join(bytes([c]) for c in row) for row in digits.reshape(n, d)]
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"f{j}" for j in range(d)).encode())
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + b"\n".join(lines) + b"\n", int(header), n, d, nnz
+
+
 @pytest.fixture(scope="module")
 def feature_path(tmp_path_factory):
     return tmp_path_factory.mktemp("features") / "f.csv"
@@ -600,9 +628,12 @@ class TestFeatureParser:
         npt.assert_array_equal(X, np.arange(12).reshape(4, 3) % 10)
 
     def test_cora_shaped_grid_peaks_within_two_blocks_of_the_matrix(self, tmp_path):
-        # 2708 x 1433, about 1.3% ones: X is 31 MB and the file 7.8 MB. Read
-        # whole, with digit and mask arrays beside it, the grid peaked about
-        # 11 MB above X; in row blocks, one buffer of about 2 MB
+        # 2708 x 1433, about 1.3% ones: X dense would be 31 MB and the file is
+        # 7.8 MB. Read whole, with digit and mask arrays beside it, the grid
+        # peaked about 11 MB above the dense X; in row blocks into a dense X,
+        # one buffer of about 2 MB above it. Kept sparse from the bytes, X is
+        # CSR and the peak is the buffer, a block's mask and the kept
+        # nonzeros: about 5 MB
         rng = np.random.default_rng(1433)
         n, d = 2708, 1433
         dense = rng.random((n, d)) < 18 / d
@@ -613,8 +644,33 @@ class TestFeatureParser:
         grid.tofile(p)
         (X, names), peak = peak_bytes(load_features, p)
         assert names is None
-        npt.assert_array_equal(X, dense)
-        assert peak <= X.nbytes + 2 * sparsetools._BLOCK_BYTES
+        assert isinstance(X, sp.csr_matrix)
+        npt.assert_array_equal(X.toarray().view(np.int64),
+                               dense.astype(np.float64).view(np.int64))
+        assert peak <= 0.25 * dense.size * 8
+
+    # blocks of 1-5 rows put the crossing of the density cut at any row of a
+    # block, and the first nonzeros in any block
+    @settings(max_examples=300, deadline=None)
+    @given(case=density_grids(), block_rows=st.integers(1, 5))
+    def test_grid_comes_in_the_form_its_density_picks(self, feature_path, case, block_rows):
+        raw, skip, n, d, nnz = case
+        feature_path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = loadtxt_calls(mp)
+            mp.setattr(sparsetools, "_BLOCK_BYTES", block_rows * 2 * d)
+            X, names = load_features(feature_path)
+        assert not calls
+        assert (names is None) == (skip == 0)
+        want = np.loadtxt(io.StringIO(raw.decode("utf-8-sig")), delimiter=",",
+                          skiprows=skip, ndmin=2, dtype=np.float64)
+        assert sp.issparse(X) == sparsetools._sparse_enough(n, d, nnz)
+        if sp.issparse(X):
+            assert isinstance(X, sp.csr_matrix) and X.has_canonical_format
+            assert X.nnz == nnz
+            X = X.toarray()
+        assert X.dtype == np.float64
+        npt.assert_array_equal(X.view(np.int64), want.view(np.int64))
 
     def test_the_bytes_pick_the_route(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import zen
 from zen import (
@@ -126,6 +127,31 @@ def test_count_arguments_share_one_check(name, minimum, site):
             site(bad)
         assert str(info.value) == f"{name} must be a {kind} integer, got {bad!r}"
     site(np.int64(minimum + 1))
+
+
+def test_the_benchmark_traced_path_takes_a_loaded_sparse_dataset(tmp_path, monkeypatch):
+    # bench/child.py's traced layers pass a loaded dataset's ``features`` to
+    # the benchmark's own reference operators, which multiply dense arrays: a
+    # sparse grid is stored as CSR, and ``features`` must still read dense
+    rng = np.random.default_rng(40)
+    n, d = 40, 64
+    X = np.zeros((n, d), dtype=np.int64)
+    X[np.arange(n), rng.integers(0, d, n)] = rng.integers(1, 10, n)
+    edges = [tuple(sorted(rng.choice(n, size=3, replace=False).tolist())) for _ in range(30)]
+    (tmp_path / "e.hg").write_text(f"%nodes {n}\n" + "".join(
+        " ".join(map(str, e)) + "\n" for e in edges))
+    (tmp_path / "f.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in X.tolist()))
+    (tmp_path / "l.csv").write_text("".join(f"{i},{i % 2}\n" for i in range(n)))
+    ds = zen.load_dataset(tmp_path / "e.hg", tmp_path / "f.csv", tmp_path / "l.csv")
+    assert sp.issparse(ds._features)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import reference
+
+    basis = reference.operators(n, ds.hypergraph.hyperedges).basis(ds.features)
+    assert [b.shape for b in basis] == [(n, d)] * 3
+    np.testing.assert_array_equal(basis[0], X)
+    for got, want in zip(basis, zen.propagated_basis(ds.hypergraph, ds.features)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _readme_block(fence: str, starts: str) -> str:

@@ -52,7 +52,7 @@ S2 = 1.0 / np.sqrt(2.0)
 
 def sparse_enough(X):
     """Whether the density cut sends X, or the X its nonzero mask marks, to CSR."""
-    return propagation._sparse_enough(*X.shape, int(np.count_nonzero(X)))
+    return sparsetools._sparse_enough(*X.shape, int(np.count_nonzero(X)))
 
 
 def two_hop_operator(hg, kind=SYM):
@@ -411,12 +411,38 @@ class TestPropagatedBasis:
         values = rng.standard_normal((n, width))
         X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
         X[rng.random(n) < 0.3] = -0.0
-        force = mock.patch.object(propagation, "_sparse_enough", return_value=True)
+        force = mock.patch.object(sparsetools, "_sparse_enough", return_value=True)
         with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
                 (force if forced else contextlib.nullcontext()):
             basis = propagated_basis(hg, X, kind, rap)
         assert basis[0] is X
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
+
+    # a sparse X of any density: stored entries at random places, -0.0 among
+    # them, its dense twin +0.0 everywhere else; CSR or COO, whole or at rows
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]),
+           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
+           density=st.sampled_from([0.0, 0.05, 0.3, 1.0]), rap=st.booleans(),
+           coo=st.booleans(), picks=st.one_of(st.none(), st.lists(st.integers(0, 15))))
+    @example(hg=_DEGENERATE, kind=SYM, seed=0, width=3, density=0.3, rap=True, coo=False,
+             picks=None)
+    @example(hg=_DEGENERATE, kind=ROW, seed=1, width=5, density=1.0, rap=False, coo=True,
+             picks=[7, 0, 2])
+    def test_sparse_x_gives_the_bits_of_its_dense_twin(
+        self, hg, kind, seed, width, density, rap, coo, picks
+    ):
+        rng = np.random.default_rng(seed)
+        n = hg.num_nodes
+        values = rng.standard_normal((n, width))
+        stored = rng.random((n, width)) < density
+        twin = np.where(stored, np.where(rng.random((n, width)) < 0.2, -0.0, values), 0.0)
+        at = np.nonzero(stored)
+        X = sp.csr_matrix((twin[at], at), shape=twin.shape)
+        rows = None if picks is None else np.array([i for i in picks if i < n], dtype=np.intp)
+        got = propagated_basis(hg, X.tocoo() if coo else X, kind, rap, rows)
+        want = whole_matrix_basis(hg, twin, kind, rap)
+        assert_bit_identical(got, want if rows is None else [block[rows] for block in want])
 
     def test_rows_must_be_node_ids(self):
         # the row lookups would misplace a negative id instead of failing
@@ -455,9 +481,10 @@ class TestPropagatedBasis:
         X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
         rows = np.array([i for i in picks if i < n], dtype=np.intp)
         rap = variant in ("full", "no_tcs")
-        ds = Dataset("rows", hg, X, LabelSet(np.zeros(n, dtype=np.int64), 1))
         with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
-                mock.patch.object(propagation, "_sparse_enough", return_value=csr):
+                mock.patch.object(sparsetools, "_sparse_enough", return_value=csr):
+            # the dataset picks X's stored form, so it is built under the patch
+            ds = Dataset("rows", hg, X, LabelSet(np.zeros(n, dtype=np.int64), 1))
             whole = propagated_basis(hg, X, kind, rap)
             assert_bit_identical(propagated_basis(hg, X, kind, rap, rows),
                                  [block[rows] for block in whole])

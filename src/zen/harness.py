@@ -84,7 +84,7 @@ from .hypergraph import (
     load_labels,
 )
 from .propagation import NormalizationKind, PropagationConfig, _Propagation
-from .sparsetools import _as_features, _dense, _feature_csr, _slice_len
+from .sparsetools import _dense, _slice_len, _stored_features
 
 VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 
@@ -108,16 +108,15 @@ class _Features:
 
     The value given is kept as it is, in ``_features``, and
     ``Dataset.__post_init__`` replaces it with X's one stored form. Reading
-    the field returns a stored dense X itself and a new dense copy of a
-    stored CSR one, bit for bit (``-0.0`` included), so callers that need an
-    array get one; the package reads ``_features``.
+    the field goes through ``sparsetools._dense``: a stored dense X itself,
+    a new dense copy of a stored CSR one, bit for bit (``-0.0`` included),
+    so callers that need an array get one; the package reads ``_features``.
     """
 
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError("features")    # the field has no default
-        X = obj._features
-        return _dense(X) if sp.issparse(X) else X
+        return _dense(obj._features)
 
     def __set__(self, obj, value):
         object.__setattr__(obj, "_features", value)
@@ -128,11 +127,10 @@ class Dataset:
     """A hypergraph with per-node features and labels, plus printable names.
 
     ``features`` may be a dense array or a scipy sparse matrix, and X is
-    stored once, in the form ``_sparse_enough`` picks. A sparse matrix is
-    kept sparse, as canonical float64 CSR; a dense array is kept as it is
-    unless it is sparse enough, when its CSR copy (``_feature_csr``, which
-    keeps ``-0.0`` entries) is stored instead. X must be finite, which is
-    checked on the stored values. Reading ``features`` gives X as a dense
+    stored once, as ``sparsetools._stored_features`` gives it: a sparse
+    matrix as canonical float64 CSR, a dense array as itself, or as its CSR
+    copy (``-0.0`` entries kept) when it is sparse enough. X must have one
+    row per node and be finite. Reading ``features`` gives X as a dense
     array (see ``_Features``).
     """
 
@@ -143,21 +141,8 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = _as_features(self._features)
         n = self.hypergraph.num_nodes
-        if X.ndim != 2 or X.shape[0] != n:
-            raise DatasetError(
-                f"features have shape {X.shape}, expected ({n}, num_features)"
-            )
-        if not sp.issparse(X):
-            csr = _feature_csr(X)
-            X = X if csr is None else csr
-        # the stored values; a dense X a row slice at a time, so no n x d
-        # mask is formed
-        step = _slice_len(8 * X.shape[1])
-        parts = [X.data] if sp.issparse(X) else (X[a:a + step] for a in range(0, n, step))
-        if not all(np.isfinite(part).all() for part in parts):
-            raise DatasetError("features contain NaN or infinity")
+        X = _stored_features(self._features, n)
         object.__setattr__(self, "_features", X)
         if self.labels.num_nodes != n:
             raise DatasetError(
@@ -183,8 +168,9 @@ def load_dataset(edges_path, features_path, labels_path, name: str | None = None
     Features are used exactly as stored (no scaling or binarization at
     ingestion); the classifier's row normalization after propagation is the
     only rescaling anywhere in the pipeline. X is kept in the form
-    ``load_features`` returns, so a sparse enough file is never made dense,
-    and the Dataset's finite check reads only a CSR X's stored values.
+    ``load_features`` returns, so a sparse enough file is never made dense.
+    ``Dataset`` checks X again, as it does any X it is given: the check
+    reads a CSR X's stored values, or a dense X a row slice at a time.
     """
     hg = load_hypergraph(edges_path)
     X, feature_names = load_features(features_path)
@@ -286,7 +272,6 @@ class _Basis:
 
     features: np.ndarray | sp.csr_matrix    # X in the dataset's stored form
     propagation: _Propagation
-    bounds: _Propagation                # its terms by magnitude
     blocks: slice                       # the blocks of [X, A X, A_2 X] mixed
 
     @property
@@ -307,14 +292,14 @@ class _Basis:
         """sum_j a_j A_j (X W) at every row; each row's bound on the rounding
         of both it and the row route's scores, the largest entry of
         sum_j a_j |A_j| (|X| |W|), where |A_j| sums the magnitudes of A_j's
-        terms; and the rows where sum_j a_j |A_j| (|X| 1) is 0.0, whose
-        mixed row has only zero terms and so is exactly zero. Row
-        normalization divides a row's scores by a positive number, so their
-        argmax is the embedding's."""
+        terms (``_Propagation.absolute``, which shares the hops); and the
+        rows where sum_j a_j |A_j| (|X| 1) is 0.0, whose mixed row has only
+        zero terms and so is exactly zero. Row normalization divides a row's
+        scores by a positive number, so their argmax is the embedding's."""
         P, Q = _products(self.features, W)
         a = self.weights(alphas)
         mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
-        bounds = mix(self.bounds.basis(Q))
+        bounds = mix(self.propagation.absolute().basis(Q))
         return mix(self.propagation.basis(P)), bounds[:, :-1].max(axis=1), bounds[:, -1] == 0.0
 
 
@@ -348,8 +333,7 @@ def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _
     if variant == "linearized_hgnn":
         kind, blocks = NormalizationKind.SYMMETRIC, slice(2, None)
     propagation = _Propagation.build(hg, kind, rap=variant in ("full", "no_tcs"))
-    return _Basis(features=dataset._features, propagation=propagation,
-                  bounds=propagation.absolute(), blocks=blocks)
+    return _Basis(features=dataset._features, propagation=propagation, blocks=blocks)
 
 
 def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:

@@ -61,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetError, HypergraphParseError
-from .sparsetools import _csr_rows, _feature_csr, _slice_len, _sparse_enough
+from .sparsetools import _csr_rows, _slice_len, _sparse_enough, _stored_features
 
 
 class Hypergraph:
@@ -429,8 +429,9 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
     row blocks, straight into its stored form, so a sparse grid is never
     held dense. Any other layout, or a file that cannot seek, is read whole,
     decoded as UTF-8 with universal newlines, blank rows are dropped,
-    ``numpy.loadtxt`` parses the numbers and ``sparsetools._feature_csr``
-    picks the form, storing every entry that is not +0.0, ``-0.0`` included.
+    ``numpy.loadtxt`` parses the numbers and ``sparsetools._stored_features``
+    checks them and picks the form, ``-0.0`` entries kept, its errors named
+    with the path.
     """
     with open(path, "rb") as fh:
         if fh.seekable():
@@ -460,12 +461,13 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
         why = (f"row {bad[0]} has {widths[bad[0]]} fields, expected {widths[0]}" if bad
                else f"non-numeric feature value ({exc})")
         raise DatasetError(f"{path}: {why}") from exc
-    if not np.all(np.isfinite(X)):
-        raise DatasetError(f"{path}: features contain NaN or infinity")
+    try:
+        X = _stored_features(X, X.shape[0])
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     if names is not None and len(names) != X.shape[1]:
         raise DatasetError(f"{path}: {len(names)} header names for {X.shape[1]} columns")
-    csr = _feature_csr(X)
-    return (X if csr is None else csr), names
+    return X, names
 
 
 def load_labels(path, num_nodes: int) -> LabelSet:

@@ -49,10 +49,10 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   split this way; on the benchmark's Cora-shaped input the 70 labeled rows
   read about 500 rows of A X and about 1800 of X.
 * ``_Propagation.absolute``: the same propagation with every term by its
-  magnitude (the hops' factors are nonnegative but for the removed
-  diagonals, which are added instead). Applied to |V| it sums, entry by
-  entry, the magnitudes of the terms the signed one sums for V, which
-  bounds the rounding of both.
+  magnitude. It shares the scaled copies of H, whose factors l, w, r and m
+  are all >= +0.0, and adds the removed diagonals instead. Applied to |V|
+  it sums, entry by entry, the magnitudes of the terms the signed one sums
+  for V, which bounds the rounding of both.
 * ``rsi_diag_1`` / ``rsi_diag_2``: the redundant self-information, the exact
   diagonal mass a node propagates back to itself after one or two hops, the
   same for both kinds. For i != k, A1*[i, k] m_k A1*[k, i] = B[i, k]^2 g_k / d_i
@@ -76,11 +76,10 @@ removed diagonal is subtracted at the nonzeros of the V it scales. A X
 stays CSR: the second hop reads it as CSR, and only the rows of it that are
 returned are made dense, so a row set's second hop holds the rows of A X it
 reads at their nonzeros alone. ``_Propagation.basis`` takes the route its X
-is in. The layout is chosen from X's measured density alone
-(``sparsetools._sparse_enough``): ``load_features`` and ``Dataset`` store a
-sparse enough X as CSR, with every entry that is not +0.0, and
-``propagated_basis`` takes a CSR copy of a dense X that is; denser X stays
-dense.
+is in. The layout is chosen from X's measured density alone, by the one
+feature contract (``sparsetools._stored_features``, which ``Dataset``,
+``load_features`` and ``propagated_basis`` share): a sparse enough X is
+stored as CSR, with every entry that is not +0.0, and denser X stays dense.
 
 Both routes give the same bits. Each entry of T = H^T (r * V) and of the hop
 of V, for V = X and then V = A X, is summed over the stored entries of one
@@ -102,15 +101,15 @@ propagation weight, and degree-0 or degree-1 nodes get a zero factor wherever
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import _as_features, _dense, _feature_csr, _slice_len, compact
+from .sparsetools import _dense, _slice_len, _stored_features, compact
 
 SIMPLEX_TOL = 1e-9
 
@@ -408,13 +407,14 @@ class _Propagation:
         return cls(hop, hop2, rsi_diag_2(hg), _returning_rows(hg))
 
     def absolute(self) -> "_Propagation":
-        """Every term of this propagation by its magnitude: the hops'
-        factors, and every removed diagonal added instead of subtracted.
-        Applied to |V| it gives, entry by entry, the sum of the magnitudes
-        of the terms this one sums for V, which bounds their rounding."""
+        """Every term of this propagation by its magnitude: the same scaled
+        copies of H, none of whose values has its sign bit set (l, w, r and
+        m are all >= +0.0), and every removed diagonal added instead of
+        subtracted. Applied to |V| it gives, entry by entry, the sum of the
+        magnitudes of the terms this one sums for V, which bounds their
+        rounding."""
         flip = lambda v: None if v is None else -v
-        hop, hop2 = (_Hop(abs(h.left), abs(h.right), flip(h.diag), h.own)
-                     for h in (self.hop, self.hop2))
+        hop, hop2 = (replace(h, diag=flip(h.diag)) for h in (self.hop, self.hop2))
         return _Propagation(hop, hop2, flip(self.rsi_2), self.returning)
 
     def basis(self, X, rows=None) -> list[np.ndarray]:
@@ -422,7 +422,7 @@ class _Propagation:
         as dense arrays: X's rows (a dense X itself when ``rows`` is None)
         and ``hop_blocks``."""
         blocks = self.hop_blocks(X, rows)   # X's rows are taken after their peak
-        return [_dense_rows(X, rows), *blocks]
+        return [_dense(X, rows), *blocks]
 
     def hop_blocks(self, X, rows=None) -> list[np.ndarray]:
         """[A X, A_2 X] at ``rows`` (every row when None), as dense arrays.
@@ -472,13 +472,6 @@ def _take(V, rows):
     return V if V is None or rows is None else V[rows]
 
 
-def _dense_rows(X, rows):
-    """X's rows ``rows`` (all when None) as a dense array, bit for bit: a
-    dense X itself when ``rows`` is None."""
-    X = _take(X, rows)
-    return _dense(X) if sp.issparse(X) else X
-
-
 def propagated_basis(
     hg: Hypergraph,
     X,
@@ -500,26 +493,24 @@ def propagated_basis(
     bit for bit.
 
     X is a dense array or a scipy sparse matrix, as ``load_features``
-    returns it. A sparse X takes the sparse route: both hops are CSR
-    products, A X stays CSR until its returned rows, and each removed
-    diagonal is subtracted at the nonzeros of the V it scales. A dense X
-    takes it too when it is sparse enough (``_sparse_enough``), from a CSR
-    copy, and otherwise stays dense, each slice taking its own columns of X;
-    either way the first block is X itself (its rows at ``rows``). The
-    routes agree bit for bit (see the module docstring), so a sparse X gives
-    the blocks of its dense twin. A wrong-shaped X is a DatasetError, and
-    ``rows`` other than a 1-d array of node ids in [0, n) a ConfigError.
+    returns it, and is checked and stored as ``Dataset`` stores it
+    (``sparsetools._stored_features``): a sparse X, or a sparse enough dense
+    one, as CSR, which takes the sparse route (both hops CSR products, A X
+    CSR until its returned rows); a denser X as itself, propagated in
+    column slices. The first block is a dense X itself (its rows at
+    ``rows``) or a sparse X's rows made dense. The routes agree bit for bit
+    (see the module docstring), so a sparse X gives the blocks of its dense
+    twin. An X of the wrong shape, or with a NaN or infinite value, is a
+    DatasetError, and ``rows`` other than a 1-d array of node ids in [0, n)
+    a ConfigError.
     """
     n = hg.num_nodes
-    X = _as_features(X)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise DatasetError(f"features have shape {X.shape}, expected ({n}, num_features)")
+    stored = _stored_features(X, n)
     if rows is not None:
         rows = np.asarray(rows)
         if rows.size == 0:
             rows = rows.astype(np.int64)
         if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
             raise ConfigError(f"rows must be a 1-d array of node ids in [0, {n})")
-    Xs = None if sp.issparse(X) else _feature_csr(X)
-    blocks = _Propagation.build(hg, kind, rap).hop_blocks(X if Xs is None else Xs, rows)
-    return [_dense_rows(X, rows), *blocks]
+    blocks = _Propagation.build(hg, kind, rap).hop_blocks(stored, rows)
+    return [_dense(stored if sp.issparse(X) else X, rows), *blocks]

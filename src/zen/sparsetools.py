@@ -1,6 +1,10 @@
 """Small helpers: canonical CSR form, the dense-size guard, the scratch
-budget of the loops that fill a large array a slice at a time, and the
-stored form of a feature matrix."""
+budget of the loops that fill a large array a slice at a time, and the one
+feature contract: ``_stored_features`` checks and stores X (float64, n
+rows, finite, CSR when ``_sparse_enough``, else dense) for ``Dataset``,
+``load_features``' text route and ``propagated_basis``, and ``_dense``
+reads its rows back, bit for bit. The grid loader builds the same form
+straight from a file's bytes."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GuardError
+from .errors import DatasetError, GuardError
 
 DEFAULT_DENSE_GUARD = 2000
 
@@ -95,43 +99,58 @@ def _csr_rows(n: int, d: int, flat: np.ndarray, data: np.ndarray) -> sp.csr_matr
     return sp.csr_matrix((data, cols, indptr), shape=(n, d))
 
 
-def _feature_csr(X: np.ndarray) -> sp.csr_matrix | None:
-    """X (float64, 2-d) as CSR if it is sparse enough, else None.
+def _stored_features(X, n: int):
+    """X checked (float64, n rows, finite, else a DatasetError) and in the
+    form the package stores and computes with.
 
-    Every entry whose bits are not those of +0.0 is stored, ``-0.0``
-    included, so ``_dense`` gives X back bit for bit. The entries are found
-    a row slice at a time, and the scan stops once they are too many, so no
-    n x d mask is formed.
+    A scipy sparse X becomes canonical CSR (duplicates summed, indices
+    sorted, explicit zeros kept, copied only to do so). An array is read
+    once, a row slice at a time, for the finite check and its nonzeros
+    together, and comes back as itself, or as its CSR copy when sparse
+    enough. The copy stores every entry whose bits are not those of +0.0,
+    ``-0.0`` included, so ``_dense`` gives X back bit for bit.
     """
-    n, d = X.shape
+    if sp.issparse(X):
+        X = sp.csr_matrix(X, dtype=np.float64)
+        if not X.has_canonical_format:
+            X = X.copy()
+            X.sum_duplicates()
+    else:
+        X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DatasetError(f"features have shape {X.shape}, expected ({n}, num_features)")
+    if sp.issparse(X):
+        if not np.isfinite(X.data).all():
+            raise DatasetError("features contain NaN or infinity")
+        return X
+    d = X.shape[1]
     step = _slice_len(8 * d)    # rows whose int64 positions fill a slice
-    found, nnz = [], 0
+    found, nnz = [np.zeros(0, dtype=np.int64)], 0
     for start in range(0, n, step):
-        found.append(np.flatnonzero(X[start:start + step].view(np.int64)) + start * d)
-        nnz += found[-1].size
-        if not _sparse_enough(n, d, nnz):
-            return None
-    flat = np.concatenate([np.zeros(0, dtype=np.int64), *found])
+        block = X[start:start + step]
+        if not np.isfinite(block).all():
+            raise DatasetError("features contain NaN or infinity")
+        if found is not None:
+            found.append(np.flatnonzero(block.view(np.int64)) + start * d)
+            nnz += found[-1].size
+            if not _sparse_enough(n, d, nnz):
+                found = None    # the rest is only checked
+    if found is None:
+        return X
+    flat = np.concatenate(found)
     return _csr_rows(n, d, flat, X[np.divmod(flat, d)])
 
 
-def _as_features(X):
-    """X as float64, in a form the package computes with: a scipy sparse X
-    as canonical CSR (duplicates summed, indices sorted, explicit zeros
-    kept, copied only to do so), anything else as an array."""
+def _dense(X, rows=None) -> np.ndarray:
+    """X's rows ``rows`` (every row when None) as a dense array, bit for bit: a
+    dense X's own rows (X itself for None), or a canonical CSR X's stored
+    values each written, not added to a zero, into a new array, so a stored
+    ``-0.0`` keeps its sign, which ``toarray`` loses."""
     if not sp.issparse(X):
-        return np.asarray(X, dtype=np.float64)
-    X = sp.csr_matrix(X, dtype=np.float64)
-    if not X.has_canonical_format:
-        X = X.copy()
-        X.sum_duplicates()
-    return X
-
-
-def _dense(X: sp.csr_matrix) -> np.ndarray:
-    """A canonical CSR X as a new dense array. Each stored value is written,
-    not added to a zero, so a stored ``-0.0`` keeps its sign, which
-    ``toarray`` loses."""
+        X = np.asarray(X, dtype=np.float64)
+        return X if rows is None else X[rows]
+    if rows is not None:
+        X = X[rows]
     out = np.zeros(X.shape)
     out[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)), X.indices] = X.data
     return out

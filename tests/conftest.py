@@ -1,9 +1,10 @@
 """Shared fixtures: small frozen hypergraphs, a seeded random generator, the
-adversarial-hypergraph strategy, the edge-file writer, the one-hop A1^,
-plain and walk matrices and the materialized two-hop reference and
-diagonal, the lockstep walk reference, a basis over stored blocks, the
-per-config selection reference, the primal gradient-descent reference, the
-allocation-peak probe, and a Cora-shaped instance built in memory."""
+adversarial-hypergraph strategy, the edge-file writer, a non-canonical CSR
+X and its summed dense twin, the one-hop A1^, plain and walk matrices and
+the materialized two-hop reference and diagonal, the lockstep walk
+reference, a basis over stored blocks, the per-config selection reference,
+the primal gradient-descent reference, the allocation-peak probe, and a
+Cora-shaped instance built in memory."""
 
 import os
 import tracemalloc
@@ -112,6 +113,29 @@ def adversarial_hypergraphs(draw):
         edges.append(tuple(range(n)))
     isolated = draw(st.integers(0, 2))
     return Hypergraph(n + isolated, tuple(edges))
+
+
+def non_canonical_csr(n, d, seed):
+    """An n x d CSR X with unsorted column indices, duplicate entries and
+    stored ``-0.0`` values, and its summed dense twin. The values are small
+    integers, so every sum is exact in any order, and a place sums to
+    ``-0.0`` only when all its entries are ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    places = rng.integers(0, n * d, size=3 * n)
+    places = np.concatenate([places, places[: n]])          # duplicates
+    values = rng.integers(-3, 4, size=places.size).astype(np.float64)
+    values[rng.random(places.size) < 0.3] = -0.0
+    twin = np.zeros(n * d)
+    seen = np.zeros(n * d, dtype=bool)
+    for at, v in zip(places.tolist(), values.tolist()):
+        twin[at] = twin[at] + v if seen[at] else v
+        seen[at] = True
+    rows, cols = np.divmod(places, d)
+    order = np.lexsort((-cols, rows))                      # columns descending in a row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    X = sp.csr_matrix((values[order], cols[order], indptr), shape=(n, d))
+    assert not X.has_canonical_format and np.signbit(twin[twin == 0]).any()
+    return X, twin.reshape(n, d)
 
 
 def _hop_reference(hg: Hypergraph, kind: NormalizationKind, w: np.ndarray) -> sp.csr_matrix:

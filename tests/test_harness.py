@@ -52,6 +52,7 @@ from zen.harness import (
 from conftest import (
     StoredBlocks,
     edgeless_basis,
+    non_canonical_csr,
     peak_bytes,
     select_reference,
     serialize_hypergraph,
@@ -225,6 +226,21 @@ class TestDataset:
         labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
         with pytest.raises(DatasetError, match="features contain NaN or infinity"):
             Dataset("bad", Hypergraph(3, ((0, 1),)), X, labels)
+
+    # unsorted indices, duplicates and stored -0.0: X is stored summed, as
+    # its dense twin would be, and is not changed itself
+    def test_a_non_canonical_csr_is_stored_as_its_summed_twin(self):
+        X, twin = non_canonical_csr(TWIN_GRAPH.num_nodes, 200, seed=4)
+        kept = X.indices.copy()
+        csr, dense = (Dataset("twins", TWIN_GRAPH, F, TWIN_LABELS) for F in (X, twin))
+        npt.assert_array_equal(X.indices, kept)
+        assert csr._features.has_canonical_format
+        npt.assert_array_equal(csr.features.view(np.int64), twin.view(np.int64))
+        for kind in NormalizationKind:
+            for variant in ("full", "no_rap"):
+                got, want = (_variant_basis(ds, kind, variant).rows() for ds in (csr, dense))
+                for g, w in zip(got, want):
+                    npt.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
     # the stored CSR keeps X's -0.0 entries, so block 0 keeps their bits
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -460,8 +476,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="variant"):
             run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split, variant="fancy")
 
+    def test_split_of_another_size_rejected(self):
+        ds = cross_pair_dataset()
+        split = Split(np.arange(11) < 2, np.arange(11) == 6, np.arange(11) > 6)
+        with pytest.raises(SplitError, match="basis has 12 rows, split 11, labels 12"):
+            run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split)
+
+    # class 2 in validation only, then in neither training nor validation
+    @pytest.mark.parametrize("val", [[2, 3, 6, 8], [2, 3, 6, 7]])
+    def test_class_with_no_training_node_rejected(self, val):
+        labels = np.repeat(np.arange(3), 4)
+        ds = Dataset("three", Hypergraph(12, ((0, 4, 8), (1, 5, 9))),
+                     one_hot_features(labels, 3), LabelSet(labels, 3))
+        nodes = np.arange(12)
+        split = Split(np.isin(nodes, [0, 1, 4, 5]), np.isin(nodes, val),
+                      ~np.isin(nodes, [0, 1, 4, 5, *val]))
+        with pytest.raises(SplitError, match=r"classes with no training node: \[2\]"):
+            run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split)
+
 
 class TestGridSearch:
+    # one class: each test row has a single score, whose size to zero is the
+    # gap its rounding bound is weighed against
+    @pytest.mark.parametrize("variant", ["full", "no_tcs"])
+    def test_one_class_dataset_scores_every_test_row(self, variant):
+        rng = np.random.default_rng(1)
+        ds = Dataset("one", Hypergraph(10, ((0, 1, 2), (2, 3), (4, 5, 6, 7))),
+                     rng.random((10, 4)) + 0.1, LabelSet(np.zeros(10, dtype=np.int64), 1))
+        result = grid_search(ds, simplex_grid(2), k=2, seeds=[0, 1], variant=variant,
+                             training=TrainingParams(epochs=20))
+        assert result.mean_test == 1.0
+
     def test_dominating_config_wins_with_earliest_tie_break(self):
         ds = singleton_graph_dataset()
         result = grid_search(ds, simplex_grid(9), k=2, seeds=[0])

@@ -9,7 +9,8 @@ README's library examples. A name that only the unit tests call belongs in
 the tests, not in the API. The CLI spells the variant names out, so that
 numpy is not imported before ``--threads`` takes effect; they must stay the
 harness's names. Every count argument goes through ``errors.check_count``,
-so each call site gives the same message for the same mistake. README's
+so each call site gives the same message for the same mistake, and every
+entry point that takes features gives the one feature check's. README's
 library example runs, its quickstart prints the line README quotes, and its
 ``zen rsi`` commands print the values README quotes, rounded.
 """
@@ -127,6 +128,37 @@ def test_count_arguments_share_one_check(name, minimum, site):
             site(bad)
         assert str(info.value) == f"{name} must be a {kind} integer, got {bad!r}"
     site(np.int64(minimum + 1))
+
+
+# the entry points that take X for a hypergraph of n nodes
+_FEATURE_SITES = {
+    "Dataset": lambda X, n: zen.Dataset(
+        "bad", Hypergraph(n, ()), X, LabelSet(np.zeros(n, dtype=np.int64), 1)),
+    "propagated_basis": lambda X, n: zen.propagated_basis(Hypergraph(n, ((0, 1),)), X),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("site", ["load_features", *_FEATURE_SITES])
+def test_non_finite_features_share_one_check(site, bad, tmp_path):
+    X = np.ones((4, 3))
+    X[2, 1] = bad
+    # ``1.0`` and ``nan`` send the file to the text route
+    path = tmp_path / "features.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+    with pytest.raises(zen.DatasetError) as info:
+        zen.load_features(path) if site == "load_features" else _FEATURE_SITES[site](X, 4)
+    prefix = f"{path}: " if site == "load_features" else ""
+    assert str(info.value) == prefix + "features contain NaN or infinity"
+
+
+# load_features takes no node count, and load_dataset names the file instead
+@pytest.mark.parametrize("site", list(_FEATURE_SITES))
+def test_feature_row_counts_share_one_check(site):
+    for X in (np.ones((5, 3)), sp.csr_matrix(np.ones((5, 3))), np.ones(4)):
+        with pytest.raises(zen.DatasetError) as info:
+            _FEATURE_SITES[site](X, 4)
+        assert str(info.value) == f"features have shape {X.shape}, expected (4, num_features)"
 
 
 def test_the_benchmark_traced_path_takes_a_loaded_sparse_dataset(tmp_path, monkeypatch):

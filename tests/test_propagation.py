@@ -36,6 +36,7 @@ from zen.rsi_approx import dense_diag_oracle
 from conftest import (
     adversarial_hypergraphs,
     build_A1_hat,
+    non_canonical_csr,
     peak_bytes,
     plain_adjacency,
     plain_hop,
@@ -444,6 +445,16 @@ class TestPropagatedBasis:
         want = whole_matrix_basis(hg, twin, kind, rap)
         assert_bit_identical(got, want if rows is None else [block[rows] for block in want])
 
+    def test_non_canonical_csr_gives_the_bits_of_its_summed_twin(self):
+        X, twin = non_canonical_csr(_DEGENERATE.num_nodes, 40, seed=9)
+        kept = [a.copy() for a in (X.data, X.indices, X.indptr)]
+        for kind in (SYM, ROW):
+            for rap in (True, False):
+                assert_bit_identical(propagated_basis(_DEGENERATE, X, kind, rap),
+                                     whole_matrix_basis(_DEGENERATE, twin, kind, rap))
+        for got, want in zip((X.data, X.indices, X.indptr), kept):
+            npt.assert_array_equal(got, want)   # X itself is not canonicalized
+
     def test_rows_must_be_node_ids(self):
         # the row lookups would misplace a negative id instead of failing
         X = np.random.default_rng(0).standard_normal((_DEGENERATE.num_nodes, 3))
@@ -626,6 +637,33 @@ class TestPropagatedBasis:
                     npt.assert_allclose(basis[1][covered, 0], 1.0, rtol=0, atol=1e-12)
                     npt.assert_allclose(basis[2][covered, 0], 1.0, rtol=0, atol=1e-12)
                     assert not basis[1][~covered].any()
+
+
+class TestAbsolute:
+    # |c| is c itself for every value of a scaled copy of H, so the bound
+    # propagation can share the copies instead of taking their magnitudes
+    @settings(max_examples=150, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]), rap=st.booleans())
+    @example(hg=_DEGENERATE, kind=SYM, rap=True)
+    @example(hg=_DEGENERATE, kind=ROW, rap=False)
+    def test_no_scaled_copy_has_a_sign_bit_set(self, hg, kind, rap):
+        prop = propagation._Propagation.build(hg, kind, rap)
+        for hop in (prop.hop, prop.hop2):
+            for copy in (hop.left, hop.right):
+                assert not np.signbit(copy.data).any()
+
+    @pytest.mark.parametrize("rap", [True, False])
+    def test_absolute_shares_the_copies_and_negates_the_diagonals(self, rap):
+        prop = propagation._Propagation.build(_DEGENERATE, ROW, rap)
+        bound = prop.absolute()
+        for signed, magnitude in ((prop.hop, bound.hop), (prop.hop2, bound.hop2)):
+            assert magnitude.left is signed.left and magnitude.right is signed.right
+            for got, want in ((magnitude.diag, signed.diag), (bound.rsi_2, prop.rsi_2)):
+                if rap:
+                    npt.assert_array_equal(got.view(np.int64), (-want).view(np.int64))
+                else:
+                    assert got is None and want is None
+        assert bound.returning is prop.returning
 
 
 class TestPlainFirstHop:

@@ -290,23 +290,26 @@ class _Basis:
 
     def scores(self, alphas, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """sum_j a_j A_j (X W) at every row; each row's bound on the rounding
-        of both it and the row route's scores, the largest entry of
-        sum_j a_j |A_j| (|X| |W|), where |A_j| sums the magnitudes of A_j's
-        terms (``_Propagation.absolute``, which shares the hops); and the
-        rows where sum_j a_j |A_j| (|X| 1) is 0.0, whose mixed row has only
-        zero terms and so is exactly zero. Row normalization divides a row's
-        scores by a positive number, so their argmax is the embedding's."""
+        of both it and the row route's scores, sum_j a_j |A_j| (|X| m), where
+        m is the largest |W| entry of each feature and |A_j| sums the
+        magnitudes of A_j's terms (``_Propagation.absolute``, which shares
+        the hops); and the rows where sum_j a_j |A_j| (|X| 1) is 0.0, whose
+        mixed row has only zero terms and so is exactly zero. The bound's
+        terms are each at least those of any one class's sum with |W| in
+        place of m, so it bounds every class's rounding with two columns
+        propagated, not c + 1. Row normalization divides a row's scores by a
+        positive number, so their argmax is the embedding's."""
         P, Q = _products(self.features, W)
         a = self.weights(alphas)
         mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
         bounds = mix(self.propagation.absolute().basis(Q))
-        return mix(self.propagation.basis(P)), bounds[:, :-1].max(axis=1), bounds[:, -1] == 0.0
+        return mix(self.propagation.basis(P)), bounds[:, 0], bounds[:, 1] == 0.0
 
 
 def _products(X, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X W and |X| [|W| 1] for a dense or CSR X; a dense |X| is formed a row
-    slice at a time."""
-    M = np.hstack([np.abs(W), np.ones((W.shape[0], 1))])
+    """X W and |X| [m 1], m the largest |W| entry of each feature's row of
+    W, for a dense or CSR X; a dense |X| is formed a row slice at a time."""
+    M = np.column_stack([np.abs(W).max(axis=1), np.ones(W.shape[0])])
     if sp.issparse(X):
         return X @ W, abs(X) @ M
     Q = np.empty((X.shape[0], M.shape[1]))

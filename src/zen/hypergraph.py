@@ -6,9 +6,10 @@ A ``Hypergraph`` keeps only its node count, its node-by-edge incidence matrix
 H and the ``DegreeProfile`` read off H. H is canonical CSR: float64 0/1
 values, column indices sorted within each row, no duplicate entries, and one
 column per edge in input order, so verbatim duplicate edges stay distinct
-columns. The constructor is the one place that sorts and de-duplicates edge
-members and checks ids and empty edges; it builds H and the degrees once,
-without a per-edge Python loop. ``incidence_matrix`` and ``degrees`` return
+columns. The constructor checks ids and empty edges; ``Hypergraph._store``,
+which it shares with the edge file's byte route, is the one place that sorts
+and de-duplicates edge members and writes H and the degrees, once, without
+a per-edge Python loop. ``incidence_matrix`` and ``degrees`` return
 those stored objects, whose arrays are read-only because every caller shares
 them. ``Hypergraph.hyperedges`` derives the member tuples from H on access.
 
@@ -18,7 +19,13 @@ Hyperedges: plain text, one hyperedge per line as whitespace-separated 0-based
 node ids. ``#`` starts a comment line, blank lines are ignored, and an optional
 ``%nodes <n>`` header (before any edge) pins the node count so trailing
 isolated nodes survive a round trip. Node count otherwise defaults to
-1 + the largest id seen.
+1 + the largest id seen. The file's bytes pick one of two routes that give the
+same hypergraph. A file of only digits, spaces and ``\\n`` after an optional
+``%nodes N`` first line, with ids of at most 18 digits, none >= N and none
+repeated inside a line, is parsed by numpy off the bytes, with no Python
+object per id. Any other file (comments, tabs, CRLF, a byte-order mark,
+signs, and every file that warns or fails) is decoded and read by
+``parse_hypergraph``.
 
 Features: CSV with one row per node (row i = node i), optional header row of
 feature names; rows whose fields are all blank are skipped. Values are what
@@ -39,7 +46,12 @@ that form straight from the bytes, so a sparse grid is never held dense.
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
 sorted order (numeric sort when every label parses as an integer, otherwise
-lexicographic) and the original spellings are kept as class names.
+lexicographic) and the original spellings are kept as class names. Two routes
+give the same labels. A file of an optional header and ``<digits>,<digits>``
+rows ended by ``\\n``, with every node once and labels spelled canonically
+(no leading zero but ``0`` itself), is parsed by numpy off the bytes, with no
+Python object per row. Any other file (string labels, spellings such as
+``01`` or ``+1``, and every file that fails) is decoded and read by ``csv``.
 
 All three loaders skip a leading UTF-8 byte-order mark, as ``utf-8-sig``
 does, so the "CSV UTF-8" files spreadsheet programs write read as plain
@@ -93,21 +105,29 @@ class Hypergraph:
         if not whole.all():
             bad = [*chain.from_iterable(edges)][whole.argmin()]
             raise DatasetError(f"node id {bad!r} is not an integer")
-        cols = np.repeat(np.arange(len(edges)), lengths)
+        ptr = np.concatenate(([0], np.cumsum(lengths)))
         outside = (members < 0) | (members >= num_nodes)
         if outside.any():
-            bad = tuple(sorted(set(int(v) for v in edges[cols[outside.argmax()]])))
+            edge = edges[np.searchsorted(ptr, outside.argmax(), side="right") - 1]
+            bad = tuple(sorted(set(int(v) for v in edge)))
             raise DatasetError(
                 f"hyperedge {bad} references a node outside [0, {num_nodes})"
             )
-        H = sp.csr_matrix((np.ones(members.size), (members.astype(np.int64), cols)),
-                          shape=(num_nodes, len(edges)))
-        H.sum_duplicates()  # a repeated id inside an edge is one membership
-        H.sort_indices()
+        self._store(num_nodes, members.astype(np.int64), ptr)
+
+    def _store(self, num_nodes: int, members: np.ndarray, ptr: np.ndarray) -> None:
+        """Write the node count, H and its degrees, once, from H's CSC arrays:
+        ``members`` lists every edge's node ids in edge order (checked to lie
+        in [0, num_nodes)) and edge j's are ``members[ptr[j]:ptr[j + 1]]``.
+        H is made canonical CSR: sorted, a repeated id inside an edge one
+        membership, values 1.0, arrays read-only."""
+        H = sp.csc_matrix((np.ones(members.size), members, ptr),
+                          shape=(num_nodes, ptr.size - 1)).tocsr()
+        H.sum_duplicates()
         H.data[:] = 1.0
         prof = DegreeProfile(
             node_degrees=np.diff(H.indptr).astype(np.int64),
-            edge_sizes=np.bincount(H.indices, minlength=len(edges)),
+            edge_sizes=np.bincount(H.indices, minlength=H.shape[1]),
         )
         for a in (H.data, H.indices, H.indptr, prof.node_degrees, prof.edge_sizes):
             a.setflags(write=False)
@@ -240,9 +260,82 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(num_nodes, edges)
 
 
+def _digit_values(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers spelled by the runs of 1-18 ASCII digits
+    ``buf[starts[i]:starts[i] + lengths[i]]``, as int64, one Horner step
+    per digit position over the runs that long."""
+    values = buf[starts].astype(np.int64) - 48
+    for j in range(1, int(lengths.max(initial=0))):
+        longer = np.flatnonzero(lengths > j)
+        at = starts[longer]
+        at += j
+        values[longer] = values[longer] * 10 + (buf[at] - 48)
+    return values
+
+
+# which byte values each byte route reads
+_EDGE_BYTES = np.isin(np.arange(256), list(b"0123456789 \n"))
+_LABEL_BYTES = np.isin(np.arange(256), list(b"0123456789,\n"))
+
+
+def _byte_hypergraph(raw: bytes) -> Hypergraph | None:
+    """The hypergraph of the edge file ``raw`` in the layout
+    ``load_hypergraph`` reads off the bytes, with no Python object per id;
+    None for an empty file and any other, which the text route then reads.
+    Ids are digit runs, a line without one is skipped and the last line may
+    lack its ``\\n``."""
+    declared, start = None, 0
+    if raw.startswith(b"%nodes "):
+        end = raw.find(b"\n")
+        end = len(raw) if end < 0 else end
+        count = raw[len(b"%nodes "):end]
+        if not (count.isdigit() and len(count) <= 18):
+            return None
+        declared, start = int(count), end + 1
+    buf = np.frombuffer(raw, dtype=np.uint8)[start:]
+    if not raw or not _EDGE_BYTES[buf].all():   # an empty file, or another byte
+        return None
+    sep = np.ones(buf.size + 2, dtype=bool)      # a separator before and after the file
+    np.less(buf, ord("0"), out=sep[1:-1])        # a space or a newline
+    bounds = np.flatnonzero(sep[1:] != sep[:-1])
+    del sep
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
+    if lengths.size and lengths.max() > 18:
+        return None
+    # the ids before each newline are where the next line's ids begin; a
+    # line without one repeats the value, which np.unique drops
+    ptr = np.unique(np.concatenate(
+        ([0], np.searchsorted(starts, np.flatnonzero(buf == ord("\n"))), [starts.size])))
+    members = _digit_values(buf, starts, lengths)
+    del bounds, starts, lengths
+    top = int(members.max(initial=-1))
+    if declared is not None and top >= declared:
+        return None
+    hg = Hypergraph.__new__(Hypergraph)
+    hg._store(top + 1 if declared is None else declared, members, ptr)
+    return hg if hg.nnz == members.size else None
+
+
+def _decoded(raw: bytes, newline=None) -> io.TextIOWrapper:
+    """The text a file of bytes ``raw`` reads when opened in text mode with
+    ``newline``: UTF-8, a leading byte-order mark skipped."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=newline)
+
+
 def load_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_hypergraph(fh.read())
+    """Read an edge file: ``parse_hypergraph`` of its text.
+
+    A file of only digits, spaces and ``\\n`` after an optional ``%nodes N``
+    first line, with no id >= N and no id repeated inside one line, is read
+    off its bytes with numpy, straight into H, with no Python object per
+    id. Every other file (comments, tabs, CRLF, a byte-order mark, signs,
+    ids of more than 18 digits, and every faulty file) is decoded and parsed
+    by ``parse_hypergraph``, which gives the same hypergraph for the simple
+    layout and raises or warns with line numbers for the rest.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _byte_hypergraph(raw) or parse_hypergraph(_decoded(raw).read())
 
 
 @dataclass(frozen=True)
@@ -440,8 +533,7 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
                 return grid
             fh.seek(0)
         raw = fh.read()
-    # the text a file opened in text mode reads: UTF-8, universal newlines
-    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig").read().split("\n")
+    lines = _decoded(raw).read().split("\n")
     del raw  # loadtxt then runs beside the lines alone, as when reading text
     lines = [ln for ln in lines if not _blank(ln)]
     if not lines:
@@ -470,10 +562,74 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
     return X, names
 
 
+def _byte_labels(raw: bytes, num_nodes: int) -> LabelSet | None:
+    """The labels of the label file ``raw`` in the layout ``load_labels``
+    reads off the bytes, with no Python object per row; None for any other
+    file, which the csv route then reads. The header is a first line that
+    the csv route skips: valid UTF-8 with no byte-order mark, quote or
+    carriage return, not blank, its first field no integer. Canonical labels
+    are integers with one spelling each, so their numeric order is the csv
+    route's class order and their digits are its class names."""
+    start = raw.find(b"\n") + 1
+    if not start or raw.startswith(codecs.BOM_UTF8):
+        return None
+    try:
+        line = raw[:start - 1].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    first = next(csv.reader([line]), [])
+    if not any(tok.strip() for tok in first) or _parses(int, first[0]):
+        start = 0       # a data row, or a blank one that the byte checks refuse
+    elif '"' in line or "\r" in line:
+        return None     # a quoted header field can span lines
+    buf = np.frombuffer(raw, dtype=np.uint8)[start:]
+    if not buf.size or not _LABEL_BYTES[buf].all():
+        return None
+    commas, ends = np.flatnonzero(buf == ord(",")), np.flatnonzero(buf == ord("\n"))
+    if not num_nodes or commas.size != num_nodes or ends.size != num_nodes:
+        return None
+    begins = np.concatenate(([0], ends[:-1] + 1))
+    node_len = commas - begins
+    label_at = commas + 1
+    label_len = ends - label_at
+    del commas, ends
+    if (node_len.min() < 1 or label_len.min() < 1 or max(node_len.max(), label_len.max()) > 18
+            or not ((buf[label_at] != ord("0")) | (label_len == 1)).all()):
+        return None     # one comma inside each line, both fields digits, canonical labels
+    labels = _digit_values(buf, label_at, label_len)
+    del label_at, label_len
+    nodes = _digit_values(buf, begins, node_len)
+    del begins, node_len
+    if nodes.max() >= num_nodes:
+        return None
+    values = np.full(num_nodes, -1)
+    values[nodes] = labels
+    del nodes, labels
+    if values.min() < 0:
+        return None     # a node labeled twice, so another not at all
+    distinct = np.unique(values)
+    return LabelSet(labels=np.searchsorted(distinct, values), num_classes=distinct.size,
+                    class_names=tuple(map(str, distinct.tolist())))
+
+
 def load_labels(path, num_nodes: int) -> LabelSet:
-    """Read a node_id,label CSV covering every node exactly once."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(tok.strip() for tok in r)]
+    """Read a node_id,label CSV covering every node exactly once.
+
+    A file of an optional header and ``<digits>,<digits>\\n`` rows, with
+    canonical labels (no leading zero but ``0`` itself) and every node
+    once, is read off its bytes with numpy, with no Python object per row.
+    Every other file (string labels, spellings such as ``01`` or ``+1``,
+    spaces, quotes, CRLF, a byte-order mark, blank rows, a last row without
+    its newline, and every faulty file) is decoded and read by ``csv``,
+    which gives the same labels for the simple layout and raises the
+    ``DatasetError`` for the rest.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    ls = _byte_labels(raw, num_nodes)
+    if ls is not None:
+        return ls
+    rows = [r for r in csv.reader(_decoded(raw, newline="")) if r and any(tok.strip() for tok in r)]
     if rows and not _parses(int, rows[0][0]):
         rows = rows[1:]  # header
     raw: dict[int, str] = {}

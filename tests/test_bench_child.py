@@ -8,6 +8,9 @@ for a protocol round, ``build_A1_star``, ``rsi_diag_2(hg, a1_star=)``,
 beneath them. Each test writes a ``bench/gen.py`` instance of 120 nodes
 and runs one child on it, with one BLAS thread, as ``bench/run.py`` does, so
 a change to any of those calls fails here and not first in the benchmark.
+The instance's edge and label files must also load through the loaders'
+byte routes, so a change that sends the benchmark's inputs back to the text
+parsers fails here too.
 """
 
 import json
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import src_env
+from zen import hypergraph, load_hypergraph, load_labels
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -68,3 +72,16 @@ def test_diagnostics_child_walks_from_two_starts(tmp_path, monkeypatch):
     outputs = report["outputs"]
     assert len(outputs["rsi1"]) == len(outputs["rsi2"]) == len(outputs["hutchinson"]) == 120
     assert len(outputs["walks"]) == 2 and None not in outputs["walks"]
+
+
+def test_generated_edges_and_labels_take_the_byte_routes(tmp_path, monkeypatch):
+    workdir = _workdir(tmp_path, monkeypatch, protocol=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text route taken")
+
+    monkeypatch.setattr(hypergraph, "_decoded", refuse)   # both text routes decode first
+    monkeypatch.setattr(hypergraph, "parse_hypergraph", refuse)
+    hg = load_hypergraph(workdir / "edges.hg")
+    labels = load_labels(workdir / "labels.csv", hg.num_nodes)
+    assert (hg.num_nodes, labels.num_classes) == (120, 3)

@@ -51,6 +51,7 @@ from zen.harness import (
 
 from conftest import (
     StoredBlocks,
+    adversarial_hypergraphs,
     edgeless_basis,
     non_canonical_csr,
     peak_bytes,
@@ -937,6 +938,32 @@ class TestScoringThroughXW:
                 want, zeros = whole_matrix_test_scoring(blocks, alphas, W, split, labels)
                 assert acc == want
                 assert counts == ([zeros] if zeros else [])
+
+    # The bound propagates |X| m, m each feature's largest |W| entry, where
+    # the per-class bound propagated |X| |W_c| for every class c. Every term
+    # of a row's bound is at least the matching term of every class's, in
+    # the same order, so rounding keeps it at least each of them
+    @settings(max_examples=100, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from(list(NormalizationKind)),
+           variant=st.sampled_from(["full", "no_rap", "linearized_hgnn"]),
+           sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bound_is_at_least_every_class_bound(self, hg, kind, variant, sparse, seed):
+        rng = np.random.default_rng(seed)
+        n, d = hg.num_nodes, 4
+        X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+        W = rng.normal(size=(d, 3))
+        alphas = rng.dirichlet(np.ones(3))
+        ds = Dataset("bound", hg, sp.csr_matrix(X) if sparse else X,
+                     LabelSet(np.zeros(n, dtype=np.int64), 1))
+        basis = _variant_basis(ds, kind, variant)
+        _, bound, _ = basis.scores(alphas, W)
+        weights = basis.weights(alphas)
+        absolute = abs(basis.features)
+        for c in range(W.shape[1]):
+            M = np.column_stack([np.abs(W[:, c]), np.ones(d)])
+            blocks = basis.propagation.absolute().basis(absolute @ M)
+            per_class = sum(w * b for w, b in zip(weights, blocks) if w)[:, 0]
+            assert (bound >= per_class).all()
 
     @pytest.mark.parametrize("variant", ["full", "no_rap", "no_tcs", "linearized_hgnn"])
     def test_grid_search_allocates_no_basis(self, cora_shaped, variant):

@@ -5,6 +5,8 @@ import csv
 import io
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -686,3 +688,169 @@ class TestFeatureParser:
         text.write_bytes(b"0.0,1.0\n")
         with pytest.raises(AssertionError, match="loadtxt called"):
             load_features(text)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@st.composite
+def simple_edge_files(draw):
+    """The text of a random hypergraph, whose edges include singletons and
+    repeats, in the layout the byte route reads: with its ``%nodes`` header
+    or without, ids parted by runs of spaces, lines padded with spaces,
+    blank and space-only lines, and with or without the final newline."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    header, *lines = serialize_hypergraph(random_hypergraph(rng, max_nodes=30)).splitlines()
+    pad = st.sampled_from(["", " ", "   "])
+    lines = [draw(pad) + line.replace(" ", draw(st.sampled_from([" ", "  "]))) + draw(pad)
+             for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(pad))
+    if draw(st.booleans()):
+        lines.insert(0, header)
+    text = "\n".join(lines)
+    return text + "\n" if draw(st.booleans()) else text
+
+
+@st.composite
+def integer_label_files(draw):
+    """(text, n): every node of n labeled once with an integer spelled
+    canonically, rows in shuffled order, after one of several headers or none."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice([0, 1, 2, 7, 10, 99, 12345, 10**17], size=draw(st.integers(1, 4)))
+    values = rng.choice(pool, size=n)
+    header = draw(st.sampled_from(["", "node_id,label\n", "id,class,extra\n", "naïve,\n"]))
+    return header + "".join(f"{i},{values[i]}\n" for i in rng.permutation(n)), n
+
+
+def text_route_labels(path, num_nodes):
+    """``load_labels`` through its csv route alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_byte_labels", lambda raw, n: None)
+        return load_labels(path, num_nodes)
+
+
+def assert_same_labels(got: LabelSet, want: LabelSet):
+    npt.assert_array_equal(got.labels, want.labels)
+    assert got.labels.dtype == want.labels.dtype
+    assert (got.num_classes, got.class_names) == (want.num_classes, want.class_names)
+
+
+def outcome(fn, *args):
+    """(result, warning messages), or (exception type, message, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except (DatasetError, HypergraphParseError) as exc:
+            value = (type(exc), str(exc))
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def route_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("routes")
+
+
+class TestByteRoutes:
+    @settings(max_examples=300, deadline=None)
+    @given(text=simple_edge_files())
+    def test_simple_edge_files_read_as_the_text_route_does(self, route_dir, text):
+        p = route_dir / "edges.hg"
+        p.write_bytes(text.encode())
+        assert hypergraph._byte_hypergraph(text.encode()) is not None
+        hg, want = load_hypergraph(p), parse_hypergraph(text)
+        assert hg == want and hg.num_edges == want.num_edges
+        for got, ref in zip((hg._incidence, hg._degrees.node_degrees, hg._degrees.edge_sizes),
+                            (want._incidence, want._degrees.node_degrees,
+                             want._degrees.edge_sizes)):
+            arrays = (got.indptr, got.indices, got.data) if sp.issparse(got) else (got,)
+            refs = (ref.indptr, ref.indices, ref.data) if sp.issparse(ref) else (ref,)
+            for a, b in zip(arrays, refs):
+                assert a.dtype == b.dtype and not a.flags.writeable
+                npt.assert_array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integer_label_files())
+    def test_integer_label_files_read_as_the_csv_route_does(self, route_dir, case):
+        text, n = case
+        p = route_dir / "labels.csv"
+        p.write_bytes(text.encode())
+        assert hypergraph._byte_labels(text.encode(), n) is not None
+        assert_same_labels(load_labels(p, n), text_route_labels(p, n))
+
+    # each file is one the byte route refuses; the text route's result,
+    # warning or error is what load_hypergraph gives
+    @pytest.mark.parametrize("text, want", [
+        ("\ufeff%nodes 3\n0 1\n", Hypergraph(3, ((0, 1),))),                   # BOM
+        ("0 1\r\n1 2\r\n", Hypergraph(3, ((0, 1), (1, 2)))),                     # \r
+        ("0\t1\n", Hypergraph(2, ((0, 1),))),                                    # tab
+        ("# comment\n0 1\n", Hypergraph(2, ((0, 1),))),                          # #
+        ("%nodes 3\n%nodes 3\n0 1\n",
+         (HypergraphParseError, "line 2: duplicate %nodes header")),            # another %
+        ("0 1\n%nodes 5\n", (HypergraphParseError, "line 2: %nodes header must precede edges")),
+        ("%edges 2\n0 1\n", (HypergraphParseError, "line 1: malformed header '%edges 2'")),
+        ("%nodes x\n0 1\n", (HypergraphParseError, "line 1: node count is not an integer: 'x'")),
+        ("0 1\n1 -2\n", (HypergraphParseError, "line 2: negative node id -2")),  # signs
+        ("+1 2\n", Hypergraph(3, ((1, 2),))),
+        ("%nodes 2\n0 1\n1 2\n",
+         (HypergraphParseError, "line 3: node id 2 outside declared range [0, 2)")),  # id >= N
+        ("%nodes 3\n0000000000000000000002 1\n", Hypergraph(3, ((1, 2),))),     # 22 digits
+        ("", Hypergraph(0, ())),                                                 # empty
+    ])
+    def test_edge_fallbacks_give_the_text_route(self, tmp_path, text, want):
+        p = tmp_path / "edges.hg"
+        p.write_bytes(text.encode())
+        assert hypergraph._byte_hypergraph(text.encode()) is None
+        assert outcome(load_hypergraph, p) == (want, [])
+
+    def test_an_id_repeated_in_a_line_warns_through_the_text_route(self, tmp_path):
+        p = tmp_path / "edges.hg"
+        p.write_bytes(b"2 0 2\n1 0\n")
+        assert hypergraph._byte_hypergraph(p.read_bytes()) is None
+        message = "1 hyperedge(s) contained duplicate node ids; duplicates removed"
+        assert outcome(load_hypergraph, p) == (Hypergraph(3, ((0, 2), (0, 1))), [message])
+
+    @pytest.mark.parametrize("text, n, want", [
+        ("node_id,label\n0,wolf\n1,ant\n", 2, ((1, 0), ("ant", "wolf"))),      # strings
+        ("0,1\n1,01\n2,+1\n3,0\n", 4, ((3, 2, 1, 0), ("0", "+1", "01", "1"))),  # spellings
+        ('"node,id",label\n0,1\n1,0\n', 2, ((1, 0), ("0", "1"))),              # quoted header
+        ("\ufeffnode_id,label\n0,1\n1,0\n", 2, ((1, 0), ("0", "1"))),          # BOM
+        ("0,1\r\n1,0\r\n", 2, ((1, 0), ("0", "1"))),                             # CRLF
+        ("0, 1\n1,0\n", 2, ((1, 0), ("0", "1"))),                                # space
+        ("0,1\n\n1,0\n", 2, ((1, 0), ("0", "1"))),                               # blank row
+        ("0,1\n1,0", 2, ((1, 0), ("0", "1"))),                                   # no newline
+        ("0,7\n1,12345678901234567890\n", 2, ((0, 1), ("7", "12345678901234567890"))),
+        ("0,1\n0,1\n", 2, "node 0 labeled twice"),
+        ("0,1\n5,0\n", 2, "node id 5 outside [0, 2)"),
+        ("0,1\n", 2, "1 unlabeled node(s), first is 1"),
+        ("0,1\nx,0\n", 2, "node id is not an integer: 'x'"),
+        ("0,1,2\n", 1, "expected 'node_id,label' rows, got ['0', '1', '2']"),
+        ("", 0, "need at least one class, got 0"),
+    ])
+    def test_label_fallbacks_give_the_csv_route(self, tmp_path, text, n, want):
+        p = tmp_path / "labels.csv"
+        p.write_bytes(text.encode())
+        assert hypergraph._byte_labels(text.encode(), n) is None
+        if isinstance(want, str):
+            with pytest.raises(DatasetError) as raised:
+                load_labels(p, n)
+            assert str(raised.value) in (f"{p}: {want}", want)
+        else:
+            ls = load_labels(p, n)
+            assert (tuple(ls.labels.tolist()), ls.class_names) == want
+
+    def test_wide_edge_files_load_in_little_memory(self, tmp_path, monkeypatch):
+        # bench/gen.py's wide-edges files (10 000 nodes, 33 671 memberships).
+        # The text routes' Python objects peak at about 108 B per membership
+        # and 230 B per label row; the byte routes at about 69 and 79
+        monkeypatch.syspath_prepend(str(BENCH))
+        import gen
+        import workloads
+
+        gen.write(gen.generate(workloads.WIDE, seed=0), str(tmp_path))
+        hg, peak = peak_bytes(load_hypergraph, tmp_path / "edges.hg")
+        assert peak < 90 * hg.nnz
+        ls, peak = peak_bytes(load_labels, tmp_path / "labels.csv", hg.num_nodes)
+        assert ls.num_nodes == hg.num_nodes and peak < 120 * hg.num_nodes

@@ -352,7 +352,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         return args.func(args)
-    except (FileNotFoundError, HypergraphParseError, DatasetError, ConfigError) as exc:
+    except (OSError, HypergraphParseError, DatasetError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZenError as exc:

@@ -170,20 +170,21 @@ def load_dataset(edges_path, features_path, labels_path, name: str | None = None
     only rescaling anywhere in the pipeline. X is kept in the form
     ``load_features`` returns, so a sparse enough file is never made dense.
     ``Dataset`` checks X again, as it does any X it is given: the check
-    reads a CSR X's stored values, or a dense X a row slice at a time.
+    reads a CSR X's stored values, or a dense X a row slice at a time. Its
+    error, a row count other than the node count, is named with the
+    features path.
     """
     hg = load_hypergraph(edges_path)
     X, feature_names = load_features(features_path)
-    if X.shape[0] != hg.num_nodes:
-        raise DatasetError(
-            f"{features_path}: {X.shape[0]} feature rows for {hg.num_nodes} nodes"
-        )
     labels = load_labels(labels_path, hg.num_nodes)
     if name is None:
         import os
         name = os.path.splitext(os.path.basename(str(edges_path)))[0]
-    return Dataset(name=name, hypergraph=hg, features=X, labels=labels,
-                   feature_names=feature_names)
+    try:
+        return Dataset(name=name, hypergraph=hg, features=X, labels=labels,
+                       feature_names=feature_names)
+    except DatasetError as exc:     # the labels and names were read to fit
+        raise DatasetError(f"{features_path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -640,38 +641,33 @@ def grid_search(
     seed are checked before the propagation is prepared, so a bad one fails
     before any work is done.
 
-    ``timing_ms`` splits the search's wall time into three phases timed back
-    to back: ``propagation_ms`` prepares the propagation once (the hops,
-    the rsi diagonals), ``search_ms`` draws each seed's split,
-    propagates its labeled rows and screens the grid, and ``test_ms``
-    propagates each winner's scores and re-scores its unsure test rows.
+    The work runs in three phases, and ``timing_ms`` times each as one span,
+    so the three add up to the wall time: ``propagation_ms`` prepares the
+    propagation once (the hops, the rsi diagonals), ``search_ms`` draws
+    every seed's split, propagates its labeled rows and screens the grid,
+    and ``test_ms`` then propagates every winner's scores and re-scores its
+    unsure test rows.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(grid) == 0 or len(seeds) == 0:
         raise ConfigError("grid and seeds must both be nonempty")
     _check_split_args(k, seeds)
-    # the phases are timed back to back, so they add up to the wall time
-    timing = dict.fromkeys(("propagation_ms", "search_ms", "test_ms"), 0.0)
-    last = time.perf_counter()
-
-    def lap(phase):
-        nonlocal last
-        now = time.perf_counter()
-        timing[phase] += (now - last) * 1e3
-        last = now
-
+    start = time.perf_counter()
     basis = _variant_basis(dataset, normalization, variant)
-    lap("propagation_ms")
-    per_seed = []
-    for seed in seeds:
-        split = make_kshot_split(dataset.labels, k, seed)
-        idx, val_acc, W = _select_config(basis, split, dataset.labels, grid, variant, training)
-        alphas = grid.alphas[idx]
-        lap("search_ms")
-        test_acc = _test_accuracy(basis, alphas, W, split, dataset.labels)
-        lap("test_ms")
-        per_seed.append(SeedResult(seed=seed, selected_alphas=alphas,
-                                   val_acc=val_acc, test_acc=test_acc))
+    prepared = time.perf_counter()
+    splits = [make_kshot_split(dataset.labels, k, seed) for seed in seeds]
+    winners = [_select_config(basis, split, dataset.labels, grid, variant, training)
+               for split in splits]
+    searched = time.perf_counter()
+    per_seed = [
+        SeedResult(seed=seed, selected_alphas=grid.alphas[idx], val_acc=val_acc,
+                   test_acc=_test_accuracy(basis, grid.alphas[idx], W, split, dataset.labels))
+        for seed, split, (idx, val_acc, W) in zip(seeds, splits, winners)
+    ]
+    scored = time.perf_counter()
+    timing = {"propagation_ms": (prepared - start) * 1e3,
+              "search_ms": (searched - prepared) * 1e3,
+              "test_ms": (scored - searched) * 1e3}
     tests = np.array([r.test_acc for r in per_seed], dtype=np.float64)
     std = float(np.std(tests, ddof=1)) if tests.size > 1 else 0.0
     return RunResult(

@@ -55,7 +55,8 @@ Python object per row. Any other file (string labels, spellings such as
 
 All three loaders skip a leading UTF-8 byte-order mark, as ``utf-8-sig``
 does, so the "CSV UTF-8" files spreadsheet programs write read as plain
-UTF-8 ones.
+UTF-8 ones. A file the text routes read that is not UTF-8 is a
+``DatasetError`` naming the offset of its first bad byte.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from operator import pos
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DatasetError, HypergraphParseError
+from .errors import DatasetError, GuardError, HypergraphParseError
 from .sparsetools import _csr_rows, _slice_len, _sparse_enough, _stored_features
 
 
@@ -120,9 +121,13 @@ class Hypergraph:
         ``members`` lists every edge's node ids in edge order (checked to lie
         in [0, num_nodes)) and edge j's are ``members[ptr[j]:ptr[j + 1]]``.
         H is made canonical CSR: sorted, a repeated id inside an edge one
-        membership, values 1.0, arrays read-only."""
-        H = sp.csc_matrix((np.ones(members.size), members, ptr),
-                          shape=(num_nodes, ptr.size - 1)).tocsr()
+        membership, values 1.0, arrays read-only. A node count whose index
+        pointer numpy cannot allocate is a GuardError."""
+        try:
+            H = sp.csc_matrix((np.ones(members.size), members, ptr),
+                              shape=(num_nodes, ptr.size - 1)).tocsr()
+        except MemoryError:
+            raise GuardError(f"{num_nodes} nodes do not fit in memory") from None
         H.sum_duplicates()
         H.data[:] = 1.0
         prof = DegreeProfile(
@@ -316,9 +321,17 @@ def _byte_hypergraph(raw: bytes) -> Hypergraph | None:
     return hg if hg.nnz == members.size else None
 
 
-def _decoded(raw: bytes, newline=None) -> io.TextIOWrapper:
-    """The text a file of bytes ``raw`` reads when opened in text mode with
-    ``newline``: UTF-8, a leading byte-order mark skipped."""
+def _decoded(raw: bytes, path, newline=None) -> io.TextIOWrapper:
+    """The text the file ``path`` of bytes ``raw`` reads when opened in text
+    mode with ``newline``: UTF-8, a leading byte-order mark skipped. Bytes
+    that are not UTF-8 are a DatasetError naming the path and the offset of
+    the first bad byte; the stream decodes lazily, so they are found first."""
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(
+                f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=newline)
 
 
@@ -335,7 +348,7 @@ def load_hypergraph(path) -> Hypergraph:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    return _byte_hypergraph(raw) or parse_hypergraph(_decoded(raw).read())
+    return _byte_hypergraph(raw) or parse_hypergraph(_decoded(raw, path).read())
 
 
 @dataclass(frozen=True)
@@ -533,7 +546,7 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
                 return grid
             fh.seek(0)
         raw = fh.read()
-    lines = _decoded(raw).read().split("\n")
+    lines = _decoded(raw, path).read().split("\n")
     del raw  # loadtxt then runs beside the lines alone, as when reading text
     lines = [ln for ln in lines if not _blank(ln)]
     if not lines:
@@ -629,7 +642,7 @@ def load_labels(path, num_nodes: int) -> LabelSet:
     ls = _byte_labels(raw, num_nodes)
     if ls is not None:
         return ls
-    rows = [r for r in csv.reader(_decoded(raw, newline="")) if r and any(tok.strip() for tok in r)]
+    rows = [r for r in csv.reader(_decoded(raw, path, newline="")) if r and any(tok.strip() for tok in r)]
     if rows and not _parses(int, rows[0][0]):
         rows = rows[1:]  # header
     raw: dict[int, str] = {}

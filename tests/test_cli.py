@@ -405,6 +405,46 @@ class TestRsi:
         assert "no incident hyperedge" in capsys.readouterr().err
 
 
+# each case: the command line, with {edges} standing for the edge file and
+# {dir} for a directory, and a run given the three toy files; a toy file to
+# replace with bytes; and the exit code
+_INPUT_ERRORS = {
+    "edges-directory": (["rsi", "--edges", "{dir}", "--node", "0"], None, 2),
+    "out-directory": (["run", "--out", "{dir}"], None, 2),
+    "edges-not-utf8": (["run"], ("edges.hg", b"0 1\n1 2\xff\n"), 2),
+    "features-not-utf8": (["run"], ("features.csv", b"fa,fb\n1,\xe9\n"), 2),
+    "labels-not-utf8": (["run"], ("labels.csv", b"0,a\n1,\xff\n"), 2),
+    "feature-rows": (["run"], ("features.csv", b"1,0\n" * 31), 2),
+    "nodes-rsi": (["rsi", "--edges", "{edges}", "--node", "0"],
+                  ("edges.hg", b"%nodes 1000000000000000\n0 1\n"), 1),
+    "nodes-run": (["run"], ("edges.hg", b"%nodes 1000000000000000\n0 1\n"), 1),
+}
+
+
+class TestInputErrors:
+    """Every input that cannot be read ends in one ``error:`` line, in a
+    child process, so an uncaught exception would show as a traceback."""
+
+    @pytest.mark.parametrize("case", list(_INPUT_ERRORS))
+    def test_one_error_line_and_no_traceback(self, toy_files, tmp_path, case):
+        argv, replace, code = _INPUT_ERRORS[case]
+        for name in ("edges.hg", "features.csv", "labels.csv"):
+            (tmp_path / name).write_bytes((toy_files / name).read_bytes())
+        if replace is not None:
+            (tmp_path / replace[0]).write_bytes(replace[1])
+        if argv[0] == "run":
+            argv = [*argv, *dataset_args(tmp_path), "--k", "2", "--seeds", "0"]
+        names = {"edges": tmp_path / "edges.hg", "dir": tmp_path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zen.cli", *(a.format(**names) for a in argv)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+
+
 class TestExplain:
     def test_csv_report(self, toy_files, capsys):
         code = main(["explain", *dataset_args(toy_files), "--k", "2",

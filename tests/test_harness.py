@@ -309,8 +309,9 @@ class TestDataset:
         feats.write_text("1.0,2.0\n3.0,4.0\n")
         labs = tmp_path / "l.csv"
         labs.write_text("node_id,label\n0,a\n1,a\n2,b\n")
-        with pytest.raises(DatasetError, match="feature rows"):
+        with pytest.raises(DatasetError) as info:
             load_dataset(edges, feats, labs)
+        assert str(info.value) == f"{feats}: features have shape (2, 2), expected (3, num_features)"
 
 
 class TestSimplexGrid:
@@ -603,6 +604,36 @@ class TestGridSearch:
             assert (r.val_acc, r.test_acc) == run_config(
                 ds, PropagationConfig(grid.alphas[0]), split,
                 variant="linearized_hgnn", training=training)
+
+    @pytest.mark.parametrize("variant", ["full", "linearized_hgnn"])
+    def test_every_seed_is_selected_before_any_winner_is_scored(self, monkeypatch, variant):
+        # the search runs in phases over all seeds, which batching the
+        # seeds' screens relies on; each seed's result is the one that
+        # selecting and scoring it alone gives
+        ds, grid, seeds = noisy_dataset(), simplex_grid(4), (0, 1, 2, 3)
+        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant)
+        expected = []
+        for seed in seeds:
+            split = make_kshot_split(ds.labels, 2, seed)
+            idx, val_acc, W = _select_config(basis, split, ds.labels, grid, variant, None)
+            test_acc = _test_accuracy(basis, grid.alphas[idx], W, split, ds.labels)
+            expected.append(SeedResult(seed, grid.alphas[idx], val_acc, test_acc))
+        events = []
+
+        def selecting(*args):
+            winner = _select_config(*args)
+            events.append("selected")
+            return winner
+
+        def scoring(*args):
+            events.append("scoring")
+            return _test_accuracy(*args)
+
+        monkeypatch.setattr(harness, "_select_config", selecting)
+        monkeypatch.setattr(harness, "_test_accuracy", scoring)
+        result = grid_search(ds, grid, k=2, seeds=seeds, variant=variant)
+        assert events == ["selected"] * 4 + ["scoring"] * 4
+        assert result.per_seed == tuple(expected)
 
     def test_zero_row_warning_at_most_once_per_seed(self, caplog):
         # one record per seed, carrying the count of zero rows the

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from zen import (
     DatasetError,
+    GuardError,
     Hypergraph,
     HypergraphParseError,
     LabelSet,
@@ -111,6 +112,25 @@ class TestHypergraphType:
 
     def test_nnz_counts_memberships(self, triangle_hg):
         assert triangle_hg.nnz == 6
+
+    # 10**15 nodes need an 8 PB index pointer, more than the address space,
+    # so numpy refuses it at once and nothing is allocated
+    def test_a_node_count_beyond_memory_is_a_guard_error(self, tmp_path):
+        n = 10**15
+        message = f"{n} nodes do not fit in memory"
+        with pytest.raises(GuardError) as info:
+            Hypergraph(n, ((0, 1),))
+        assert str(info.value) == message
+        # the byte route, and the text route a comment sends it to
+        for text in (f"%nodes {n}\n0 1\n", f"%nodes {n}\n# c\n0 1\n"):
+            with pytest.raises(GuardError) as info:
+                parse_hypergraph(text)
+            assert str(info.value) == message
+            p = tmp_path / "e.hg"
+            p.write_text(text)
+            with pytest.raises(GuardError) as info:
+                load_hypergraph(p)
+            assert str(info.value) == message
 
 
 class TestDegrees:
@@ -362,6 +382,32 @@ class TestLoaders:
             p = tmp_path / "e.hg"
             p.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
             assert load_hypergraph(p) == parse_hypergraph(text)
+
+    # the offset counts a byte-order mark, as a hex dump of the file would
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    @pytest.mark.parametrize("loader, raw, at, reason", [
+        (load_hypergraph, b"0 1\n1 2\xff\n", 7, "invalid start byte"),
+        (load_features, b"1,0\n0,\xe9\n", 6, "invalid continuation byte"),
+        (lambda p: load_labels(p, 2), b"0,a\n1,b\xc3", 7, "unexpected end of data"),
+    ], ids=["edges", "features", "labels"])
+    def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path, bom,
+                                                             loader, raw, at, reason):
+        p = tmp_path / "f"
+        p.write_bytes(bom + raw)
+        with pytest.raises(DatasetError) as info:
+            loader(p)
+        assert str(info.value) == f"{p}: byte {len(bom) + at} is not UTF-8 ({reason})"
+
+    def test_utf8_text_reads_with_universal_newlines(self, tmp_path):
+        p = tmp_path / "f"
+        p.write_bytes(codecs.BOM_UTF8 + "n\u00e9,\u00fc\r\n1,2\r3,4\n".encode("utf-8"))
+        X, names = load_features(p)
+        assert names == ("n\u00e9", "\u00fc")
+        npt.assert_array_equal(X, [[1, 2], [3, 4]])
+        p.write_bytes(codecs.BOM_UTF8 + '0,"\u00e9\r\nx"\r1,b\r\n'.encode("utf-8"))
+        assert load_labels(p, 2).class_names == ("b", "\u00e9\r\nx")
+        p.write_bytes("# \u00e9\r0 1\r\n1 2\n".encode("utf-8"))
+        assert load_hypergraph(p) == Hypergraph(3, ((0, 1), (1, 2)))
 
 
 def reference_load_features(path):

@@ -152,13 +152,31 @@ def test_non_finite_features_share_one_check(site, bad, tmp_path):
     assert str(info.value) == prefix + "features contain NaN or infinity"
 
 
-# load_features takes no node count, and load_dataset names the file instead
-@pytest.mark.parametrize("site", list(_FEATURE_SITES))
-def test_feature_row_counts_share_one_check(site):
-    for X in (np.ones((5, 3)), sp.csr_matrix(np.ones((5, 3))), np.ones(4)):
-        with pytest.raises(zen.DatasetError) as info:
-            _FEATURE_SITES[site](X, 4)
-        assert str(info.value) == f"features have shape {X.shape}, expected (4, num_features)"
+# load_features takes no node count; load_dataset and zen run take it from
+# the edge file and put the features path in front
+@pytest.mark.parametrize("site", [*_FEATURE_SITES, "load_dataset", "zen run"])
+def test_feature_row_counts_share_one_check(site, tmp_path, capsys):
+    if site in _FEATURE_SITES:
+        for X in (np.ones((5, 3)), sp.csr_matrix(np.ones((5, 3))), np.ones(4)):
+            with pytest.raises(zen.DatasetError) as info:
+                _FEATURE_SITES[site](X, 4)
+            assert str(info.value) == f"features have shape {X.shape}, expected (4, num_features)"
+        return
+    edges, labels = tmp_path / "e.hg", tmp_path / "l.csv"
+    edges.write_text("%nodes 4\n0 1\n2 3\n")
+    labels.write_text("".join(f"{i},{i % 2}\n" for i in range(4)))
+    for value in ("1", "1.0"):      # the digit grid's route and the text route
+        features = tmp_path / f"f{value}.csv"
+        features.write_text(f"{value},{value},{value}\n" * 5)
+        message = f"{features}: features have shape (5, 3), expected (4, num_features)"
+        if site == "load_dataset":
+            with pytest.raises(zen.DatasetError) as info:
+                zen.load_dataset(edges, features, labels)
+            assert str(info.value) == message
+        else:
+            assert main(["run", "--edges", str(edges), "--features", str(features),
+                         "--labels", str(labels), "--k", "1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_the_benchmark_traced_path_takes_a_loaded_sparse_dataset(tmp_path, monkeypatch):

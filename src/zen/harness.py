@@ -12,10 +12,14 @@ read only the training rows, so a configuration needs only the labeled
 rows: its weights come from the training rows and its accuracy from the
 product of the validation rows with them. That labeled-row product is the
 definition, tie policy included: the argmax takes the first maximum, so an
-exact tie between two classes goes to the lower class id. ``run_config``,
-the winner of every seed and every re-score below go through it, so
-re-running a selected configuration reproduces the grid's numbers bit for
-bit and ``zen explain`` gets the winner's weights the same way.
+exact tie between two classes goes to the lower class id. Every
+configuration is selected by ``_select_config`` on the same three blocks,
+from the grid's alpha triples or from one triple: ``run_config``'s, or the
+pinned ``linearized_hgnn``'s, ``no_both`` at (0, 0, 1) on the symmetric hop.
+A single triple, every grid's winner and every re-score below go through
+``_eval_config``, so re-running a selected configuration reproduces the
+grid's numbers bit for bit and ``zen explain`` gets the winner's weights
+the same way.
 
 No n x d block is propagated whole. ``_variant_basis`` prepares a
 variant's propagation once per run (the hops through the incidence and
@@ -49,9 +53,7 @@ of its rounding bound, the same propagation of |X| |W| through the hops'
 magnitudes, is re-scored through the row route: its rows of the blocks
 mixed, normalized and multiplied by W. A row whose mix has only zero
 terms, found by pushing |X| 1 through the same magnitudes, is exactly zero
-and predicts class 0 without either. ``linearized_hgnn`` has a single
-block and no mixing, so it is evaluated once per seed, at the first grid
-point, instead of at all of them.
+and predicts class 0 without either.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -86,11 +89,19 @@ from .hypergraph import (
 from .propagation import NormalizationKind, PropagationConfig, _Propagation
 from .sparsetools import _dense, _slice_len, _stored_features
 
-VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
-
-# which variants train weights by descent
-_GD_WEIGHTS = {"full": False, "no_rap": False, "no_tcs": True, "no_both": True,
-               "linearized_hgnn": True}
+# rap: redundancy-aware propagation; descent: weights by gradient descent;
+# pinned: the one configuration a variant runs at, else None. linearized_hgnn
+# is the HGNN of Feng et al. (arXiv:1809.09401) linearized as SGC does.
+_Variant = namedtuple("_Variant", "rap descent pinned")
+_VARIANTS = {
+    "full": _Variant(rap=True, descent=False, pinned=None),
+    "no_rap": _Variant(rap=False, descent=False, pinned=None),
+    "no_tcs": _Variant(rap=True, descent=True, pinned=None),
+    "no_both": _Variant(rap=False, descent=True, pinned=None),
+    "linearized_hgnn": _Variant(rap=False, descent=True, pinned=PropagationConfig(
+        (0.0, 0.0, 1.0), NormalizationKind.SYMMETRIC)),
+}
+VARIANTS = tuple(_VARIANTS)
 
 # A validation row whose top two Gram scores differ by at most this fraction
 # of max(1, |top score|) is a near tie, which the row route may rank the
@@ -273,21 +284,14 @@ class _Basis:
 
     features: np.ndarray | sp.csr_matrix    # X in the dataset's stored form
     propagation: _Propagation
-    blocks: slice                       # the blocks of [X, A X, A_2 X] mixed
 
     @property
     def num_nodes(self) -> int:
         return self.features.shape[0]
 
     def rows(self, rows=None) -> list[np.ndarray]:
-        """The blocks at ``rows``, every row when None."""
-        return self.propagation.basis(self.features, rows)[self.blocks]
-
-    def weights(self, alphas) -> np.ndarray:
-        """The weight of each of [X, A X, A_2 X] in a configuration's mix."""
-        if self.blocks == slice(None):
-            return np.asarray(alphas, dtype=np.float64)
-        return np.array([0.0, 0.0, 1.0])
+        """The blocks [X, A X, A_2 X] at ``rows``, every row when None."""
+        return self.propagation.basis(self.features, rows)
 
     def scores(self, alphas, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """sum_j a_j A_j (X W) at every row; each row's bound on the rounding
@@ -301,8 +305,7 @@ class _Basis:
         propagated, not c + 1. Row normalization divides a row's scores by a
         positive number, so their argmax is the embedding's."""
         P, Q = _products(self.features, W)
-        a = self.weights(alphas)
-        mix = lambda blocks: sum(w * b for w, b in zip(a, blocks) if w)
+        mix = lambda blocks: sum(a * b for a, b in zip(alphas, blocks) if a)
         bounds = mix(self.propagation.absolute().basis(Q))
         return mix(self.propagation.basis(P)), bounds[:, 0], bounds[:, 1] == 0.0
 
@@ -321,30 +324,32 @@ def _products(X, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _Basis:
-    """The propagation a variant mixes, prepared for ``dataset``.
+    """The propagation a variant mixes, prepared for ``dataset`` at ``kind``.
 
-    full/no_tcs get [X, A1* X, A2* X] with redundancy-aware propagation,
-    no_rap/no_both get [X, A X, A (A X)] with the plain normalization
-    (``rap=False``), and linearized_hgnn gets the single block A (A X) of its
-    fixed symmetric two-hop propagation. Building it makes the hops and
-    rsi_2 once and takes X in the dataset's stored form, dense or CSR; no
-    block is propagated until rows are asked for.
+    full/no_tcs get [X, A1* X, A2* X] with redundancy-aware propagation, and
+    no_rap/no_both/linearized_hgnn get [X, A X, A (A X)] with the plain
+    normalization (``rap=False``); a pinned variant's kind is its caller's
+    to apply (``_pinned``). Building it makes the hops and rsi_2 once and
+    takes X in the dataset's stored form, dense or CSR; no block is
+    propagated until rows are asked for.
     """
-    if variant not in VARIANTS:
+    propagation = _Propagation.build(dataset.hypergraph, kind, rap=_VARIANTS[variant].rap)
+    return _Basis(features=dataset._features, propagation=propagation)
+
+
+def _pinned(variant: str, kind: NormalizationKind, alphas):
+    """The normalization and alpha triples ``variant`` runs at: its pinned
+    configuration's, or ``kind`` and ``alphas`` when it has none. An
+    unknown variant is a ConfigError."""
+    if variant not in _VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    hg = dataset.hypergraph
-    blocks = slice(None)
-    if variant == "linearized_hgnn":
-        kind, blocks = NormalizationKind.SYMMETRIC, slice(2, None)
-    propagation = _Propagation.build(hg, kind, rap=variant in ("full", "no_tcs"))
-    return _Basis(features=dataset._features, propagation=propagation, blocks=blocks)
+    pin = _VARIANTS[variant].pinned
+    return (pin.normalization, (pin.alphas,)) if pin else (kind, alphas)
 
 
 def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:
-    """The row-normalized alpha mix of the blocks' rows; a single block is
-    normalized as it is. Each row is mixed and normalized on its own."""
-    if len(blocks) == 1:
-        return normalize_rows(blocks[0])
+    """The row-normalized alpha mix of the blocks' rows, every block added,
+    zero alphas included. Each row is mixed and normalized on its own."""
     mixed = alphas[0] * blocks[0]
     for a, block in zip(alphas[1:], blocks[1:]):
         mixed += a * block
@@ -401,7 +406,7 @@ def _eval_config(
     winner.
     """
     Z = _mixed_embedding(labeled.blocks, alphas)
-    if _GD_WEIGHTS[variant]:
+    if _VARIANTS[variant].descent:
         W = train_weights_gd(Z, labeled.split, labeled.labels, training or TrainingParams())
     else:
         W = tcs_weights(Z, labeled.split, labeled.labels)
@@ -413,43 +418,40 @@ def _select_config(
     basis: _Basis,
     split: Split,
     labels: LabelSet,
-    grid: SimplexGrid,
+    alphas,
     variant: str,
     training: TrainingParams | None,
 ) -> tuple[int, float, np.ndarray]:
-    """Grid index, validation accuracy and weights of one split's winner.
+    """Index in ``alphas``, validation accuracy and weights of one split's
+    winner among the alpha triples; the earliest wins ties.
 
-    The highest validation accuracy wins, the earliest in grid order on ties.
-    A single-block basis has nothing to mix, so every grid point scores the
-    same and only the first, the one the tie rule picks, is evaluated. A
-    basis of two or more blocks is screened in Gram form by
-    ``_gram_accuracies``, at O(L^2 (d + g c)) per seed for the closed form,
-    which re-scores through ``_eval_config`` every configuration whose Gram
-    scores could rank a validation row differently: a near tie, a cancelled
-    sum or a diverging descent. The winner is then evaluated by
-    ``_eval_config``, or taken from its re-score, so its accuracy and
-    weights are exactly those of any other route through it.
+    Two or more triples are screened in Gram form by ``_gram_accuracies``,
+    at O(L^2 (d + g c)) per seed for the closed form, which re-scores
+    through ``_eval_config`` every configuration whose Gram scores could
+    rank a validation row differently: a near tie, a cancelled sum or a
+    diverging descent. A single triple has nothing to screen. The winner is
+    evaluated by ``_eval_config``, or taken from its re-score, so its
+    accuracy and weights are exactly those of any other route through it.
     """
     labeled = _labeled_rows(basis, split, labels)
-    if len(labeled.blocks) == 1:
-        val_acc, W = _eval_config(labeled, grid.alphas[0], variant, training)
-        return 0, val_acc, W
-    accs, rescored = _gram_accuracies(labeled, grid, variant, training)
-    best = int(np.argmax(accs))
+    best, rescored = 0, {}
+    if len(alphas) > 1:
+        accs, rescored = _gram_accuracies(labeled, alphas, variant, training)
+        best = int(np.argmax(accs))
     if best not in rescored:
-        rescored[best] = _eval_config(labeled, grid.alphas[best], variant, training)
-    val_acc, W = rescored[best]
-    return best, val_acc, W
+        rescored[best] = _eval_config(labeled, alphas[best], variant, training)
+    return (best, *rescored[best])
 
 
 def _gram_accuracies(
     labeled: _LabeledRows,
-    grid: SimplexGrid,
+    alphas,
     variant: str,
     training: TrainingParams | None,
 ) -> tuple[np.ndarray, dict[int, tuple[float, np.ndarray]]]:
-    """Validation accuracy of every grid configuration, from one labeled-row Gram,
-    and what ``_eval_config`` returned for each configuration it re-scored.
+    """Validation accuracy of every alpha triple's configuration, from one
+    labeled-row Gram, and what ``_eval_config`` returned for each
+    configuration it re-scored.
 
     The labeled rows come training rows first, and the Grams G_jk = B_j B_k^T
     of the blocks are formed once. A configuration's Gram of the
@@ -483,12 +485,12 @@ def _gram_accuracies(
     sq_len = np.array([np.diagonal(G[j, j]) for j in range(nb)])
     Y = labeled.labels.one_hot()[:t]
     truth = labeled.labels.labels[t:]
-    alphas = np.asarray(grid.alphas, dtype=np.float64)
-    accs, rescored = np.empty(len(grid)), {}
+    points = np.asarray(alphas, dtype=np.float64)
+    accs, rescored = np.empty(len(points)), {}
     step = _slice_len(G.itemsize * L * L)
-    scratch = np.empty((min(step, len(grid)), L * L))
-    for start in range(0, len(grid), step):
-        a = alphas[start:start + step]
+    scratch = np.empty((min(step, len(points)), L * L))
+    for start in range(0, len(points), step):
+        a = points[start:start + step]
         K = np.matmul((a[:, :, None] * a[:, None, :]).reshape(-1, nb * nb),
                       G.reshape(nb * nb, L * L), out=scratch[:a.shape[0]]).reshape(-1, L, L)
         diag = np.diagonal(K, axis1=1, axis2=2).copy()
@@ -501,7 +503,7 @@ def _gram_accuracies(
         K *= inv[:, :, None]
         K *= inv[:, None, :]
         Ktt, Kvt = K[:, :t, :t], K[:, t:, :t]
-        if _GD_WEIGHTS[variant]:
+        if _VARIANTS[variant].descent:
             C, diverged, _ = _descend(Ktt, Y, training or TrainingParams(),
                                       DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE))
             scores = Kvt @ C
@@ -522,7 +524,7 @@ def _gram_accuracies(
         for i in range(a.shape[0]):
             idx = start + i
             if unsure[i]:
-                rescored[idx] = _eval_config(labeled, grid.alphas[idx], variant, training)
+                rescored[idx] = _eval_config(labeled, alphas[idx], variant, training)
                 accs[idx] = rescored[idx][0]
             else:
                 accs[idx] = _accuracy(hard[i], truth)
@@ -578,16 +580,17 @@ def run_config(
     """Validation and test accuracy of one configuration under one split.
 
     The variant picks the propagation route (redundancy-removed hops for
-    full/no_tcs, plain normalization for no_rap/no_both, fixed two-hop
-    HGNN normalization with no mixing for linearized_hgnn) and the weight
-    route (closed form for full/no_rap, gradient descent otherwise).
-    config.alphas and config.normalization are honored; the propagation
-    route follows the variant.
+    full/no_tcs, plain normalization otherwise) and the weight route (closed
+    form for full/no_rap, gradient descent otherwise). config.alphas and
+    config.normalization are honored, except by a pinned variant:
+    linearized_hgnn runs at its own (0, 0, 1) on the symmetric hop. The
+    configuration is selected as a one-point grid, so it scores exactly as
+    in ``grid_search``.
     """
-    basis = _variant_basis(dataset, config.normalization, variant)
-    labeled = _labeled_rows(basis, split, dataset.labels)
-    val_acc, W = _eval_config(labeled, config.alphas, variant, training)
-    return val_acc, _test_accuracy(basis, config.alphas, W, split, dataset.labels)
+    kind, alphas = _pinned(variant, config.normalization, (config.alphas,))
+    basis = _variant_basis(dataset, kind, variant)
+    _, val_acc, W = _select_config(basis, split, dataset.labels, alphas, variant, training)
+    return val_acc, _test_accuracy(basis, alphas[0], W, split, dataset.labels)
 
 
 @dataclass(frozen=True)
@@ -636,10 +639,11 @@ def grid_search(
     rows alone: weights from the training rows, accuracy on the validation
     rows. Within a seed the configuration with the highest validation
     accuracy wins, earliest first on ties, and only the winner is scored on
-    the test rows, once per seed. The reported spread is the sample standard
-    deviation (ddof=1) over seeds, or 0.0 for a single seed. ``k`` and every
-    seed are checked before the propagation is prepared, so a bad one fails
-    before any work is done.
+    the test rows, once per seed. A pinned variant (linearized_hgnn) runs its
+    one configuration instead of the grid. The reported spread is the sample
+    standard deviation (ddof=1) over seeds, or 0.0 for a single seed. ``k``
+    and every seed are checked before the propagation is prepared, so a bad
+    one fails before any work is done.
 
     The work runs in three phases, and ``timing_ms`` times each as one span,
     so the three add up to the wall time: ``propagation_ms`` prepares the
@@ -652,16 +656,17 @@ def grid_search(
     if len(grid) == 0 or len(seeds) == 0:
         raise ConfigError("grid and seeds must both be nonempty")
     _check_split_args(k, seeds)
+    kind, alphas = _pinned(variant, normalization, grid.alphas)
     start = time.perf_counter()
-    basis = _variant_basis(dataset, normalization, variant)
+    basis = _variant_basis(dataset, kind, variant)
     prepared = time.perf_counter()
     splits = [make_kshot_split(dataset.labels, k, seed) for seed in seeds]
-    winners = [_select_config(basis, split, dataset.labels, grid, variant, training)
+    winners = [_select_config(basis, split, dataset.labels, alphas, variant, training)
                for split in splits]
     searched = time.perf_counter()
     per_seed = [
-        SeedResult(seed=seed, selected_alphas=grid.alphas[idx], val_acc=val_acc,
-                   test_acc=_test_accuracy(basis, grid.alphas[idx], W, split, dataset.labels))
+        SeedResult(seed=seed, selected_alphas=alphas[idx], val_acc=val_acc,
+                   test_acc=_test_accuracy(basis, alphas[idx], W, split, dataset.labels))
         for seed, split, (idx, val_acc, W) in zip(seeds, splits, winners)
     ]
     scored = time.perf_counter()

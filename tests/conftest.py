@@ -270,20 +270,20 @@ class StoredBlocks:
         return [block if rows is None else block[rows] for block in self.blocks]
 
 
-def select_reference(basis, split, labels, grid, variant, training):
-    """Grid index, validation accuracy and weights of a split's winner, found by
-    scoring every grid point through ``_eval_config`` in grid order.
+def select_reference(basis, split, labels, alphas, variant, training):
+    """Index in ``alphas``, validation accuracy and weights of a split's
+    winner, found by scoring every alpha triple through ``_eval_config`` in
+    order.
 
     The per-config loop the Gram-form screen in ``harness._select_config``
-    replaced: the highest validation accuracy wins, the earliest on ties, and
-    a single-block basis is scored at the first grid point only. The
+    replaced: the highest validation accuracy wins, the earliest on ties. The
     functions are bound at import, so a test that patches
     ``harness._eval_config`` does not reach them.
     """
     labeled = _labeled_rows(basis, split, labels)
     best_idx, best_val, best_W = -1, -np.inf, None
-    for idx, alphas in enumerate(grid.alphas if len(labeled.blocks) > 1 else grid.alphas[:1]):
-        val_acc, W = _eval_config(labeled, alphas, variant, training)
+    for idx, triple in enumerate(alphas):
+        val_acc, W = _eval_config(labeled, triple, variant, training)
         if val_acc > best_val:
             best_idx, best_val, best_W = idx, val_acc, W
     return best_idx, float(best_val), best_W
@@ -292,10 +292,8 @@ def select_reference(basis, split, labels, grid, variant, training):
 def whole_matrix_test_scoring(blocks, alphas, W, split, labels):
     """Test accuracy and zero-row count of the whole-matrix route: every row
     of the blocks mixed, normalized and multiplied by W, the argmax (an exact
-    tie to the lower class id) read at the test rows. A single block is
-    normalized as it is."""
-    mixed = blocks[0] if len(blocks) == 1 else sum(a * b for a, b in zip(alphas, blocks))
-    Z = normalize_rows(mixed)
+    tie to the lower class id) read at the test rows."""
+    Z = normalize_rows(sum(a * b for a, b in zip(alphas, blocks)))
     test = split.test_mask
     hard = np.argmax(Z @ W, axis=1)[test]
     return float(np.mean(hard == labels.labels[test])), int(np.count_nonzero(~Z[test].any(axis=1)))

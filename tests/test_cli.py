@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from zen import ConfigError, Hypergraph
+from zen import ConfigError, Hypergraph, harness
 from zen.cli import main, parse_seeds
 
 from conftest import (
@@ -222,6 +222,62 @@ class TestRun:
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
+BENCH_WORKLOADS = ("cora-protocol", "wide-edges")
+VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The benchmark's gen-seed-0 ``cora-protocol`` and ``wide-edges`` inputs,
+    written by ``bench/gen.py`` once per module: workload name -> directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "bench"))
+        import gen
+        import workloads
+    dirs = {}
+    for name in BENCH_WORKLOADS:
+        dirs[name] = tmp_path_factory.mktemp(name)
+        gen.write(gen.generate(workloads.WORKLOADS[name].instance, seed=0), str(dirs[name]))
+    return dirs
+
+
+def bench_run_stdout(root: Path, variant: str, norm: str) -> tuple[int, str]:
+    """Exit code and stdout of ``zen run --format json`` with the benchmark's
+    k and grid on the input in ``root``, split seeds 0..2."""
+    import contextlib
+    import io
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["run", *dataset_args(root), "--k", "5", "--seeds", "0..2",
+                     "--variant", variant, "--norm", norm, "--format", "json"])
+    return code, buf.getvalue()
+
+
+class TestBenchInputGoldens:
+    """``zen run --format json`` on the benchmark's inputs, byte for byte.
+
+    tests/golden/bench_runs.json maps "<workload> <variant> <norm>" to the
+    stdout of ``bench_run_stdout``; a deliberate change to the output
+    regenerates it."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((ROOT / "tests" / "golden" / "bench_runs.json").read_text())
+
+    def test_every_run_is_pinned(self, golden):
+        assert sorted(golden) == sorted(f"{w} {v} {n}" for w in BENCH_WORKLOADS
+                                        for v in VARIANTS for n in ("sym", "row"))
+
+    @pytest.mark.parametrize("norm", ["sym", "row"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+    def test_json_output_matches_the_golden_file(self, bench_inputs, golden,
+                                                 workload, variant, norm):
+        code, out = bench_run_stdout(bench_inputs[workload], variant, norm)
+        assert code == 0
+        assert out == golden[f"{workload} {variant} {norm}"]
+
+
 class TestRsi:
     def test_exact_one_hop(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0"])
@@ -406,11 +462,12 @@ class TestRsi:
 
 
 # each case: the command line, with {edges} standing for the edge file and
-# {dir} for a directory, and a run given the three toy files; a toy file to
-# replace with bytes; and the exit code
+# {dir} for a directory, and a run or explain given the three toy files; a
+# toy file to replace with bytes; and the exit code
 _INPUT_ERRORS = {
     "edges-directory": (["rsi", "--edges", "{dir}", "--node", "0"], None, 2),
     "out-directory": (["run", "--out", "{dir}"], None, 2),
+    "explain-out-directory": (["explain", "--out", "{dir}"], None, 2),
     "edges-not-utf8": (["run"], ("edges.hg", b"0 1\n1 2\xff\n"), 2),
     "features-not-utf8": (["run"], ("features.csv", b"fa,fb\n1,\xe9\n"), 2),
     "labels-not-utf8": (["run"], ("labels.csv", b"0,a\n1,\xff\n"), 2),
@@ -432,8 +489,10 @@ class TestInputErrors:
             (tmp_path / name).write_bytes((toy_files / name).read_bytes())
         if replace is not None:
             (tmp_path / replace[0]).write_bytes(replace[1])
+        if argv[0] != "rsi":
+            argv = [*argv, *dataset_args(tmp_path), "--k", "2"]
         if argv[0] == "run":
-            argv = [*argv, *dataset_args(tmp_path), "--k", "2", "--seeds", "0"]
+            argv = [*argv, "--seeds", "0"]
         names = {"edges": tmp_path / "edges.hg", "dir": tmp_path}
         proc = subprocess.run(
             [sys.executable, "-m", "zen.cli", *(a.format(**names) for a in argv)],
@@ -443,6 +502,19 @@ class TestInputErrors:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_out_directory_fails_before_any_input_is_read(self, toy_files, tmp_path,
+                                                          monkeypatch, capsys, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset loaded")
+
+        monkeypatch.setattr(harness, "load_dataset", refuse)
+        code = main([command, "--out", str(tmp_path), *dataset_args(toy_files), "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 21]")
 
 
 class TestExplain:

@@ -254,8 +254,6 @@ class TestDataset:
         rows = np.random.default_rng(5).permutation(X.shape[0])[:17]
         rap = variant in ("full", "no_tcs")
         want = propagated_basis(TWIN_GRAPH, X, kind, rap, rows)
-        if variant == "linearized_hgnn":
-            want = propagated_basis(TWIN_GRAPH, X, NormalizationKind.SYMMETRIC, False, rows)[2:]
         got = _variant_basis(ds, kind, variant).rows(rows)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -471,6 +469,7 @@ class TestRunConfig:
         a = run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split, variant="linearized_hgnn")
         b = run_config(ds, PropagationConfig((0.0, 0.0, 1.0)), split, variant="linearized_hgnn")
         assert a == b
+        assert a == run_config(ds, PropagationConfig((0.0, 0.0, 1.0)), split, variant="no_both")
 
     def test_unknown_variant_rejected(self):
         ds = noisy_dataset()
@@ -584,6 +583,8 @@ class TestGridSearch:
 
 
     def test_single_block_variant_is_evaluated_once_per_seed(self, monkeypatch):
+        # linearized_hgnn is pinned at (0, 0, 1), the grid's first point, and
+        # a single configuration is scored once, with no Gram screen
         calls = []
         real = harness._eval_config
 
@@ -611,13 +612,15 @@ class TestGridSearch:
         # seeds' screens relies on; each seed's result is the one that
         # selecting and scoring it alone gives
         ds, grid, seeds = noisy_dataset(), simplex_grid(4), (0, 1, 2, 3)
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant)
+        # a pinned variant searches its one configuration, on the same blocks
+        kind, alphas = harness._pinned(variant, NormalizationKind.SYMMETRIC, grid.alphas)
+        basis = _variant_basis(ds, kind, variant)
         expected = []
         for seed in seeds:
             split = make_kshot_split(ds.labels, 2, seed)
-            idx, val_acc, W = _select_config(basis, split, ds.labels, grid, variant, None)
-            test_acc = _test_accuracy(basis, grid.alphas[idx], W, split, ds.labels)
-            expected.append(SeedResult(seed, grid.alphas[idx], val_acc, test_acc))
+            idx, val_acc, W = _select_config(basis, split, ds.labels, alphas, variant, None)
+            test_acc = _test_accuracy(basis, alphas[idx], W, split, ds.labels)
+            expected.append(SeedResult(seed, alphas[idx], val_acc, test_acc))
         events = []
 
         def selecting(*args):
@@ -653,19 +656,17 @@ class TestGridSearch:
         assert counts == expected
 
 
-def full_matrix_search(ds, grid, k, seeds, variant, training):
-    """Reference selection that mixes, normalizes and scores all n rows per config."""
+def full_matrix_search(ds, alphas, k, seeds, variant, training):
+    """Reference selection that mixes, normalizes and scores all n rows per
+    alpha triple, at the symmetric normalization."""
     basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant).rows()
     picks = []
     for seed in seeds:
         split = make_kshot_split(ds.labels, k, seed)
         best = (-1, -np.inf, 0.0)
-        for idx, (a0, a1, a2) in enumerate(grid):
-            if len(basis) == 1:
-                Z = normalize_rows(basis[0])
-            else:
-                Z = normalize_rows(a0 * basis[0] + a1 * basis[1] + a2 * basis[2])
-            if variant == "linearized_hgnn":
+        for idx, (a0, a1, a2) in enumerate(alphas):
+            Z = normalize_rows(a0 * basis[0] + a1 * basis[1] + a2 * basis[2])
+            if harness._VARIANTS[variant].descent:
                 W = train_weights_gd(Z, split, ds.labels, training)
             else:
                 W = tcs_weights(Z, split, ds.labels)
@@ -705,9 +706,11 @@ class TestLabeledRowSearch:
         training = TrainingParams(epochs=20)
         result = grid_search(ds, grid, k=2, seeds=[0, 1], variant=variant,
                              training=training)
-        reference = full_matrix_search(ds, grid, 2, [0, 1], variant, training)
+        # a pinned variant searches its one configuration, at sym
+        _, alphas = harness._pinned(variant, NormalizationKind.SYMMETRIC, grid.alphas)
+        reference = full_matrix_search(ds, alphas, 2, [0, 1], variant, training)
         for r, (idx, val, test) in zip(result.per_seed, reference):
-            assert r.selected_alphas == grid.alphas[idx]
+            assert r.selected_alphas == alphas[idx]
             assert r.val_acc == val
             assert r.test_acc == test
 
@@ -813,10 +816,11 @@ class TestGramSelection:
         basis = _variant_basis(ds, kind, variant)
         grid = simplex_grid(denominator)
         training = TrainingParams(epochs=epochs)
-        ref_idx, ref_val, ref_W = select_reference(basis, split, ds.labels, grid, variant,
-                                                   training)
+        ref_idx, ref_val, ref_W = select_reference(basis, split, ds.labels, grid.alphas,
+                                                   variant, training)
         with configs_per_chunk(split, chunk):
-            idx, val_acc, W = _select_config(basis, split, ds.labels, grid, variant, training)
+            idx, val_acc, W = _select_config(basis, split, ds.labels, grid.alphas, variant,
+                                             training)
         assert (idx, val_acc) == (ref_idx, ref_val)
         npt.assert_array_equal(W.view(np.int64), ref_W.view(np.int64))
 
@@ -834,7 +838,7 @@ class TestGramSelection:
         split = Split(np.array([1, 1, 0, 0, 0], bool), np.array([0, 0, 1, 1, 1], bool),
                       np.zeros(5, bool))
         grid = simplex_grid(9)
-        expected = select_reference(basis, split, labels, grid, "full", None)
+        expected = select_reference(basis, split, labels, grid.alphas, "full", None)
         calls = []
         real = harness._eval_config
 
@@ -843,7 +847,7 @@ class TestGramSelection:
             return real(*args)
 
         monkeypatch.setattr(harness, "_eval_config", counting)
-        idx, val_acc, W = _select_config(basis, split, labels, grid, "full", None)
+        idx, val_acc, W = _select_config(basis, split, labels, grid.alphas, "full", None)
         tied = [a for a in grid.alphas if a[1] == a[2]]
         assert len(tied) == 5
         assert calls == tied
@@ -857,7 +861,8 @@ class TestGramSelection:
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_tcs")
         split = make_kshot_split(ds.labels, 2, 0)
         with pytest.raises(DivergenceError) as expected:
-            select_reference(basis, split, ds.labels, simplex_grid(9), "no_tcs", training)
+            select_reference(basis, split, ds.labels, simplex_grid(9).alphas, "no_tcs",
+                             training)
         with pytest.raises(DivergenceError) as raised:
             grid_search(ds, simplex_grid(9), k=2, seeds=[0], variant="no_tcs",
                         training=training)
@@ -878,13 +883,12 @@ class TestGramSelection:
         split = Split(np.arange(6) < 4, np.arange(6) >= 4, np.zeros(6, bool))
         training = TrainingParams(lr=0.5)
         with pytest.raises(DivergenceError) as expected:
-            select_reference(basis, split, labels, simplex_grid(9), "no_tcs", training)
+            select_reference(basis, split, labels, simplex_grid(9).alphas, "no_tcs", training)
         assert "epoch" in str(expected.value)
         with pytest.raises(DivergenceError) as raised:
-            _select_config(basis, split, labels, simplex_grid(9), "no_tcs", training)
+            _select_config(basis, split, labels, simplex_grid(9).alphas, "no_tcs", training)
         assert str(raised.value) == str(expected.value)
-        converging = simplex_grid(1)
-        converging = harness.SimplexGrid(alphas=converging.alphas[2:], denominator=1)
+        converging = simplex_grid(1).alphas[2:]
         assert _select_config(basis, split, labels, converging, "no_tcs", training)[:2] == (0, 1.0)
 
     def test_peak_is_the_gram_plus_a_few_slices(self):
@@ -896,7 +900,8 @@ class TestGramSelection:
         basis = StoredBlocks(*(rng.random((labels.num_nodes, d)) for _ in range(3)))
         split = make_kshot_split(labels, k, 0)
         L = 2 * k * c
-        _, peak = peak_bytes(_select_config, basis, split, labels, simplex_grid(9), "full", None)
+        _, peak = peak_bytes(_select_config, basis, split, labels, simplex_grid(9).alphas,
+                             "full", None)
         assert peak <= (3 * L) ** 2 * 8 + 3 * sparsetools._BLOCK_BYTES
 
 
@@ -922,7 +927,7 @@ class TestBlockedTestScoring:
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
         split = make_kshot_split(ds.labels, 5, 0)
         grid = simplex_grid(9)
-        idx, _, W = _select_config(basis, split, ds.labels, grid, "full", None)
+        idx, _, W = _select_config(basis, split, ds.labels, grid.alphas, "full", None)
         _, peak = peak_bytes(_test_accuracy, basis, grid.alphas[idx], W, split, ds.labels)
         assert peak <= 0.1 * ds.features.nbytes
 
@@ -988,12 +993,11 @@ class TestScoringThroughXW:
                      LabelSet(np.zeros(n, dtype=np.int64), 1))
         basis = _variant_basis(ds, kind, variant)
         _, bound, _ = basis.scores(alphas, W)
-        weights = basis.weights(alphas)
         absolute = abs(basis.features)
         for c in range(W.shape[1]):
             M = np.column_stack([np.abs(W[:, c]), np.ones(d)])
             blocks = basis.propagation.absolute().basis(absolute @ M)
-            per_class = sum(w * b for w, b in zip(weights, blocks) if w)[:, 0]
+            per_class = sum(a * b for a, b in zip(alphas, blocks) if a)[:, 0]
             assert (bound >= per_class).all()
 
     @pytest.mark.parametrize("variant", ["full", "no_rap", "no_tcs", "linearized_hgnn"])
@@ -1047,7 +1051,7 @@ class TestSelectedWeights:
         split = make_kshot_split(ds.labels, 2, seed=4)
         grid = simplex_grid(4)
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
-        idx, val_acc, W = _select_config(basis, split, ds.labels, grid, "full", None)
+        idx, val_acc, W = _select_config(basis, split, ds.labels, grid.alphas, "full", None)
         Z = _mixed_embedding(basis.rows(), grid.alphas[idx])
         npt.assert_array_equal(W, tcs_weights(Z, split, ds.labels))
         # the same winner grid_search reports for that seed
@@ -1059,7 +1063,7 @@ class TestSelectedWeights:
         ds = noisy_dataset()
         split = make_kshot_split(ds.labels, 2, seed=4)
         basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_rap")
-        _, _, W = _select_config(basis, split, ds.labels, simplex_grid(2), "no_rap", None)
+        _, _, W = _select_config(basis, split, ds.labels, simplex_grid(2).alphas, "no_rap", None)
         assert W.shape == (ds.num_features, ds.labels.num_classes)
 
 

@@ -94,7 +94,7 @@ def _choices(command: str, flag: str) -> tuple:
 
 def test_cli_variant_choices_are_the_harness_variants():
     assert _choices("run", "--variant") == harness.VARIANTS
-    closed_form = tuple(v for v in harness.VARIANTS if not harness._GD_WEIGHTS[v])
+    closed_form = tuple(v for v, spec in harness._VARIANTS.items() if not spec.descent)
     assert _choices("explain", "--variant") == closed_form
 
 

@@ -14,7 +14,6 @@ pins the BLAS pool size through the environment before it is.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -171,10 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_file(path):
-    """``--out`` opened for writing before any input is read, so a path that
-    cannot be written fails at once; a null context when it is not given."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+def _check_out(path) -> None:
+    """Fail at once on an ``--out`` that cannot be written, before any input
+    is read. It is opened to append, so an existing file keeps its bytes
+    until the command writes its result; a missing one is created empty."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
 
 
 def _cmd_run(args) -> int:
@@ -190,20 +191,21 @@ def _cmd_run(args) -> int:
                     f"--variant {args.variant} has closed-form weights"
                 )
     epochs = TrainingParams.epochs if args.epochs is None else args.epochs
-    with _out_file(args.out) as out:
-        dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
-        result = grid_search(
-            dataset,
-            simplex_grid(args.grid_denominator),
-            args.k,
-            parse_seeds(args.seeds),
-            variant=args.variant,
-            normalization=NormalizationKind.from_string(args.norm),
-            training=TrainingParams(lr=args.lr, epochs=epochs),
-        )
-        text = result.to_json(include_timing=args.timing)
-        if out:
-            out.write(text)
+    _check_out(args.out)
+    dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    result = grid_search(
+        dataset,
+        simplex_grid(args.grid_denominator),
+        args.k,
+        parse_seeds(args.seeds),
+        variant=args.variant,
+        normalization=NormalizationKind.from_string(args.norm),
+        training=TrainingParams(lr=args.lr, epochs=epochs),
+    )
+    text = result.to_json(include_timing=args.timing)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -315,14 +317,19 @@ def _cmd_explain(args) -> int:
     )
     from .propagation import NormalizationKind
 
-    with _out_file(args.out) as out:
-        dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
-        basis = _variant_basis(dataset, NormalizationKind.from_string(args.norm), args.variant)
-        split = make_kshot_split(dataset.labels, args.k, args.seed)
-        _, _, W = _select_config(basis, split, dataset.labels,
-                                 simplex_grid(args.grid_denominator).alphas, args.variant, None)
-        report = explain_weights(W, dataset.feature_names, dataset.labels.class_names)
-        (out or sys.stdout).write(report.to_csv() if args.format == "csv" else report.to_json())
+    _check_out(args.out)
+    dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    basis = _variant_basis(dataset, NormalizationKind.from_string(args.norm), args.variant)
+    split = make_kshot_split(dataset.labels, args.k, args.seed)
+    _, _, W = _select_config(basis, split, dataset.labels,
+                             simplex_grid(args.grid_denominator).alphas, args.variant, None)
+    report = explain_weights(W, dataset.feature_names, dataset.labels.class_names)
+    text = report.to_csv() if args.format == "csv" else report.to_json()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

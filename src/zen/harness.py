@@ -62,7 +62,7 @@ import json
 import time
 import warnings
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -429,15 +429,20 @@ def _select_config(
     at O(L^2 (d + g c)) per seed for the closed form, which re-scores
     through ``_eval_config`` every configuration whose Gram scores could
     rank a validation row differently: a near tie, a cancelled sum or a
-    diverging descent. A single triple has nothing to screen. The winner is
-    evaluated by ``_eval_config``, or taken from its re-score, so its
-    accuracy and weights are exactly those of any other route through it.
+    diverging descent. The winner is evaluated by ``_eval_config``, or taken
+    from its re-score, so its accuracy and weights are exactly those of any
+    other route through it. A single triple has nothing to screen, and its
+    blocks with a zero alpha are left out of the mix: they add only signed
+    zeros, so no accuracy changes and the weights differ at most in the sign
+    of a zero. A grid's winner mixes every block, so the weights ``zen
+    explain`` prints keep those signs.
     """
     labeled = _labeled_rows(basis, split, labels)
-    best, rescored = 0, {}
-    if len(alphas) > 1:
-        accs, rescored = _gram_accuracies(labeled, alphas, variant, training)
-        best = int(np.argmax(accs))
+    if len(alphas) == 1:
+        nonzero, blocks = zip(*[(a, B) for a, B in zip(alphas[0], labeled.blocks) if a])
+        return (0, *_eval_config(replace(labeled, blocks=[*blocks]), nonzero, variant, training))
+    accs, rescored = _gram_accuracies(labeled, alphas, variant, training)
+    best = int(np.argmax(accs))
     if best not in rescored:
         rescored[best] = _eval_config(labeled, alphas[best], variant, training)
     return (best, *rescored[best])

@@ -3,15 +3,15 @@
 Stored form
 -----------
 A ``Hypergraph`` keeps only its node count, its node-by-edge incidence matrix
-H, H^T (one row of members per edge) and the ``DegreeProfile`` read off H.
-Both are canonical CSR: float64 0/1 values, indices sorted within each row,
-no duplicate entries, and one edge per column of H in input order, so
-verbatim duplicate edges stay distinct. The constructor checks ids and empty
-edges; ``Hypergraph._store``, shared with the edge file's byte route, is the
-one place that sorts and de-duplicates edge members and writes H, H^T and the
-degrees, once, without a per-edge Python loop, all read-only because every
-caller shares them: ``incidence_matrix`` and ``degrees`` return them, and the
-routes that read H by edge read H^T. ``hyperedges`` reads the tuples off H^T.
+H and the ``DegreeProfile`` read off H. H is canonical CSR: float64 0/1
+values, column indices sorted within each row, no duplicate entries, and one
+column per edge in input order, so verbatim duplicate edges stay distinct
+columns. The constructor checks ids and empty edges; ``Hypergraph._store``,
+which it shares with the edge file's byte route, is the one place that sorts
+and de-duplicates edge members and writes H and the degrees, once, without
+a per-edge Python loop. ``incidence_matrix`` and ``degrees`` return
+those stored objects, whose arrays are read-only because every caller shares
+them. ``Hypergraph.hyperedges`` derives the member tuples from H on access.
 
 File formats
 ------------
@@ -87,7 +87,7 @@ class Hypergraph:
     infinity included, is a DatasetError.
     """
 
-    __slots__ = ("num_nodes", "_incidence", "_incidence_t", "_degrees")
+    __slots__ = ("num_nodes", "_incidence", "_degrees")
 
     def __init__(self, num_nodes: int, hyperedges):
         num_nodes = int(num_nodes)
@@ -117,11 +117,11 @@ class Hypergraph:
         self._store(num_nodes, members.astype(np.int64), ptr)
 
     def _store(self, num_nodes: int, members: np.ndarray, ptr: np.ndarray) -> None:
-        """Write the node count, H, H^T and the degrees, once, from H's CSC
-        arrays: ``members`` lists every edge's node ids in edge order (checked
-        to lie in [0, num_nodes)) and edge j's are ``members[ptr[j]:ptr[j + 1]]``.
-        H and H^T are made canonical CSR: sorted, a repeated id inside an edge
-        one membership, values 1.0, arrays read-only. A node count whose index
+        """Write the node count, H and its degrees, once, from H's CSC arrays:
+        ``members`` lists every edge's node ids in edge order (checked to lie
+        in [0, num_nodes)) and edge j's are ``members[ptr[j]:ptr[j + 1]]``.
+        H is made canonical CSR: sorted, a repeated id inside an edge one
+        membership, values 1.0, arrays read-only. A node count whose index
         pointer numpy cannot allocate is a GuardError."""
         try:
             H = sp.csc_matrix((np.ones(members.size), members, ptr),
@@ -134,13 +134,10 @@ class Hypergraph:
             node_degrees=np.diff(H.indptr).astype(np.int64),
             edge_sizes=np.bincount(H.indices, minlength=H.shape[1]),
         )
-        Ht = H.T.tocsr()
-        for a in (H.data, H.indices, H.indptr, Ht.data, Ht.indices, Ht.indptr,
-                  prof.node_degrees, prof.edge_sizes):
+        for a in (H.data, H.indices, H.indptr, prof.node_degrees, prof.edge_sizes):
             a.setflags(write=False)
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "_incidence", H)
-        object.__setattr__(self, "_incidence_t", Ht)
         object.__setattr__(self, "_degrees", prof)
 
     def __setattr__(self, name, value):
@@ -159,8 +156,9 @@ class Hypergraph:
 
     @property
     def hyperedges(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted, duplicate-free member tuples, one per edge, read off H^T."""
-        members, ptr = self._incidence_t.indices.tolist(), self._incidence_t.indptr.tolist()
+        """Sorted, duplicate-free member tuples, one per edge, read off the incidence."""
+        Hc = self._incidence.tocsc()
+        members, ptr = Hc.indices.tolist(), Hc.indptr.tolist()
         return tuple(tuple(members[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @property

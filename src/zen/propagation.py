@@ -275,7 +275,7 @@ def _factored_hops(hg: Hypergraph, kind: NormalizationKind, rap: bool) -> tuple[
     H = incidence_matrix(hg)
     rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
     left = sp.csr_matrix((l[rows] * w[H.indices], H.indices, H.indptr), shape=H.shape)
-    Ht = hg._incidence_t
+    Ht = H.T.tocsr()
 
     def hop(scale, diag):
         return _Hop(left, sp.csr_matrix((scale[Ht.indices], Ht.indices, Ht.indptr),
@@ -340,6 +340,7 @@ def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.nd
     d, sizes = prof.node_degrees, prof.edge_sizes
     H = incidence_matrix(hg)
     Hw = sp.csr_matrix((_excl_edge_weight(sizes)[H.indices], H.indices, H.indptr), shape=H.shape)
+    Ht = H.T.tocsr()
     g = _div(1.0, d - 1.0, d >= 2)
     # row i of B holds at most the members of i's edges, counted with repeats
     cost = H @ sizes
@@ -349,7 +350,7 @@ def rsi_diag_2(hg: Hypergraph, *, a1_star: sp.csr_matrix | None = None) -> np.nd
     a = 0
     while a < n:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - cost[a] + per_block, side="right")))
-        B = Hw[a:b] @ hg._incidence_t
+        B = Hw[a:b] @ Ht
         B.data[B.indices == np.repeat(np.arange(a, b), np.diff(B.indptr))] = 0.0
         np.square(B.data, out=B.data)
         total[a:b] = B @ g

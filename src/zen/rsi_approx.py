@@ -64,9 +64,10 @@ def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> fl
     prof = degrees(hg)
     if prof.node_degrees[node] == 0:
         raise IsolatedNodeError(f"node {node} has no incident hyperedge")
-    H, Ht = incidence_matrix(hg), hg._incidence_t
+    H = incidence_matrix(hg)
+    Hc = H.tocsc()
     node_ptr, node_edges, edge_ptr, edge_members = (
-        a.astype(np.int64) for a in (H.indptr, H.indices, Ht.indptr, Ht.indices))
+        a.astype(np.int64) for a in (H.indptr, H.indices, Hc.indptr, Hc.indices))
     deg, sz = (c.astype(np.float64) for c in (prof.node_degrees, prof.edge_sizes))
 
     rng = _generator(params.rng_seed)

@@ -223,7 +223,6 @@ class TestRun:
 
 
 BENCH_WORKLOADS = ("cora-protocol", "wide-edges")
-VARIANTS = ("full", "no_rap", "no_tcs", "no_both", "linearized_hgnn")
 
 
 @pytest.fixture(scope="module")
@@ -241,41 +240,28 @@ def bench_inputs(tmp_path_factory):
     return dirs
 
 
-def bench_run_stdout(root: Path, variant: str, norm: str) -> tuple[int, str]:
-    """Exit code and stdout of ``zen run --format json`` with the benchmark's
-    k and grid on the input in ``root``, split seeds 0..2."""
-    import contextlib
-    import io
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["run", *dataset_args(root), "--k", "5", "--seeds", "0..2",
-                     "--variant", variant, "--norm", norm, "--format", "json"])
-    return code, buf.getvalue()
+@pytest.fixture(scope="module")
+def bench_golden():
+    """tests/golden/bench_runs.json: "<workload> <variant> <norm>" -> the
+    stdout of ``zen run --format json``; it pins every such run and no other."""
+    golden = json.loads((ROOT / "tests" / "golden" / "bench_runs.json").read_text())
+    assert sorted(golden) == sorted(f"{w} {v} {n}" for w in BENCH_WORKLOADS
+                                    for v in harness.VARIANTS for n in ("sym", "row"))
+    return golden
 
 
-class TestBenchInputGoldens:
-    """``zen run --format json`` on the benchmark's inputs, byte for byte.
-
-    tests/golden/bench_runs.json maps "<workload> <variant> <norm>" to the
-    stdout of ``bench_run_stdout``; a deliberate change to the output
-    regenerates it."""
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        return json.loads((ROOT / "tests" / "golden" / "bench_runs.json").read_text())
-
-    def test_every_run_is_pinned(self, golden):
-        assert sorted(golden) == sorted(f"{w} {v} {n}" for w in BENCH_WORKLOADS
-                                        for v in VARIANTS for n in ("sym", "row"))
-
-    @pytest.mark.parametrize("norm", ["sym", "row"])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("workload", BENCH_WORKLOADS)
-    def test_json_output_matches_the_golden_file(self, bench_inputs, golden,
-                                                 workload, variant, norm):
-        code, out = bench_run_stdout(bench_inputs[workload], variant, norm)
-        assert code == 0
-        assert out == golden[f"{workload} {variant} {norm}"]
+@pytest.mark.parametrize("norm", ["sym", "row"])
+@pytest.mark.parametrize("variant", harness.VARIANTS)
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_bench_input_json_matches_the_golden_file(bench_inputs, bench_golden, capsys,
+                                                  workload, variant, norm):
+    """``zen run --format json`` on the benchmark's inputs, with its k and
+    grid and split seeds 0..2, byte for byte; a deliberate change to the
+    output regenerates the golden file."""
+    code = main(["run", *dataset_args(bench_inputs[workload]), "--k", "5", "--seeds", "0..2",
+                 "--variant", variant, "--norm", norm, "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == bench_golden[f"{workload} {variant} {norm}"]
 
 
 class TestRsi:
@@ -515,6 +501,31 @@ class TestInputErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 21]")
+
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_out_may_name_an_input(self, toy_files, tmp_path, capsys, command):
+        # every input is read whole before the result replaces the file
+        for name in ("edges.hg", "features.csv", "labels.csv"):
+            (tmp_path / name).write_bytes((toy_files / name).read_bytes())
+        argv = [command, *dataset_args(tmp_path), "--k", "2"]
+        if command == "run":
+            argv += ["--seeds", "0", "--format", "json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--out", str(tmp_path / "features.csv")]) == 0
+        assert (tmp_path / "features.csv").read_text() == expected
+
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_failed_run_leaves_out_as_it_was(self, toy_files, tmp_path, capsys, command):
+        for name in ("edges.hg", "features.csv"):
+            (tmp_path / name).write_bytes((toy_files / name).read_bytes())
+        (tmp_path / "labels.csv").write_bytes(b"0,a\n1,\xff\n")
+        out = tmp_path / "result"
+        out.write_text("an earlier result\n")
+        code = main([command, *dataset_args(tmp_path), "--k", "2", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "an earlier result\n"
 
 
 class TestExplain:

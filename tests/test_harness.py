@@ -584,7 +584,8 @@ class TestGridSearch:
 
     def test_single_block_variant_is_evaluated_once_per_seed(self, monkeypatch):
         # linearized_hgnn is pinned at (0, 0, 1), the grid's first point, and
-        # a single configuration is scored once, with no Gram screen
+        # a single configuration is scored once, with no Gram screen, mixing
+        # only its one block with a nonzero alpha
         calls = []
         real = harness._eval_config
 
@@ -598,7 +599,7 @@ class TestGridSearch:
         training = TrainingParams(epochs=20)
         result = grid_search(ds, grid, k=2, seeds=[0, 1, 2],
                              variant="linearized_hgnn", training=training)
-        assert calls == [grid.alphas[0]] * 3
+        assert calls == [(1.0,)] * 3
         for r in result.per_seed:
             assert r.selected_alphas == grid.alphas[0]
             split = make_kshot_split(ds.labels, 2, r.seed)

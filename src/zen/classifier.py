@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -126,16 +127,19 @@ def exact_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
 class TrainingParams:
     """Step size and iteration budget for the gradient-descent reference route.
 
-    ``lr=None`` picks 1/(2 * train_rows), safe for unit-length rows because
-    the Hessian's largest eigenvalue is then at most 2 * train_rows.
+    ``lr`` is a positive finite real number (a bool is not one), or None,
+    which picks 1/(2 * train_rows), safe for unit-length rows because the
+    Hessian's largest eigenvalue is then at most 2 * train_rows.
     """
 
     lr: float | None = None
     epochs: int = 500
 
     def __post_init__(self):
-        if self.lr is not None and not (0 < self.lr < np.inf):
-            raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
+        lr = self.lr
+        if lr is not None and (isinstance(lr, bool) or not isinstance(lr, Real)
+                               or not 0 < lr < np.inf):
+            raise ConfigError(f"lr must be positive and finite, got {lr!r}")
         check_count("epochs", self.epochs)
 
 

@@ -308,8 +308,8 @@ def _cmd_rsi(args) -> int:
 
 def _cmd_explain(args) -> int:
     from .harness import (
+        _Run,
         _select_config,
-        _variant_basis,
         explain_weights,
         load_dataset,
         make_kshot_split,
@@ -319,10 +319,10 @@ def _cmd_explain(args) -> int:
 
     _check_out(args.out)
     dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
-    basis = _variant_basis(dataset, NormalizationKind.from_string(args.norm), args.variant)
+    run = _Run.prepare(dataset, args.variant, NormalizationKind.from_string(args.norm),
+                       simplex_grid(args.grid_denominator).alphas)
     split = make_kshot_split(dataset.labels, args.k, args.seed)
-    _, _, W = _select_config(basis, split, dataset.labels,
-                             simplex_grid(args.grid_denominator).alphas, args.variant, None)
+    _, _, W = _select_config(run, split)
     report = explain_weights(W, dataset.feature_names, dataset.labels.class_names)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:

@@ -14,19 +14,22 @@ product of the validation rows with them. That labeled-row product is the
 definition, tie policy included: the argmax takes the first maximum, so an
 exact tie between two classes goes to the lower class id. Every
 configuration is selected by ``_select_config`` on the same three blocks,
-from the grid's alpha triples or from one triple: ``run_config``'s, or the
-pinned ``linearized_hgnn``'s, ``no_both`` at (0, 0, 1) on the symmetric hop.
-A single triple, every grid's winner and every re-score below go through
-``_eval_config``, so re-running a selected configuration reproduces the
-grid's numbers bit for bit and ``zen explain`` gets the winner's weights
-the same way.
+from its run's alpha triples: the grid's, or one triple, ``run_config``'s
+or the pinned ``linearized_hgnn``'s, ``no_both`` at (0, 0, 1) on the
+symmetric hop. A single triple, every grid's winner and every re-score
+below go through ``_eval_config``, so re-running a selected configuration
+reproduces the grid's numbers bit for bit and ``zen explain`` gets the
+winner's weights the same way.
 
-No n x d block is propagated whole. ``_variant_basis`` prepares a
-variant's propagation once per run (the hops through the incidence and
-rsi_2) beside the dataset's one stored X, dense or CSR, and ``_Basis.rows``
-propagates only the rows asked for, bit for bit the same rows of the whole
-blocks: each seed's labeled rows, and the test rows whose class the scores
-below cannot settle.
+``_Run.prepare`` is the one place that reads a variant: once per run it
+makes the variant's propagation (the hops through the incidence and rsi_2)
+and takes its alpha triples and its weight route (descent's parameters, or
+None for the closed form), beside the dataset's one stored X, dense or CSR,
+and its labels. Each seed's selection and test scoring is then given only
+its split. No n x d block is propagated whole: ``_Run.rows`` propagates
+only the rows asked for, bit for bit the same rows of the whole blocks:
+each seed's labeled rows, and the test rows whose class the scores below
+cannot settle.
 
 Selection does not call ``_eval_config`` once per configuration. Once per
 seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
@@ -63,6 +66,7 @@ import time
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,9 +233,12 @@ def simplex_grid(denominator: int) -> SimplexGrid:
 
 
 def _check_split_args(k, seeds) -> None:
-    """Reject a non-positive or non-integer k and any seed outside [0, 2**128)."""
+    """Reject a non-positive or non-integer k, and any seed that is not an
+    integer (numpy's included; a bool is not one) in [0, 2**128)."""
     check_count("k", k)
     for seed in seeds:
+        if not isinstance(seed, Integral) or isinstance(seed, bool):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < 2**128:
             raise ConfigError(f"seed must be in [0, 2**128), got {seed!r}")
 
@@ -272,8 +279,10 @@ def _accuracy(hard_labels: np.ndarray, truth: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """One variant's propagation of one dataset, prepared once per run.
+class _Run:
+    """One variant's run on one dataset, prepared once: X in the dataset's
+    stored form, the variant's propagation, the labels, the alpha triples it
+    selects among, and the descent parameters, None for the closed form.
 
     ``rows`` gives the blocks the variant mixes at any rows, bit for bit the
     same rows of the whole blocks, by propagating only what those rows read.
@@ -282,12 +291,35 @@ class _Basis:
     leaves zero.
     """
 
-    features: np.ndarray | sp.csr_matrix    # X in the dataset's stored form
+    features: np.ndarray | sp.csr_matrix
     propagation: _Propagation
+    labels: LabelSet
+    alphas: tuple[tuple[float, float, float], ...]
+    training: TrainingParams | None
 
-    @property
-    def num_nodes(self) -> int:
-        return self.features.shape[0]
+    @classmethod
+    def prepare(cls, dataset: Dataset, variant: str, kind: NormalizationKind, alphas,
+                training: TrainingParams | None = None) -> _Run:
+        """The run of ``variant`` on ``dataset`` at ``kind`` among ``alphas``.
+
+        full/no_tcs propagate [X, A1* X, A2* X] with redundancy-aware
+        propagation, and no_rap/no_both/linearized_hgnn [X, A X, A (A X)]
+        with the plain normalization (``rap=False``). A pinned variant runs
+        at its own normalization and triple instead of ``kind`` and
+        ``alphas``. A descent variant trains with ``training``, or the
+        default parameters when it is None; the others ignore it. Preparing
+        builds the hops and rsi_2 once; no block is propagated until rows
+        are asked for. An unknown variant is a ConfigError.
+        """
+        if variant not in _VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        rap, descent, pin = _VARIANTS[variant]
+        if pin:
+            kind, alphas = pin.normalization, (pin.alphas,)
+        return cls(features=dataset._features,
+                   propagation=_Propagation.build(dataset.hypergraph, kind, rap=rap),
+                   labels=dataset.labels, alphas=alphas,
+                   training=(training or TrainingParams()) if descent else None)
 
     def rows(self, rows=None) -> list[np.ndarray]:
         """The blocks [X, A X, A_2 X] at ``rows``, every row when None."""
@@ -323,30 +355,6 @@ def _products(X, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X @ W, Q
 
 
-def _variant_basis(dataset: Dataset, kind: NormalizationKind, variant: str) -> _Basis:
-    """The propagation a variant mixes, prepared for ``dataset`` at ``kind``.
-
-    full/no_tcs get [X, A1* X, A2* X] with redundancy-aware propagation, and
-    no_rap/no_both/linearized_hgnn get [X, A X, A (A X)] with the plain
-    normalization (``rap=False``); a pinned variant's kind is its caller's
-    to apply (``_pinned``). Building it makes the hops and rsi_2 once and
-    takes X in the dataset's stored form, dense or CSR; no block is
-    propagated until rows are asked for.
-    """
-    propagation = _Propagation.build(dataset.hypergraph, kind, rap=_VARIANTS[variant].rap)
-    return _Basis(features=dataset._features, propagation=propagation)
-
-
-def _pinned(variant: str, kind: NormalizationKind, alphas):
-    """The normalization and alpha triples ``variant`` runs at: its pinned
-    configuration's, or ``kind`` and ``alphas`` when it has none. An
-    unknown variant is a ConfigError."""
-    if variant not in _VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    pin = _VARIANTS[variant].pinned
-    return (pin.normalization, (pin.alphas,)) if pin else (kind, alphas)
-
-
 def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:
     """The row-normalized alpha mix of the blocks' rows, every block added,
     zero alphas included. Each row is mixed and normalized on its own."""
@@ -370,14 +378,11 @@ class _LabeledRows:
     labels: LabelSet
 
 
-def _labeled_rows(basis: _Basis, split: Split, labels: LabelSet) -> _LabeledRows:
-    """The split's labeled rows of ``basis``, which propagates only those rows."""
-    n = basis.num_nodes
-    if split.num_nodes != n or labels.num_nodes != n:
-        raise SplitError(
-            f"inconsistent sizes: basis has {n} rows, split {split.num_nodes}, "
-            f"labels {labels.num_nodes}"
-        )
+def _labeled_rows(run: _Run, split: Split) -> _LabeledRows:
+    """The split's labeled rows of ``run``, which propagates only those rows."""
+    labels = run.labels
+    if split.num_nodes != labels.num_nodes:
+        raise SplitError(f"split has {split.num_nodes} nodes, the dataset {labels.num_nodes}")
     # raise the weights' SplitError before the restricted LabelSet can
     # reject a class with neither training nor validation nodes
     untrained = np.setdiff1d(np.arange(labels.num_classes), labels.labels[split.train_mask])
@@ -386,7 +391,7 @@ def _labeled_rows(basis: _Basis, split: Split, labels: LabelSet) -> _LabeledRows
     rows = np.concatenate([np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)])
     first = np.arange(rows.size) < np.count_nonzero(split.train_mask)
     return _LabeledRows(
-        blocks=basis.rows(rows),
+        blocks=run.rows(rows),
         split=Split(first, ~first, np.zeros(rows.size, dtype=bool)),
         labels=LabelSet(labels.labels[rows], labels.num_classes),
     )
@@ -395,10 +400,10 @@ def _labeled_rows(basis: _Basis, split: Split, labels: LabelSet) -> _LabeledRows
 def _eval_config(
     labeled: _LabeledRows,
     alphas: tuple[float, float, float],
-    variant: str,
     training: TrainingParams | None,
 ) -> tuple[float, np.ndarray]:
-    """Validation accuracy and weights of one (alphas, variant) configuration.
+    """Validation accuracy and weights of one configuration: the alphas, and
+    weights by descent with ``training`` or, when it is None, the closed form.
 
     The single evaluation path everywhere: weights come from the training
     rows and only the validation rows are scored. It logs no zero-row
@@ -406,24 +411,17 @@ def _eval_config(
     winner.
     """
     Z = _mixed_embedding(labeled.blocks, alphas)
-    if _VARIANTS[variant].descent:
-        W = train_weights_gd(Z, labeled.split, labeled.labels, training or TrainingParams())
-    else:
+    if training is None:
         W = tcs_weights(Z, labeled.split, labeled.labels)
+    else:
+        W = train_weights_gd(Z, labeled.split, labeled.labels, training)
     val = labeled.split.val_mask
     return _accuracy(np.argmax(Z[val] @ W, axis=1), labeled.labels.labels[val]), W
 
 
-def _select_config(
-    basis: _Basis,
-    split: Split,
-    labels: LabelSet,
-    alphas,
-    variant: str,
-    training: TrainingParams | None,
-) -> tuple[int, float, np.ndarray]:
-    """Index in ``alphas``, validation accuracy and weights of one split's
-    winner among the alpha triples; the earliest wins ties.
+def _select_config(run: _Run, split: Split) -> tuple[int, float, np.ndarray]:
+    """Index in ``run.alphas``, validation accuracy and weights of one
+    split's winner among the run's alpha triples; the earliest wins ties.
 
     Two or more triples are screened in Gram form by ``_gram_accuracies``,
     at O(L^2 (d + g c)) per seed for the closed form, which re-scores
@@ -435,23 +433,23 @@ def _select_config(
     blocks with a zero alpha are left out of the mix: they add only signed
     zeros, so no accuracy changes and the weights differ at most in the sign
     of a zero. A grid's winner mixes every block, so the weights ``zen
-    explain`` prints keep those signs.
+    explain`` prints keep those signs. The run fixes the triples and the
+    weight route, so a seed passes only its split.
     """
-    labeled = _labeled_rows(basis, split, labels)
+    labeled, alphas, training = _labeled_rows(run, split), run.alphas, run.training
     if len(alphas) == 1:
         nonzero, blocks = zip(*[(a, B) for a, B in zip(alphas[0], labeled.blocks) if a])
-        return (0, *_eval_config(replace(labeled, blocks=[*blocks]), nonzero, variant, training))
-    accs, rescored = _gram_accuracies(labeled, alphas, variant, training)
+        return (0, *_eval_config(replace(labeled, blocks=[*blocks]), nonzero, training))
+    accs, rescored = _gram_accuracies(labeled, alphas, training)
     best = int(np.argmax(accs))
     if best not in rescored:
-        rescored[best] = _eval_config(labeled, alphas[best], variant, training)
+        rescored[best] = _eval_config(labeled, alphas[best], training)
     return (best, *rescored[best])
 
 
 def _gram_accuracies(
     labeled: _LabeledRows,
     alphas,
-    variant: str,
     training: TrainingParams | None,
 ) -> tuple[np.ndarray, dict[int, tuple[float, np.ndarray]]]:
     """Validation accuracy of every alpha triple's configuration, from one
@@ -508,18 +506,17 @@ def _gram_accuracies(
         K *= inv[:, :, None]
         K *= inv[:, None, :]
         Ktt, Kvt = K[:, :t, :t], K[:, t:, :t]
-        if _VARIANTS[variant].descent:
-            C, diverged, _ = _descend(Ktt, Y, training or TrainingParams(),
-                                      DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE))
-            scores = Kvt @ C
-            unsure |= diverged >= 0
-        else:
+        if training is None:
             # squared length of each class's sum of training rows, and the
             # count of its nonzero (unit) terms
             colsq = np.einsum("gtc,tc->gc", Ktt @ Y, Y)
             terms = pos[:, :t] @ Y
             unsure |= ((terms > 0) & ~(colsq > _CANCELLATION * terms)).any(axis=1)
             scores = (Kvt @ Y) / np.sqrt(np.where(colsq > 0, colsq, 1.0))[:, None, :]
+        else:
+            C, diverged, _ = _descend(Ktt, Y, training, DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE))
+            scores = Kvt @ C
+            unsure |= diverged >= 0
         if Y.shape[1] > 1:
             ranked = np.sort(scores, axis=2)
             top, second = ranked[..., -1], ranked[..., -2]
@@ -529,33 +526,31 @@ def _gram_accuracies(
         for i in range(a.shape[0]):
             idx = start + i
             if unsure[i]:
-                rescored[idx] = _eval_config(labeled, alphas[idx], variant, training)
+                rescored[idx] = _eval_config(labeled, alphas[idx], training)
                 accs[idx] = rescored[idx][0]
             else:
                 accs[idx] = _accuracy(hard[i], truth)
     return accs, rescored
 
 
-def _test_accuracy(
-    basis: _Basis, alphas, W: np.ndarray, split: Split, labels: LabelSet
-) -> float:
+def _test_accuracy(run: _Run, alphas, W: np.ndarray, split: Split) -> float:
     """Test accuracy of one configuration's weights, scored through A_j (X W).
 
-    A test row's class is the argmax of its row of ``_Basis.scores``. The
+    A test row's class is the argmax of its row of ``_Run.scores``. The
     row is unsure when its top two scores are within ``_NEAR_TIE`` times its
     rounding bound, or, with a single class, its score is that near zero:
     there the row route, whose scores differ by a positive factor and by
     rounding, may rank the classes the other way or find a zero row. Unsure
     rows are scored through the row route, their rows of the blocks mixed,
     normalized and multiplied by W, about 2 MiB of rows at a time. A row
-    whose mix has only zero terms (``_Basis.scores``) predicts class 0 with
+    whose mix has only zero terms (``_Run.scores``) predicts class 0 with
     neither. One warning is logged with the count of zero embedding rows.
     """
     rows = np.flatnonzero(split.test_mask)
-    truth = labels.labels[rows]
+    truth = run.labels.labels[rows]
     if rows.size == 0:
         return _accuracy(rows, truth)  # raises the empty-mask SplitError
-    scores, bound, zero = (v[rows] for v in basis.scores(alphas, W))
+    scores, bound, zero = (v[rows] for v in run.scores(alphas, W))
     if scores.shape[1] > 1:
         ranked = np.sort(scores, axis=1)
         gap = ranked[:, -1] - ranked[:, -2]
@@ -565,10 +560,10 @@ def _test_accuracy(
     hard_labels = np.argmax(scores, axis=1)
     hard_labels[zero] = 0
     zero_rows = int(np.count_nonzero(zero))
-    step = _slice_len(8 * basis.features.shape[1])     # float64 rows of a block
+    step = _slice_len(8 * run.features.shape[1])     # float64 rows of a block
     for start in range(0, unsure.size, step):
         block = unsure[start:start + step]
-        Z = _mixed_embedding(basis.rows(rows[block]), alphas)
+        Z = _mixed_embedding(run.rows(rows[block]), alphas)
         zero_rows += _zero_rows(Z)
         hard_labels[block] = np.argmax(Z @ W, axis=1)
     _warn_zero_rows(zero_rows)
@@ -588,14 +583,14 @@ def run_config(
     full/no_tcs, plain normalization otherwise) and the weight route (closed
     form for full/no_rap, gradient descent otherwise). config.alphas and
     config.normalization are honored, except by a pinned variant:
-    linearized_hgnn runs at its own (0, 0, 1) on the symmetric hop. The
-    configuration is selected as a one-point grid, so it scores exactly as
-    in ``grid_search``.
+    linearized_hgnn runs at its own (0, 0, 1) on the symmetric hop. The run
+    is prepared with the one triple, a one-point grid, so the configuration
+    scores exactly as in ``grid_search``. A split with another node count
+    than the dataset's is a SplitError.
     """
-    kind, alphas = _pinned(variant, config.normalization, (config.alphas,))
-    basis = _variant_basis(dataset, kind, variant)
-    _, val_acc, W = _select_config(basis, split, dataset.labels, alphas, variant, training)
-    return val_acc, _test_accuracy(basis, alphas[0], W, split, dataset.labels)
+    run = _Run.prepare(dataset, variant, config.normalization, (config.alphas,), training)
+    _, val_acc, W = _select_config(run, split)
+    return val_acc, _test_accuracy(run, run.alphas[0], W, split)
 
 
 @dataclass(frozen=True)
@@ -657,21 +652,20 @@ def grid_search(
     and ``test_ms`` then propagates every winner's scores and re-scores its
     unsure test rows.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(seeds)
     if len(grid) == 0 or len(seeds) == 0:
         raise ConfigError("grid and seeds must both be nonempty")
     _check_split_args(k, seeds)
-    kind, alphas = _pinned(variant, normalization, grid.alphas)
+    seeds = tuple(int(s) for s in seeds)
     start = time.perf_counter()
-    basis = _variant_basis(dataset, kind, variant)
+    run = _Run.prepare(dataset, variant, normalization, grid.alphas, training)
     prepared = time.perf_counter()
     splits = [make_kshot_split(dataset.labels, k, seed) for seed in seeds]
-    winners = [_select_config(basis, split, dataset.labels, alphas, variant, training)
-               for split in splits]
+    winners = [_select_config(run, split) for split in splits]
     searched = time.perf_counter()
     per_seed = [
-        SeedResult(seed=seed, selected_alphas=alphas[idx], val_acc=val_acc,
-                   test_acc=_test_accuracy(basis, alphas[idx], W, split, dataset.labels))
+        SeedResult(seed=seed, selected_alphas=run.alphas[idx], val_acc=val_acc,
+                   test_acc=_test_accuracy(run, run.alphas[idx], W, split))
         for seed, split, (idx, val_acc, W) in zip(seeds, splits, winners)
     ]
     scored = time.perf_counter()

@@ -2,12 +2,13 @@
 adversarial-hypergraph strategy, the edge-file writer, a non-canonical CSR
 X and its summed dense twin, the one-hop A1^, plain and walk matrices and
 the materialized two-hop reference and diagonal, the lockstep walk
-reference, a basis over stored blocks, the per-config selection reference,
+reference, a run over stored blocks, the per-config selection reference,
 the primal gradient-descent reference, the allocation-peak probe, and a
 Cora-shaped instance built in memory."""
 
 import os
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from zen import (
     Hypergraph,
     LabelSet,
     NormalizationKind,
+    TrainingParams,
     build_A1_star,
     degrees,
     incidence_matrix,
     propagated_basis,
 )
 from zen.classifier import DIVERGENCE_LIMIT, normalize_rows
-from zen.harness import _eval_config, _labeled_rows, _variant_basis
+from zen.harness import _Run, _eval_config, _labeled_rows
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -247,31 +249,30 @@ def walk_return_reference(hg: Hypergraph, node: int, params) -> float:
     return float(np.count_nonzero(cur == node)) / params.trials
 
 
-def edgeless_basis(X: np.ndarray):
-    """The ``full`` basis of features X on a hypergraph with no edges: both
-    hop blocks are zero, so the mix (1, 0, 0) scores X W."""
-    n = X.shape[0]
-    ds = Dataset("edgeless", Hypergraph(n, ()), X, LabelSet(np.zeros(n, dtype=np.int64), 1))
-    return _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+def edgeless_run(X: np.ndarray, labels: LabelSet):
+    """The ``full`` run of features X on a hypergraph with no edges, at the
+    one triple (1, 0, 0): both hop blocks are zero, so the mix scores X W."""
+    ds = Dataset("edgeless", Hypergraph(X.shape[0], ()), X, labels)
+    return _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, ((1.0, 0.0, 0.0),))
 
 
+@dataclass(frozen=True)
 class StoredBlocks:
-    """Stored n-row blocks standing in for a ``harness._Basis``: ``rows``
-    gives their rows at a row set, every row when None."""
+    """Stored n-row blocks standing in for a ``harness._Run``'s propagation:
+    ``rows`` gives their rows at a row set, every row when None. ``labels``,
+    ``alphas`` and ``training`` (None: the closed form) are the run's."""
 
-    def __init__(self, *blocks: np.ndarray):
-        self.blocks = blocks
-
-    @property
-    def num_nodes(self) -> int:
-        return self.blocks[0].shape[0]
+    blocks: tuple[np.ndarray, ...]
+    labels: LabelSet
+    alphas: tuple
+    training: TrainingParams | None = None
 
     def rows(self, rows=None) -> list[np.ndarray]:
         return [block if rows is None else block[rows] for block in self.blocks]
 
 
-def select_reference(basis, split, labels, alphas, variant, training):
-    """Index in ``alphas``, validation accuracy and weights of a split's
+def select_reference(run, split):
+    """Index in ``run.alphas``, validation accuracy and weights of a split's
     winner, found by scoring every alpha triple through ``_eval_config`` in
     order.
 
@@ -280,10 +281,10 @@ def select_reference(basis, split, labels, alphas, variant, training):
     functions are bound at import, so a test that patches
     ``harness._eval_config`` does not reach them.
     """
-    labeled = _labeled_rows(basis, split, labels)
+    labeled = _labeled_rows(run, split)
     best_idx, best_val, best_W = -1, -np.inf, None
-    for idx, triple in enumerate(alphas):
-        val_acc, W = _eval_config(labeled, triple, variant, training)
+    for idx, triple in enumerate(run.alphas):
+        val_acc, W = _eval_config(labeled, triple, run.training)
         if val_acc > best_val:
             best_idx, best_val, best_W = idx, val_acc, W
     return best_idx, float(best_val), best_W

@@ -30,7 +30,7 @@ from zen.classifier import (
 )
 from zen.harness import _test_accuracy
 
-from conftest import edgeless_basis, gd_reference
+from conftest import edgeless_run, gd_reference
 
 
 def toy_problem(n=40, d=6, c=3, train=30, seed=1):
@@ -91,15 +91,15 @@ class TestSplit:
 
 class TestPrediction:
     """A test node's class is the argmax of its row of Z W (Z the X block of
-    an edgeless hypergraph's basis, scored by ``harness._test_accuracy``);
+    an edgeless hypergraph's run, scored by ``harness._test_accuracy``);
     each truth below is right only under the rule tested."""
 
     @staticmethod
     def accuracy(Z, truth):
         n, c = len(Z), int(max(truth)) + 1
         split = Split(np.zeros(n, bool), np.zeros(n, bool), np.ones(n, bool))
-        return _test_accuracy(edgeless_basis(Z), (1.0, 0.0, 0.0), np.eye(c), split,
-                              LabelSet(labels=np.array(truth), num_classes=c))
+        run = edgeless_run(Z, LabelSet(labels=np.array(truth), num_classes=c))
+        return _test_accuracy(run, (1.0, 0.0, 0.0), np.eye(c), split)
 
     def test_ties_take_lower_class(self):
         Z = np.array([[1.0, 1.0, 0.5], [0.0, 2.0, 2.0], [0.0, 0.0, 3.0]])
@@ -217,7 +217,7 @@ class TestGradientDescent:
             train_weights_gd(Z, split, labels, TrainingParams(lr=50.0, epochs=200))
 
     def test_params_validation(self):
-        for lr in (0.0, -1.0, float("nan"), float("inf")):
+        for lr in (0.0, -1.0, float("nan"), float("inf"), True, "0.1"):
             with pytest.raises(ConfigError, match="lr must be positive and finite"):
                 TrainingParams(lr=lr)
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through ``zen.cli.main``."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -262,6 +263,37 @@ def test_bench_input_json_matches_the_golden_file(bench_inputs, bench_golden, ca
                  "--variant", variant, "--norm", norm, "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == bench_golden[f"{workload} {variant} {norm}"]
+
+
+EXPLAIN_INPUTS = (*BENCH_WORKLOADS, "toy")
+
+
+@pytest.fixture(scope="module")
+def explain_digests():
+    """tests/golden/explain_digests.json: "<input> <variant> <norm>" -> the
+    SHA-256 of ``zen explain``'s csv stdout; it pins every such run and no
+    other."""
+    golden = json.loads((ROOT / "tests" / "golden" / "explain_digests.json").read_text())
+    assert sorted(golden) == sorted(f"{i} {v} {n}" for i in EXPLAIN_INPUTS
+                                    for v in ("full", "no_rap") for n in ("sym", "row"))
+    return golden
+
+
+@pytest.mark.parametrize("norm", ["sym", "row"])
+@pytest.mark.parametrize("variant", ["full", "no_rap"])
+@pytest.mark.parametrize("source", EXPLAIN_INPUTS)
+def test_explain_output_matches_the_golden_digest(bench_inputs, explain_digests, capsys,
+                                                  source, variant, norm):
+    """``zen explain`` on the benchmark's inputs (``--k 5``) and on data/toy
+    (``--k 2``), split seed 0, byte for byte: the printed weights keep the
+    signs of their zeros. A deliberate change to the output regenerates the
+    digests."""
+    root, k = (ROOT / "data" / "toy", "2") if source == "toy" else (bench_inputs[source], "5")
+    code = main(["explain", *dataset_args(root), "--k", k, "--seed", "0",
+                 "--variant", variant, "--norm", norm])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == explain_digests[f"{source} {variant} {norm}"]
 
 
 class TestRsi:

@@ -4,6 +4,7 @@ import contextlib
 import json
 import os
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -44,15 +45,15 @@ from zen.harness import (
     SeedResult,
     RunResult,
     _mixed_embedding,
+    _Run,
     _select_config,
     _test_accuracy,
-    _variant_basis,
 )
 
 from conftest import (
     StoredBlocks,
     adversarial_hypergraphs,
-    edgeless_basis,
+    edgeless_run,
     non_canonical_csr,
     peak_bytes,
     select_reference,
@@ -239,7 +240,8 @@ class TestDataset:
         npt.assert_array_equal(csr.features.view(np.int64), twin.view(np.int64))
         for kind in NormalizationKind:
             for variant in ("full", "no_rap"):
-                got, want = (_variant_basis(ds, kind, variant).rows() for ds in (csr, dense))
+                got, want = (_Run.prepare(ds, variant, kind, simplex_grid(9).alphas).rows()
+                             for ds in (csr, dense))
                 for g, w in zip(got, want):
                     npt.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
@@ -253,8 +255,10 @@ class TestDataset:
         assert ds.features.view(np.int64).tolist() == X.view(np.int64).tolist()
         rows = np.random.default_rng(5).permutation(X.shape[0])[:17]
         rap = variant in ("full", "no_tcs")
-        want = propagated_basis(TWIN_GRAPH, X, kind, rap, rows)
-        got = _variant_basis(ds, kind, variant).rows(rows)
+        # a pinned variant propagates at its own kind, sym
+        pinned = NormalizationKind.SYMMETRIC if variant == "linearized_hgnn" else kind
+        want = propagated_basis(TWIN_GRAPH, X, pinned, rap, rows)
+        got = _Run.prepare(ds, variant, kind, simplex_grid(9).alphas).rows(rows)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             npt.assert_array_equal(g.view(np.int64), w.view(np.int64))
@@ -399,7 +403,8 @@ class TestKShotSplit:
         with pytest.raises(ConfigError):
             make_kshot_split(labels, 0, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2.5, True, "3"],
+                             ids=["negative", "2**128", "2.5", "True", "str"])
     def test_seed_outside_the_generator_key_range(self, seed):
         labels = LabelSet(labels=np.arange(8, dtype=np.int64) % 2, num_classes=2)
         with pytest.raises(ConfigError, match="seed"):
@@ -414,14 +419,14 @@ class TestEvaluateAccuracy:
         split = Split(np.zeros(4, bool), np.zeros(4, bool), np.ones(4, bool))
         for predicted, expected in ((labels.labels, 1.0), (1 - labels.labels, 0.0),
                                     (np.array([0, 1, 1, 0]), 0.5)):
-            basis = edgeless_basis(one_hot_features(predicted, 2))
-            assert _test_accuracy(basis, (1.0, 0.0, 0.0), np.eye(2), split, labels) == expected
+            run = edgeless_run(one_hot_features(predicted, 2), labels)
+            assert _test_accuracy(run, (1.0, 0.0, 0.0), np.eye(2), split) == expected
 
     def test_empty_mask_rejected(self):
         labels = LabelSet(labels=np.array([0, 1]), num_classes=2)
         split = Split(np.array([True, False]), np.array([False, True]), np.zeros(2, bool))
         with pytest.raises(SplitError, match="empty"):
-            _test_accuracy(edgeless_basis(np.eye(2)), (1.0, 0.0, 0.0), np.eye(2), split, labels)
+            _test_accuracy(edgeless_run(np.eye(2), labels), (1.0, 0.0, 0.0), np.eye(2), split)
 
 
 class TestRunConfig:
@@ -479,9 +484,10 @@ class TestRunConfig:
 
     def test_split_of_another_size_rejected(self):
         ds = cross_pair_dataset()
-        split = Split(np.arange(11) < 2, np.arange(11) == 6, np.arange(11) > 6)
-        with pytest.raises(SplitError, match="basis has 12 rows, split 11, labels 12"):
-            run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split)
+        for n in (11, 13):
+            split = Split(np.arange(n) < 2, np.arange(n) == 6, np.arange(n) > 6)
+            with pytest.raises(SplitError, match=f"split has {n} nodes, the dataset 12"):
+                run_config(ds, PropagationConfig((1.0, 0.0, 0.0)), split)
 
     # class 2 in validation only, then in neither training nor validation
     @pytest.mark.parametrize("val", [[2, 3, 6, 8], [2, 3, 6, 7]])
@@ -564,11 +570,13 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="nonempty"):
             grid_search(ds, simplex_grid(2), k=2, seeds=[])
 
-    @pytest.mark.parametrize("k, seeds", [(2, (0, 1, -1)), (2, (0, 2**128)), (0, (0,))],
-                             ids=["negative-seed", "seed-2**128", "k-0"])
+    @pytest.mark.parametrize("k, seeds", [(2, (0, 1, -1)), (2, (0, 2**128)), (0, (0,)),
+                                          (2, (0, 0.9)), (2, (True,))],
+                             ids=["negative-seed", "seed-2**128", "k-0", "seed-0.9",
+                                  "seed-True"])
     def test_split_arguments_are_checked_before_propagation(self, monkeypatch, k, seeds):
         calls = []
-        monkeypatch.setattr(harness, "_variant_basis", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness._Run, "prepare", lambda *a: calls.append(a))
         with pytest.raises(ConfigError, match="seed" if k else "k must"):
             grid_search(cross_pair_dataset(), simplex_grid(2), k=k, seeds=seeds)
         assert calls == []
@@ -614,14 +622,13 @@ class TestGridSearch:
         # selecting and scoring it alone gives
         ds, grid, seeds = noisy_dataset(), simplex_grid(4), (0, 1, 2, 3)
         # a pinned variant searches its one configuration, on the same blocks
-        kind, alphas = harness._pinned(variant, NormalizationKind.SYMMETRIC, grid.alphas)
-        basis = _variant_basis(ds, kind, variant)
+        run = _Run.prepare(ds, variant, NormalizationKind.SYMMETRIC, grid.alphas)
         expected = []
         for seed in seeds:
             split = make_kshot_split(ds.labels, 2, seed)
-            idx, val_acc, W = _select_config(basis, split, ds.labels, alphas, variant, None)
-            test_acc = _test_accuracy(basis, alphas[idx], W, split, ds.labels)
-            expected.append(SeedResult(seed, alphas[idx], val_acc, test_acc))
+            idx, val_acc, W = _select_config(run, split)
+            test_acc = _test_accuracy(run, run.alphas[idx], W, split)
+            expected.append(SeedResult(seed, run.alphas[idx], val_acc, test_acc))
         events = []
 
         def selecting(*args):
@@ -647,7 +654,7 @@ class TestGridSearch:
         with rows_per_block(ds, 5), caplog.at_level("WARNING", logger="zen.classifier"):
             result = grid_search(ds, simplex_grid(9), k=2, seeds=[0, 1, 2])
         counts = [r.args[0] for r in caplog.records if r.name == "zen.classifier"]
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full").rows()
+        basis = _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, simplex_grid(9).alphas).rows()
         expected = []
         for r in result.per_seed:
             rows = np.flatnonzero(make_kshot_split(ds.labels, 2, r.seed).test_mask)
@@ -657,15 +664,15 @@ class TestGridSearch:
         assert counts == expected
 
 
-def full_matrix_search(ds, alphas, k, seeds, variant, training):
-    """Reference selection that mixes, normalizes and scores all n rows per
-    alpha triple, at the symmetric normalization."""
-    basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, variant).rows()
+def full_matrix_search(ds, run, k, seeds, variant, training):
+    """Reference selection that mixes, normalizes and scores all n rows of
+    ``run``'s blocks per alpha triple of the run."""
+    basis = run.rows()
     picks = []
     for seed in seeds:
         split = make_kshot_split(ds.labels, k, seed)
         best = (-1, -np.inf, 0.0)
-        for idx, (a0, a1, a2) in enumerate(alphas):
+        for idx, (a0, a1, a2) in enumerate(run.alphas):
             Z = normalize_rows(a0 * basis[0] + a1 * basis[1] + a2 * basis[2])
             if harness._VARIANTS[variant].descent:
                 W = train_weights_gd(Z, split, ds.labels, training)
@@ -708,10 +715,10 @@ class TestLabeledRowSearch:
         result = grid_search(ds, grid, k=2, seeds=[0, 1], variant=variant,
                              training=training)
         # a pinned variant searches its one configuration, at sym
-        _, alphas = harness._pinned(variant, NormalizationKind.SYMMETRIC, grid.alphas)
-        reference = full_matrix_search(ds, alphas, 2, [0, 1], variant, training)
+        run = _Run.prepare(ds, variant, NormalizationKind.SYMMETRIC, grid.alphas)
+        reference = full_matrix_search(ds, run, 2, [0, 1], variant, training)
         for r, (idx, val, test) in zip(result.per_seed, reference):
-            assert r.selected_alphas == alphas[idx]
+            assert r.selected_alphas == run.alphas[idx]
             assert r.val_acc == val
             assert r.test_acc == test
 
@@ -721,13 +728,13 @@ class TestLabeledRowSearch:
         # One split's labeled rows peak at about 0.11-0.13 x X; stacking
         # -diag(rsi_1) columns and a copy of V into each hop took 0.15-0.18
         ds = cora_shaped
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
-        assert sp.issparse(basis.features)
+        run = _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, simplex_grid(9).alphas)
+        assert sp.issparse(run.features)
         for seed in range(4):
             split = make_kshot_split(ds.labels, 5, seed)
             labeled = np.concatenate([np.flatnonzero(split.train_mask),
                                       np.flatnonzero(split.val_mask)])
-            _, peak = peak_bytes(basis.rows, labeled)
+            _, peak = peak_bytes(run.rows, labeled)
             assert peak <= 0.14 * ds.features.nbytes, seed
 
 
@@ -814,14 +821,12 @@ class TestGramSelection:
     def test_matches_the_per_config_loop(self, variant, kind, inst, denominator, chunk,
                                          epochs):
         ds, split = inst
-        basis = _variant_basis(ds, kind, variant)
         grid = simplex_grid(denominator)
         training = TrainingParams(epochs=epochs)
-        ref_idx, ref_val, ref_W = select_reference(basis, split, ds.labels, grid.alphas,
-                                                   variant, training)
+        run = _Run.prepare(ds, variant, kind, grid.alphas, training)
+        ref_idx, ref_val, ref_W = select_reference(run, split)
         with configs_per_chunk(split, chunk):
-            idx, val_acc, W = _select_config(basis, split, ds.labels, grid.alphas, variant,
-                                             training)
+            idx, val_acc, W = _select_config(run, split)
         assert (idx, val_acc) == (ref_idx, ref_val)
         npt.assert_array_equal(W.view(np.int64), ref_W.view(np.int64))
 
@@ -832,14 +837,14 @@ class TestGramSelection:
         # wherever a1 == a2. Row v2 (class 1) mixes to (a1, a0 + a2). Both
         # are right only at (1/9, 4/9, 4/9), one of the tied configs.
         e0, e1, ones = [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
-        basis = StoredBlocks(np.array([e0, e1, ones, e1, e1]),
-                             np.array([e0, e1, e0, e1, e0]),
-                             np.array([e0, e1, e1, e1, e1]))
         labels = LabelSet(labels=np.array([0, 1, 0, 1, 1]), num_classes=2)
+        grid = simplex_grid(9)
+        run = StoredBlocks((np.array([e0, e1, ones, e1, e1]),
+                            np.array([e0, e1, e0, e1, e0]),
+                            np.array([e0, e1, e1, e1, e1])), labels, grid.alphas)
         split = Split(np.array([1, 1, 0, 0, 0], bool), np.array([0, 0, 1, 1, 1], bool),
                       np.zeros(5, bool))
-        grid = simplex_grid(9)
-        expected = select_reference(basis, split, labels, grid.alphas, "full", None)
+        expected = select_reference(run, split)
         calls = []
         real = harness._eval_config
 
@@ -848,7 +853,7 @@ class TestGramSelection:
             return real(*args)
 
         monkeypatch.setattr(harness, "_eval_config", counting)
-        idx, val_acc, W = _select_config(basis, split, labels, grid.alphas, "full", None)
+        idx, val_acc, W = _select_config(run, split)
         tied = [a for a in grid.alphas if a[1] == a[2]]
         assert len(tied) == 5
         assert calls == tied
@@ -859,11 +864,11 @@ class TestGramSelection:
     def test_divergence_error_is_the_per_config_loops(self):
         ds = noisy_dataset()
         training = TrainingParams(lr=50.0)
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_tcs")
+        run = _Run.prepare(ds, "no_tcs", NormalizationKind.SYMMETRIC, simplex_grid(9).alphas,
+                           training)
         split = make_kshot_split(ds.labels, 2, 0)
         with pytest.raises(DivergenceError) as expected:
-            select_reference(basis, split, ds.labels, simplex_grid(9).alphas, "no_tcs",
-                             training)
+            select_reference(run, split)
         with pytest.raises(DivergenceError) as raised:
             grid_search(ds, simplex_grid(9), k=2, seeds=[0], variant="no_tcs",
                         training=training)
@@ -878,19 +883,19 @@ class TestGramSelection:
         # the diverging configs' scores neither tie nor win: only the freeze
         # flags them.
         eye, u0, u1 = np.eye(4), [1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 0.5, 1.0]
-        basis = StoredBlocks(np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),
-                             np.zeros((6, 4)), np.array([u0, u0, u1, u1, u1, u0]))
         labels = LabelSet(labels=np.array([0, 0, 1, 1, 0, 1]), num_classes=2)
+        run = StoredBlocks((np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),
+                            np.zeros((6, 4)), np.array([u0, u0, u1, u1, u1, u0])),
+                           labels, simplex_grid(9).alphas, TrainingParams(lr=0.5))
         split = Split(np.arange(6) < 4, np.arange(6) >= 4, np.zeros(6, bool))
-        training = TrainingParams(lr=0.5)
         with pytest.raises(DivergenceError) as expected:
-            select_reference(basis, split, labels, simplex_grid(9).alphas, "no_tcs", training)
+            select_reference(run, split)
         assert "epoch" in str(expected.value)
         with pytest.raises(DivergenceError) as raised:
-            _select_config(basis, split, labels, simplex_grid(9).alphas, "no_tcs", training)
+            _select_config(run, split)
         assert str(raised.value) == str(expected.value)
-        converging = simplex_grid(1).alphas[2:]
-        assert _select_config(basis, split, labels, converging, "no_tcs", training)[:2] == (0, 1.0)
+        converging = replace(run, alphas=simplex_grid(1).alphas[2:])
+        assert _select_config(converging, split)[:2] == (0, 1.0)
 
     def test_peak_is_the_gram_plus_a_few_slices(self):
         # L = 800 labeled rows: the Gram of the three blocks is (3L)^2 doubles,
@@ -898,11 +903,11 @@ class TestGramSelection:
         rng = np.random.default_rng(800)
         c, k, d = 4, 100, 8
         labels = LabelSet(labels=np.arange(2 * k * c + 40) % c, num_classes=c)
-        basis = StoredBlocks(*(rng.random((labels.num_nodes, d)) for _ in range(3)))
+        run = StoredBlocks(tuple(rng.random((labels.num_nodes, d)) for _ in range(3)), labels,
+                           simplex_grid(9).alphas)
         split = make_kshot_split(labels, k, 0)
         L = 2 * k * c
-        _, peak = peak_bytes(_select_config, basis, split, labels, simplex_grid(9).alphas,
-                             "full", None)
+        _, peak = peak_bytes(_select_config, run, split)
         assert peak <= (3 * L) ** 2 * 8 + 3 * sparsetools._BLOCK_BYTES
 
 
@@ -910,26 +915,26 @@ class TestBlockedTestScoring:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(ds=degenerate_datasets(), rows=st.integers(1, 3), seed=st.integers(0, 3))
     def test_matches_whole_matrix_predict(self, ds, rows, seed):
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
+        run = _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, simplex_grid(2).alphas)
         split = make_kshot_split(ds.labels, 2, seed)
         rows = min(rows, int(split.test_mask.sum()) - 1)  # at least two blocks
-        for alphas in simplex_grid(2):
-            Z = _mixed_embedding(basis.rows(), alphas)
+        for alphas in run.alphas:
+            Z = _mixed_embedding(run.rows(), alphas)
             W = tcs_weights(Z, split, ds.labels)
             whole = masked_accuracy(np.argmax(Z @ W, axis=1), split.test_mask, ds.labels)
             with rows_per_block(ds, rows):
-                assert _test_accuracy(basis, alphas, W, split, ds.labels) == whole
+                assert _test_accuracy(run, alphas, W, split) == whole
 
     def test_allocates_row_blocks_only(self, cora_shaped):
         # X is 31 MB; mixing and normalizing all 2638 test rows at once
         # peaks at about 1.95x X, row blocks of them at about 0.21x, and the
         # scores through X W, n x c blocks, at about 0.04x
         ds = cora_shaped
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
-        split = make_kshot_split(ds.labels, 5, 0)
         grid = simplex_grid(9)
-        idx, _, W = _select_config(basis, split, ds.labels, grid.alphas, "full", None)
-        _, peak = peak_bytes(_test_accuracy, basis, grid.alphas[idx], W, split, ds.labels)
+        run = _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, grid.alphas)
+        split = make_kshot_split(ds.labels, 5, 0)
+        idx, _, W = _select_config(run, split)
+        _, peak = peak_bytes(_test_accuracy, run, grid.alphas[idx], W, split)
         assert peak <= 0.1 * ds.features.nbytes
 
 
@@ -964,13 +969,14 @@ class TestScoringThroughXW:
                                                                     caplog):
         labels = LabelSet(np.arange(14) % 2, 2)
         split = Split(np.zeros(14, bool), np.zeros(14, bool), np.ones(14, bool))
-        basis = _variant_basis(Dataset("ties", _TIES_HG, _TIES_X, labels), kind, variant)
-        blocks = basis.rows()
+        run = _Run.prepare(Dataset("ties", _TIES_HG, _TIES_X, labels), variant, kind,
+                           simplex_grid(6).alphas)
+        blocks = run.rows()
         for W in _TIES_W:
             for alphas in simplex_grid(6):
                 caplog.clear()
                 with caplog.at_level("WARNING", logger="zen.classifier"):
-                    acc = _test_accuracy(basis, alphas, W, split, labels)
+                    acc = _test_accuracy(run, alphas, W, split)
                 counts = [r.args[0] for r in caplog.records if r.name == "zen.classifier"]
                 want, zeros = whole_matrix_test_scoring(blocks, alphas, W, split, labels)
                 assert acc == want
@@ -992,12 +998,12 @@ class TestScoringThroughXW:
         alphas = rng.dirichlet(np.ones(3))
         ds = Dataset("bound", hg, sp.csr_matrix(X) if sparse else X,
                      LabelSet(np.zeros(n, dtype=np.int64), 1))
-        basis = _variant_basis(ds, kind, variant)
-        _, bound, _ = basis.scores(alphas, W)
-        absolute = abs(basis.features)
+        run = _Run.prepare(ds, variant, kind, (tuple(alphas),))
+        _, bound, _ = run.scores(alphas, W)
+        absolute = abs(run.features)
         for c in range(W.shape[1]):
             M = np.column_stack([np.abs(W[:, c]), np.ones(d)])
-            blocks = basis.propagation.absolute().basis(absolute @ M)
+            blocks = run.propagation.absolute().basis(absolute @ M)
             per_class = sum(a * b for a, b in zip(alphas, blocks) if a)[:, 0]
             assert (bound >= per_class).all()
 
@@ -1051,9 +1057,9 @@ class TestSelectedWeights:
         ds = noisy_dataset()
         split = make_kshot_split(ds.labels, 2, seed=4)
         grid = simplex_grid(4)
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "full")
-        idx, val_acc, W = _select_config(basis, split, ds.labels, grid.alphas, "full", None)
-        Z = _mixed_embedding(basis.rows(), grid.alphas[idx])
+        run = _Run.prepare(ds, "full", NormalizationKind.SYMMETRIC, grid.alphas)
+        idx, val_acc, W = _select_config(run, split)
+        Z = _mixed_embedding(run.rows(), grid.alphas[idx])
         npt.assert_array_equal(W, tcs_weights(Z, split, ds.labels))
         # the same winner grid_search reports for that seed
         seed_result = grid_search(ds, grid, k=2, seeds=[4]).per_seed[0]
@@ -1063,8 +1069,8 @@ class TestSelectedWeights:
     def test_weight_shape(self):
         ds = noisy_dataset()
         split = make_kshot_split(ds.labels, 2, seed=4)
-        basis = _variant_basis(ds, NormalizationKind.SYMMETRIC, "no_rap")
-        _, _, W = _select_config(basis, split, ds.labels, simplex_grid(2).alphas, "no_rap", None)
+        run = _Run.prepare(ds, "no_rap", NormalizationKind.SYMMETRIC, simplex_grid(2).alphas)
+        _, _, W = _select_config(run, split)
         assert W.shape == (ds.num_features, ds.labels.num_classes)
 
 

@@ -30,8 +30,9 @@ from zen import (
     propagated_basis,
     rsi_diag_1,
     rsi_diag_2,
+    simplex_grid,
 )
-from zen.harness import VARIANTS, _variant_basis
+from zen.harness import VARIANTS, _Run
 from zen.rsi_approx import dense_diag_oracle
 from conftest import (
     adversarial_hypergraphs,
@@ -74,7 +75,7 @@ def mixed_operator(hg, alphas, variant="full", kind=SYM):
     """
     n = hg.num_nodes
     ds = Dataset("op", hg, np.eye(n), LabelSet(np.zeros(n, dtype=np.int64), 1))
-    basis = _variant_basis(ds, kind, variant).rows()
+    basis = _Run.prepare(ds, variant, kind, (alphas,)).rows()
     return sum(a * block for a, block in zip(alphas, basis))
 
 
@@ -499,8 +500,8 @@ class TestPropagatedBasis:
             whole = propagated_basis(hg, X, kind, rap)
             assert_bit_identical(propagated_basis(hg, X, kind, rap, rows),
                                  [block[rows] for block in whole])
-            basis = _variant_basis(ds, kind, variant)
-            assert_bit_identical(basis.rows(rows), [block[rows] for block in basis.rows()])
+            run = _Run.prepare(ds, variant, kind, simplex_grid(9).alphas)
+            assert_bit_identical(run.rows(rows), [block[rows] for block in run.rows()])
 
     def test_density_cut(self, cora_shaped):
         # 32 (n + nnz) <= n d: with n = 100 and d = 64 the cut is nnz = 100
@@ -671,13 +672,16 @@ class TestPlainFirstHop:
     def test_no_rap_basis_matches_dense_products(self, cora_shaped, kind):
         # cora_shaped X takes the CSR first hop; the reference multiplies dense X
         X = cora_shaped.features
-        assert_bit_identical(_variant_basis(cora_shaped, kind, "no_rap").rows(),
+        run = _Run.prepare(cora_shaped, "no_rap", kind, simplex_grid(9).alphas)
+        assert_bit_identical(run.rows(),
                              whole_matrix_basis(cora_shaped.hypergraph, X, kind, rap=False))
 
     def test_linearized_hgnn_basis_matches_dense_products(self, cora_shaped):
-        # linearized_hgnn mixes the plain three blocks, at the symmetric hop
+        # linearized_hgnn mixes the plain three blocks at the symmetric hop,
+        # whatever kind it is given
         X = cora_shaped.features
-        assert_bit_identical(_variant_basis(cora_shaped, SYM, "linearized_hgnn").rows(),
+        run = _Run.prepare(cora_shaped, "linearized_hgnn", ROW, simplex_grid(9).alphas)
+        assert_bit_identical(run.rows(),
                              whole_matrix_basis(cora_shaped.hypergraph, X, SYM, rap=False))
 
     @pytest.mark.parametrize("variant, kind", [("no_rap", SYM), ("no_rap", ROW),
@@ -688,7 +692,7 @@ class TestPlainFirstHop:
         X = cora_shaped.features + 0.5
         assert not sparse_enough(X != 0)
         ds = Dataset("dense", cora_shaped.hypergraph, X, cora_shaped.labels)
-        assert_bit_identical(_variant_basis(ds, kind, variant).rows(),
+        assert_bit_identical(_Run.prepare(ds, variant, kind, simplex_grid(9).alphas).rows(),
                              whole_matrix_basis(ds.hypergraph, X, kind, rap=False))
 
 

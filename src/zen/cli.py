@@ -130,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="walk length / hop count")
     rsi.add_argument("--method", default="exact",
                      choices=["exact", "walk", "hutchinson"])
-    rsi.add_argument("--norm", default=None, choices=["sym", "row"],
-                     help="degree normalization of the matrix a rap-hop estimate "
-                          "works on (default sym). rsi1 and rsi2 are the same for "
-                          "both kinds, so it moves only the exact oracle's rounding "
-                          "and the Hutchinson probe noise; walk targets have none")
     rsi.add_argument("--trials", type=_positive_int, default=100_000,
                      help="walk trials (default 1e5)")
     rsi.add_argument("--probes", type=_positive_int, default=64,
@@ -183,14 +178,16 @@ def _cmd_run(args) -> int:
     from .harness import _VARIANTS, grid_search, load_dataset, simplex_grid
     from .propagation import NormalizationKind
 
-    if not _VARIANTS[args.variant].descent:
+    training = None
+    if _VARIANTS[args.variant].descent:
+        training = TrainingParams(lr=args.lr, epochs=args.epochs or TrainingParams.epochs)
+    else:
         for flag, value in (("--lr", args.lr), ("--epochs", args.epochs)):
             if value is not None:
                 raise ConfigError(
                     f"{flag} applies to gradient-descent variants only; "
                     f"--variant {args.variant} has closed-form weights"
                 )
-    epochs = TrainingParams.epochs if args.epochs is None else args.epochs
     _check_out(args.out)
     dataset = load_dataset(args.edges, args.features, args.labels, name=args.name)
     result = grid_search(
@@ -200,7 +197,7 @@ def _cmd_run(args) -> int:
         parse_seeds(args.seeds),
         variant=args.variant,
         normalization=NormalizationKind.from_string(args.norm),
-        training=TrainingParams(lr=args.lr, epochs=epochs),
+        training=training,
     )
     text = result.to_json(include_timing=args.timing)
     if args.out:
@@ -238,23 +235,17 @@ def _cmd_rsi(args) -> int:
         raise ConfigError(f"--method walk needs --hops of at least 1, got {args.hops}")
     node, l = args.node, args.hops
     # exact values have closed forms for hops 0..2 and Hutchinson probes the
-    # rap hops at 1..2; every other target is the row-stochastic walk matrix
-    # W = D_v^{-1} H D_e^{-1} H^T, which has no normalization choice
+    # symmetric rap hops at 1..2 (rsi_1 and rsi_2 are the same for both kinds);
+    # every other target is the row-stochastic walk matrix W = D_v^{-1} H D_e^{-1} H^T
     rap_hop = ((args.method == "exact" and l <= 2)
                or (args.method == "hutchinson" and l in (1, 2)))
     target = "rap-hop" if rap_hop else "walk"
-    if args.norm is not None and not rap_hop:
-        raise ConfigError(
-            f"--norm applies to rap-hop targets only; --method {args.method} "
-            f"with --hops {l} targets the walk matrix"
-        )
-    kind = NormalizationKind.from_string(args.norm or "sym")
     fits_guard = hg.num_nodes <= dense_guard()
 
     def oracle(family):
         if not fits_guard:
             return None
-        return float(dense_diag_oracle(hg, kind, l, family=family)[node])
+        return float(dense_diag_oracle(hg, l=l, family=family)[node])
 
     if args.method == "exact":
         if l == 0:
@@ -264,7 +255,7 @@ def _cmd_rsi(args) -> int:
         elif l == 2:
             value = float(rsi_diag_2(hg)[node])
         else:
-            value = float(dense_diag_oracle(hg, kind, l, family="walk")[node])
+            value = float(dense_diag_oracle(hg, l=l, family="walk")[node])
     elif args.method == "walk":
         value = random_walk_return_prob(
             hg, node, WalkParams(walk_length=l, trials=args.trials, rng_seed=args.seed)
@@ -276,7 +267,7 @@ def _cmd_rsi(args) -> int:
         # composition is A1* (m * A1* z), and W is the plain row hop, applied
         # l times
         if l in (1, 2):
-            hop, hop2 = _factored_hops(hg, kind, rap=True)
+            hop, hop2 = _factored_hops(hg, NormalizationKind.SYMMETRIC, rap=True)
             matvec = _Hop(hop.left, hop.right) if l == 1 else lambda z: hop2(hop(z))
         else:
             walk, _ = _factored_hops(hg, NormalizationKind.ROW, rap=False)

@@ -307,13 +307,17 @@ class _Run:
         with the plain normalization (``rap=False``). A pinned variant runs
         at its own normalization and triple instead of ``kind`` and
         ``alphas``. A descent variant trains with ``training``, or the
-        default parameters when it is None; the others ignore it. Preparing
-        builds the hops and rsi_2 once; no block is propagated until rows
-        are asked for. An unknown variant is a ConfigError.
+        default parameters when it is None. Preparing builds the hops and
+        rsi_2 once; no block is propagated until rows are asked for. An
+        unknown variant, or ``training`` for a closed-form one, is a
+        ConfigError.
         """
         if variant not in _VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         rap, descent, pin = _VARIANTS[variant]
+        if training is not None and not descent:
+            raise ConfigError(f"training parameters apply to gradient-descent variants "
+                              f"only; {variant} has closed-form weights")
         if pin:
             kind, alphas = pin.normalization, (pin.alphas,)
         return cls(features=dataset._features,
@@ -581,7 +585,8 @@ def run_config(
 
     The variant picks the propagation route (redundancy-removed hops for
     full/no_tcs, plain normalization otherwise) and the weight route (closed
-    form for full/no_rap, gradient descent otherwise). config.alphas and
+    form for full/no_rap, which refuse ``training`` with a ConfigError,
+    gradient descent with ``training`` otherwise). config.alphas and
     config.normalization are honored, except by a pinned variant:
     linearized_hgnn runs at its own (0, 0, 1) on the symmetric hop. The run
     is prepared with the one triple, a one-point grid, so the configuration
@@ -643,7 +648,8 @@ def grid_search(
     one configuration instead of the grid. The reported spread is the sample
     standard deviation (ddof=1) over seeds, or 0.0 for a single seed. ``k``
     and every seed are checked before the propagation is prepared, so a bad
-    one fails before any work is done.
+    one fails before any work is done. ``training`` is for descent variants
+    only; a closed-form one refuses it with a ConfigError.
 
     The work runs in three phases, and ``timing_ms`` times each as one span,
     so the three add up to the wall time: ``propagation_ms`` prepares the

@@ -296,6 +296,49 @@ def test_explain_output_matches_the_golden_digest(bench_inputs, explain_digests,
     assert digest == explain_digests[f"{source} {variant} {norm}"]
 
 
+# graph -> the nodes it pins; "mixed" has unequal degrees, so its sym and row
+# hop matrices differ
+RSI_NODES = {"toy": range(5), "mixed": range(4)}
+RSI_METHODS = {
+    "exact": (range(5), []),
+    "hutchinson": (range(5), ["--probes", "64", "--seed", "0"]),
+    "walk": (range(1, 5), ["--trials", "2000", "--seed", "0"]),
+}
+
+
+@pytest.fixture(scope="module")
+def rsi_digests():
+    """tests/golden/rsi_digests.json: "<graph> <node> <method> <hops>" -> the
+    SHA-256 of ``zen rsi``'s json stdout; it pins every such run and no other."""
+    golden = json.loads((ROOT / "tests" / "golden" / "rsi_digests.json").read_text())
+    assert sorted(golden) == sorted(f"{g} {node} {m} {l}" for g, nodes in RSI_NODES.items()
+                                    for node in nodes
+                                    for m, (hops, _) in RSI_METHODS.items() for l in hops)
+    return golden
+
+
+@pytest.mark.parametrize("method", RSI_METHODS)
+@pytest.mark.parametrize("graph", RSI_NODES)
+def test_rsi_output_matches_the_golden_digest(tmp_path, rsi_digests, capsys, graph, method):
+    """``zen rsi`` on data/toy and on the mixed-degree graph {0,1}, {1,2,3},
+    {0,3}, at every node and hop count of the grid, byte for byte."""
+    if graph == "toy":
+        edges = ROOT / "data" / "toy" / "edges.hg"
+    else:
+        edges = tmp_path / "mixed.hg"
+        edges.write_text(serialize_hypergraph(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 3)))))
+    hops, flags = RSI_METHODS[method]
+    got, want = {}, {}
+    for node in RSI_NODES[graph]:
+        for l in hops:
+            assert main(["rsi", "--edges", str(edges), "--node", str(node),
+                         "--method", method, "--hops", str(l), *flags]) == 0
+            key = f"{graph} {node} {method} {l}"
+            got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            want[key] = rsi_digests[key]
+    assert got == want
+
+
 class TestRsi:
     def test_exact_one_hop(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0"])
@@ -317,7 +360,7 @@ class TestRsi:
 
     def test_exact_two_hops(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "2",
-                     "--hops", "2", "--norm", "row"])
+                     "--hops", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["target"] == "rap-hop"
@@ -433,22 +476,32 @@ class TestRsi:
         assert main([*args, "--norm", norm]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--norm" in captured.err and "Traceback" not in captured.err
+        assert "unrecognized arguments: --norm" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("method, hops", [("exact", 0), ("exact", 1), ("exact", 2),
                                               ("hutchinson", 1), ("hutchinson", 2)])
     def test_rap_hop_targets_default_to_sym(self, tmp_path, capsys, method, hops):
-        # unequal degrees, so the sym and row hop matrices differ
+        # rsi1 and rsi2 are the same for both kinds, so a rap-hop target takes
+        # no --norm: its oracle is the symmetric one, whose rounding differs
+        # from the row one's at node 0 of this graph of unequal degrees
+        from zen.propagation import NormalizationKind
+        from zen.rsi_approx import dense_diag_oracle
+        hg = Hypergraph(4, ((0, 1), (1, 2, 3), (0, 3)))
         p = tmp_path / "mixed.hg"
-        p.write_text(serialize_hypergraph(Hypergraph(4, ((0, 1), (1, 2, 3), (0, 3)))))
+        p.write_text(serialize_hypergraph(hg))
         args = ["rsi", "--edges", str(p), "--node", "0", "--method", method,
                 "--hops", str(hops), "--probes", "8"]
-        outputs = {}
-        for norm in (None, "sym", "row"):
-            assert main(args if norm is None else [*args, "--norm", norm]) == 0
-            outputs[norm] = capsys.readouterr().out
-        assert json.loads(outputs[None])["target"] == "rap-hop"
-        assert outputs[None] == outputs["sym"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["target"] == "rap-hop"
+        sym = dense_diag_oracle(hg, NormalizationKind.SYMMETRIC, hops)[0]
+        assert payload["exact"] == sym
+        for norm in ("sym", "row"):
+            assert main([*args, "--norm", norm]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --norm" in captured.err
 
     @pytest.mark.parametrize("hops", ["0", "-1"])
     def test_walk_needs_a_positive_hop_count(self, triangle_file, capsys, hops):

@@ -67,6 +67,11 @@ def masked_accuracy(hard_labels: np.ndarray, mask: np.ndarray, labels: LabelSet)
     return float(np.mean(hard_labels[mask] == labels.labels[mask]))
 
 
+def descent_only(variant: str, training: TrainingParams) -> TrainingParams | None:
+    """``training`` for a descent variant; None for a closed-form one, which refuses it."""
+    return training if harness._VARIANTS[variant].descent else None
+
+
 def one_hot_features(labels: np.ndarray, c: int) -> np.ndarray:
     X = np.zeros((labels.size, c))
     X[np.arange(labels.size), labels] = 1.0
@@ -218,7 +223,8 @@ class TestDataset:
         grid, training = simplex_grid(3), TrainingParams(epochs=40)
         for variant in VARIANTS:
             got, want = (grid_search(ds, grid, k=3, seeds=[0, 1], variant=variant,
-                                     training=training).to_json() for ds in (csr, dense))
+                                     training=descent_only(variant, training)).to_json()
+                         for ds in (csr, dense))
             assert got == want, variant
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -273,10 +279,10 @@ class TestDataset:
         monkeypatch.setattr(harness._Features, "__get__", refuse)
         split = make_kshot_split(ds.labels, 3, 0)
         for variant in VARIANTS:
-            run_config(ds, PropagationConfig((0.2, 0.5, 0.3)), split, variant,
-                       TrainingParams(epochs=5))
+            training = descent_only(variant, TrainingParams(epochs=5))
+            run_config(ds, PropagationConfig((0.2, 0.5, 0.3)), split, variant, training)
             grid_search(ds, simplex_grid(2), k=3, seeds=[0], variant=variant,
-                        training=TrainingParams(epochs=5))
+                        training=training)
         assert ds.num_features == 200
 
     def test_load_dataset_roundtrip(self, tmp_path):
@@ -511,7 +517,7 @@ class TestGridSearch:
         ds = Dataset("one", Hypergraph(10, ((0, 1, 2), (2, 3), (4, 5, 6, 7))),
                      rng.random((10, 4)) + 0.1, LabelSet(np.zeros(10, dtype=np.int64), 1))
         result = grid_search(ds, simplex_grid(2), k=2, seeds=[0, 1], variant=variant,
-                             training=TrainingParams(epochs=20))
+                             training=descent_only(variant, TrainingParams(epochs=20)))
         assert result.mean_test == 1.0
 
     def test_dominating_config_wins_with_earliest_tie_break(self):
@@ -589,6 +595,18 @@ class TestGridSearch:
         )
         assert 0.0 <= result.mean_test <= 1.0
 
+    @pytest.mark.parametrize("variant", ["full", "no_rap"])
+    @pytest.mark.parametrize("entry", ["grid_search", "run_config"])
+    def test_closed_form_variants_refuse_training_params(self, entry, variant):
+        # descent parameters for closed-form weights are refused, not dropped
+        ds, training = cross_pair_dataset(), TrainingParams(lr=0.1)
+        with pytest.raises(ConfigError, match=f"{variant} has closed-form weights"):
+            if entry == "grid_search":
+                grid_search(ds, simplex_grid(1), k=2, seeds=[0], variant=variant,
+                            training=training)
+            else:
+                run_config(ds, PropagationConfig((1.0, 0.0, 0.0)),
+                           make_kshot_split(ds.labels, 2, 0), variant, training)
 
     def test_single_block_variant_is_evaluated_once_per_seed(self, monkeypatch):
         # linearized_hgnn is pinned at (0, 0, 1), the grid's first point, and
@@ -711,7 +729,7 @@ class TestLabeledRowSearch:
     @given(ds=degenerate_datasets(), denominator=st.integers(1, 4))
     def test_matches_full_matrix_scoring(self, variant, ds, denominator):
         grid = simplex_grid(denominator)
-        training = TrainingParams(epochs=20)
+        training = descent_only(variant, TrainingParams(epochs=20))
         result = grid_search(ds, grid, k=2, seeds=[0, 1], variant=variant,
                              training=training)
         # a pinned variant searches its one configuration, at sym
@@ -822,7 +840,7 @@ class TestGramSelection:
                                          epochs):
         ds, split = inst
         grid = simplex_grid(denominator)
-        training = TrainingParams(epochs=epochs)
+        training = descent_only(variant, TrainingParams(epochs=epochs))
         run = _Run.prepare(ds, variant, kind, grid.alphas, training)
         ref_idx, ref_val, ref_W = select_reference(run, split)
         with configs_per_chunk(split, chunk):

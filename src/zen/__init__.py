@@ -27,7 +27,7 @@ _LAZY_EXPORTS = {
     "classifier": (
         "SpectralComponents", "Split", "TrainingParams", "exact_weights",
         "make_assumption_data", "normalize_rows", "tcs_error_bound",
-        "tcs_weights", "train_weights_gd",
+        "tcs_weights",
     ),
     "harness": (
         "Dataset", "RunResult", "explain_weights", "grid_search",

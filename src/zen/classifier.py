@@ -102,7 +102,11 @@ def tcs_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
     embeddings; no scale factor is kept because argmax scoring ignores it.
     With nonnegative embeddings the weights are nonnegative.
     """
-    Zt, Yt = _train_rows(Z, split, labels)
+    return _tcs(*_train_rows(Z, split, labels))
+
+
+def _tcs(Zt: np.ndarray, Yt: np.ndarray) -> np.ndarray:
+    """colnorm(Zt^T Yt) for training rows Zt and their one-hot labels Yt."""
     W = Zt.T @ Yt
     norms = np.linalg.norm(W, axis=0)
     return W / np.where(norms > 0, norms, 1.0)
@@ -169,19 +173,14 @@ def _descend(K, Y, params: TrainingParams, limit: float = DIVERGENCE_LIMIT):
     return C, diverged, loss
 
 
-def train_weights_gd(
-    Z: np.ndarray,
-    split: Split,
-    labels: LabelSet,
-    params: TrainingParams = TrainingParams(),
-) -> np.ndarray:
-    """Full-batch gradient descent on the squared error from zero initialization.
+def _descent_weights(Zt: np.ndarray, Yt: np.ndarray, params: TrainingParams) -> np.ndarray:
+    """Full-batch gradient descent on the squared error from zero initialization,
+    for training rows Zt and their one-hot labels Yt.
 
-    Runs ``_descend`` on Z_t Z_t^T in O(t^2 (d + e c)) for t training rows, d
+    Runs ``_descend`` on Zt Zt^T in O(t^2 (d + e c)) for t training rows, d
     columns, e epochs and c classes. Deterministic given its inputs; raises if
-    the loss leaves the sane regime (step too large for Z_train's spectrum).
+    the loss leaves the sane regime (step too large for Zt's spectrum).
     """
-    Zt, Yt = _train_rows(Z, split, labels)
     C, diverged, loss = _descend((Zt @ Zt.T)[None], Yt, params)
     if diverged[0] >= 0:
         raise DivergenceError(f"training diverged at epoch {diverged[0]} "

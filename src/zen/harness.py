@@ -76,11 +76,11 @@ from .classifier import (
     Split,
     TrainingParams,
     _descend,
+    _descent_weights,
+    _tcs,
     _warn_zero_rows,
     _zero_rows,
     normalize_rows,
-    tcs_weights,
-    train_weights_gd,
 )
 from .errors import ConfigError, DatasetError, SplitError, check_count
 from .hypergraph import (
@@ -171,10 +171,6 @@ class Dataset:
     @property
     def num_nodes(self) -> int:
         return self.hypergraph.num_nodes
-
-    @property
-    def num_features(self) -> int:
-        return self._features.shape[1]
 
 
 def load_dataset(edges_path, features_path, labels_path, name: str | None = None) -> Dataset:
@@ -372,33 +368,30 @@ def _mixed_embedding(blocks: list[np.ndarray], alphas) -> np.ndarray:
 class _LabeledRows:
     """One split's training and validation rows of every basis block.
 
-    Training rows first, then validation rows, each in ascending node order;
-    ``split`` and ``labels`` are restricted to the same rows, so the weights
-    see exactly the training rows of the full embedding, in the same order.
+    The t training rows come first, then the validation rows, each in
+    ascending node order, so the weights see exactly the training rows of
+    the full embedding, in the same order. ``Y`` is the one-hot label
+    matrix of the same rows.
     """
 
     blocks: list[np.ndarray]
-    split: Split
-    labels: LabelSet
+    t: int
+    Y: np.ndarray
 
 
 def _labeled_rows(run: _Run, split: Split) -> _LabeledRows:
-    """The split's labeled rows of ``run``, which propagates only those rows."""
+    """The split's labeled rows of ``run``, which propagates only those rows.
+    A split with another node count than the run's, or with a class that has
+    no training node, is a SplitError."""
     labels = run.labels
     if split.num_nodes != labels.num_nodes:
         raise SplitError(f"split has {split.num_nodes} nodes, the dataset {labels.num_nodes}")
-    # raise the weights' SplitError before the restricted LabelSet can
-    # reject a class with neither training nor validation nodes
     untrained = np.setdiff1d(np.arange(labels.num_classes), labels.labels[split.train_mask])
     if untrained.size:
         raise SplitError(f"classes with no training node: {untrained.tolist()}")
     rows = np.concatenate([np.flatnonzero(split.train_mask), np.flatnonzero(split.val_mask)])
-    first = np.arange(rows.size) < np.count_nonzero(split.train_mask)
-    return _LabeledRows(
-        blocks=run.rows(rows),
-        split=Split(first, ~first, np.zeros(rows.size, dtype=bool)),
-        labels=LabelSet(labels.labels[rows], labels.num_classes),
-    )
+    return _LabeledRows(blocks=run.rows(rows), t=int(np.count_nonzero(split.train_mask)),
+                        Y=np.eye(labels.num_classes)[labels.labels[rows]])
 
 
 def _eval_config(
@@ -414,13 +407,9 @@ def _eval_config(
     warning; that fires at most once per seed, from the test scoring of the
     winner.
     """
-    Z = _mixed_embedding(labeled.blocks, alphas)
-    if training is None:
-        W = tcs_weights(Z, labeled.split, labeled.labels)
-    else:
-        W = train_weights_gd(Z, labeled.split, labeled.labels, training)
-    val = labeled.split.val_mask
-    return _accuracy(np.argmax(Z[val] @ W, axis=1), labeled.labels.labels[val]), W
+    Z, t, Y = _mixed_embedding(labeled.blocks, alphas), labeled.t, labeled.Y
+    W = _tcs(Z[:t], Y[:t]) if training is None else _descent_weights(Z[:t], Y[:t], training)
+    return _accuracy(np.argmax(Z[t:] @ W, axis=1), np.argmax(Y[t:], axis=1)), W
 
 
 def _select_config(run: _Run, split: Split) -> tuple[int, float, np.ndarray]:
@@ -467,21 +456,20 @@ def _gram_accuracies(
     and the configurations are taken in chunks whose K fits one slice. The
     validation scores are K_vt Y / sqrt(diag(Y^T K_tt Y)) for the closed
     form and K_vt C for descent, C from ``_descend`` on K_tt, the loop that
-    ``train_weights_gd`` runs on Z_t Z_t^T.
+    ``classifier._descent_weights`` runs on Z_t Z_t^T.
 
     A configuration is re-scored through ``_eval_config`` when the Gram
     route cannot vouch for its ranks: a validation row that is not
     structurally zero has top-two scores within ``_NEAR_TIE`` of each other;
     a mixed labeled row or a class's sum of training rows has cancelled
     (``_CANCELLATION``); or descent froze it because its loss left the sane
-    regime, in which case the re-score raises ``train_weights_gd``'s
+    regime, in which case the re-score raises ``_descent_weights``'
     ``DivergenceError``. A row is structurally zero when every block with a
     nonzero alpha is zero on it; both routes give it class 0. Configurations
     are settled in grid order, so the first error raised is the one that
     scoring each configuration in turn would raise.
     """
-    t = int(np.count_nonzero(labeled.split.train_mask))
-    nb, L = len(labeled.blocks), labeled.blocks[0].shape[0]
+    t, nb, L = labeled.t, len(labeled.blocks), labeled.blocks[0].shape[0]
     G = np.empty((nb, nb, L, L))
     for j in range(nb):
         for k in range(j, nb):
@@ -490,8 +478,7 @@ def _gram_accuracies(
                 G[k, j] = G[j, k].T
     nonzero = np.array([block.any(axis=1) for block in labeled.blocks])
     sq_len = np.array([np.diagonal(G[j, j]) for j in range(nb)])
-    Y = labeled.labels.one_hot()[:t]
-    truth = labeled.labels.labels[t:]
+    Y, truth = labeled.Y[:t], np.argmax(labeled.Y[t:], axis=1)
     points = np.asarray(alphas, dtype=np.float64)
     accs, rescored = np.empty(len(points)), {}
     step = _slice_len(G.itemsize * L * L)

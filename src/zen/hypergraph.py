@@ -170,9 +170,6 @@ class Hypergraph:
         """Total number of (node, edge) memberships."""
         return self._incidence.nnz
 
-    def isolated_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self._degrees.node_degrees == 0)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -393,9 +390,6 @@ class LabelSet:
         Y = np.zeros((self.labels.shape[0], self.num_classes), dtype=np.float64)
         Y[np.arange(self.labels.shape[0]), self.labels] = 1.0
         return Y
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
 
 def _parses(conv, tok: str) -> bool:

@@ -27,7 +27,7 @@ from zen import (
     incidence_matrix,
     propagated_basis,
 )
-from zen.classifier import DIVERGENCE_LIMIT, normalize_rows
+from zen.classifier import DIVERGENCE_LIMIT, _descent_weights, _train_rows, normalize_rows
 from zen.harness import _Run, _eval_config, _labeled_rows
 
 
@@ -300,9 +300,14 @@ def whole_matrix_test_scoring(blocks, alphas, W, split, labels):
     return float(np.mean(hard == labels.labels[test])), int(np.count_nonzero(~Z[test].any(axis=1)))
 
 
+def descent_weights(Z, split, labels, params=TrainingParams()):
+    """The package's descent weights on the split's training rows of Z."""
+    return _descent_weights(*_train_rows(Z, split, labels), params)
+
+
 def gd_reference(Z, split, labels, params):
     """Primal full-batch gradient descent W <- W - 2 lr Z_t^T (Z_t W - Y_t) from
-    zero on d x c weights, with ``train_weights_gd``'s step size, epoch count
+    zero on d x c weights, with ``descent_weights``' step size, epoch count
     and divergence rule and message.
 
     The package runs the same descent in dual form on t x c coefficients;

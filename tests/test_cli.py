@@ -165,7 +165,7 @@ class TestRun:
         assert captured.out == ""
         assert flag in captured.err and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     def test_a_bad_step_size_is_a_usage_error_naming_the_flag(self, toy_files, capsys,
                                                                value):
         code = main(["run", *dataset_args(toy_files), "--k", "2", "--seeds", "0",
@@ -366,6 +366,14 @@ class TestRsi:
         assert payload["target"] == "rap-hop"
         assert payload["value"] == pytest.approx(1.0)
         assert payload["exact"] == pytest.approx(payload["value"])
+
+    def test_exact_is_null_above_the_dense_guard(self, triangle_file, capsys, monkeypatch):
+        monkeypatch.setenv("ZEN_DENSE_GUARD", "2")
+        code = main(["rsi", "--edges", str(triangle_file), "--node", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"exact": null' in out
+        assert json.loads(out)["value"] == 1.0
 
     def test_exact_long_horizon_uses_walk_matrix(self, triangle_file, capsys):
         code = main(["rsi", "--edges", str(triangle_file), "--node", "0",

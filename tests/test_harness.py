@@ -38,7 +38,6 @@ from zen.classifier import (
     Split,
     normalize_rows,
     tcs_weights,
-    train_weights_gd,
 )
 from zen.harness import (
     VARIANTS,
@@ -53,6 +52,7 @@ from zen.harness import (
 from conftest import (
     StoredBlocks,
     adversarial_hypergraphs,
+    descent_weights,
     edgeless_run,
     non_canonical_csr,
     peak_bytes,
@@ -150,7 +150,7 @@ def zero_rows_dataset(isolated=6) -> Dataset:
 
 def rows_per_block(ds, rows):
     """Patch the slice budget so test scoring takes ``rows`` rows at a time."""
-    return mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * ds.num_features * rows)
+    return mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * ds._features.shape[1] * rows)
 
 
 # 90 nodes in 3 classes on edges of 2-5 members; the last 6 nodes are isolated
@@ -174,7 +174,7 @@ class TestDataset:
     def test_properties(self):
         ds = cross_pair_dataset()
         assert ds.num_nodes == 12
-        assert ds.num_features == 2
+        assert ds._features.shape[1] == 2
 
     def test_feature_shape_checked(self):
         labels = LabelSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
@@ -283,7 +283,7 @@ class TestDataset:
             run_config(ds, PropagationConfig((0.2, 0.5, 0.3)), split, variant, training)
             grid_search(ds, simplex_grid(2), k=3, seeds=[0], variant=variant,
                         training=training)
-        assert ds.num_features == 200
+        assert ds._features.shape[1] == 200
 
     def test_load_dataset_roundtrip(self, tmp_path):
         ds = cross_pair_dataset()
@@ -693,7 +693,7 @@ def full_matrix_search(ds, run, k, seeds, variant, training):
         for idx, (a0, a1, a2) in enumerate(run.alphas):
             Z = normalize_rows(a0 * basis[0] + a1 * basis[1] + a2 * basis[2])
             if harness._VARIANTS[variant].descent:
-                W = train_weights_gd(Z, split, ds.labels, training)
+                W = descent_weights(Z, split, ds.labels, training)
             else:
                 W = tcs_weights(Z, split, ds.labels)
             hard = np.argmax(Z @ W, axis=1)
@@ -1089,7 +1089,7 @@ class TestSelectedWeights:
         split = make_kshot_split(ds.labels, 2, seed=4)
         run = _Run.prepare(ds, "no_rap", NormalizationKind.SYMMETRIC, simplex_grid(2).alphas)
         _, _, W = _select_config(run, split)
-        assert W.shape == (ds.num_features, ds.labels.num_classes)
+        assert W.shape == (ds._features.shape[1], ds.labels.num_classes)
 
 
 class TestExplainWeights:

@@ -46,7 +46,7 @@ class TestParsing:
     def test_header_preserves_trailing_isolated_nodes(self):
         hg = parse_hypergraph("%nodes 6\n0 1\n")
         assert hg.num_nodes == 6
-        assert hg.isolated_nodes().tolist() == [2, 3, 4, 5]
+        assert np.flatnonzero(degrees(hg).node_degrees == 0).tolist() == [2, 3, 4, 5]
 
     def test_nodes_default_to_max_id_plus_one(self):
         assert parse_hypergraph("4 7\n").num_nodes == 8
@@ -78,6 +78,10 @@ class TestParsing:
         with pytest.raises(HypergraphParseError):
             parse_hypergraph("%nodes two\n0 1\n")
 
+    def test_negative_header_count(self):
+        with pytest.raises(HypergraphParseError, match="line 1.*negative node count -3"):
+            parse_hypergraph("%nodes -3\n")
+
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -105,6 +109,19 @@ class TestHypergraphType:
             with pytest.raises(DatasetError):
                 Hypergraph(3, ((0, bad),))
         assert Hypergraph(3, ((2, np.int64(2), 2.0, 0),)) == Hypergraph(3, ((0, 2),))
+
+    def test_rejects_a_negative_node_count(self):
+        with pytest.raises(DatasetError, match="num_nodes must be nonnegative, got -1"):
+            Hypergraph(-1, [])
+
+    def test_is_immutable(self, path_hg):
+        with pytest.raises(AttributeError, match="Hypergraph is immutable; cannot set 'num_nodes'"):
+            path_hg.num_nodes = 4
+        assert path_hg.num_nodes == 3
+
+    def test_never_equals_another_type(self, path_hg):
+        assert not path_hg == 3
+        assert path_hg != 3
 
     def test_normalizes_edge_tuples(self):
         hg = Hypergraph(3, ((2, 0, 2),))
@@ -246,6 +263,14 @@ class TestLabelSet:
 
     def test_default_class_names(self):
         assert LabelSet(np.array([0, 1]), 2).class_names == ("0", "1")
+
+    def test_labels_must_be_1d(self):
+        with pytest.raises(DatasetError, match="labels must be a 1-d array"):
+            LabelSet(np.array([[0, 1]]), 2)
+
+    def test_class_name_count_must_match(self):
+        with pytest.raises(DatasetError, match="1 class names for 2 classes"):
+            LabelSet(np.array([0, 1]), 2, class_names=("a",))
 
 
 class TestLoaders:
@@ -389,7 +414,10 @@ class TestLoaders:
         (load_hypergraph, b"0 1\n1 2\xff\n", 7, "invalid start byte"),
         (load_features, b"1,0\n0,\xe9\n", 6, "invalid continuation byte"),
         (lambda p: load_labels(p, 2), b"0,a\n1,b\xc3", 7, "unexpected end of data"),
-    ], ids=["edges", "features", "labels"])
+        # a first line that is not UTF-8 turns the byte routes away
+        (load_features, b"f\xff,g\n1,0\n0,1\n", 1, "invalid start byte"),
+        (lambda p: load_labels(p, 2), b"node,\xe9\n0,0\n1,1\n", 5, "invalid continuation byte"),
+    ], ids=["edges", "features", "labels", "grid-header", "labels-header"])
     def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path, bom,
                                                              loader, raw, at, reason):
         p = tmp_path / "f"

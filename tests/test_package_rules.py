@@ -3,10 +3,11 @@
 Invariants are explicit checks that raise ``ZenError`` subclasses: an
 ``assert`` statement vanishes under ``python -O``, so none may appear in
 ``src/zen``. Every name the package exports must resolve, so deleting a
-function cannot leave a dangling export behind. And every export must have a
-user: the package's own modules, the benchmark, the acceptance criteria or
-README's library examples. A name that only the unit tests call belongs in
-the tests, not in the API. The CLI spells the variant names out, so that
+function cannot leave a dangling export behind. And every export, and every
+public method or property of an exported class, must have a user: the
+package's own modules, the benchmark, the acceptance criteria or README's
+library examples. A name that only the unit tests call belongs in the tests,
+not in the API. The CLI spells the variant names out, so that
 numpy is not imported before ``--threads`` takes effect; they must stay the
 harness's names. Every count argument goes through ``errors.check_count``,
 so each call site gives the same message for the same mistake, and every
@@ -17,6 +18,8 @@ library example runs, its quickstart prints the line README quotes, and its
 
 import argparse
 import ast
+import functools
+import inspect
 import json
 import re
 import shlex
@@ -74,14 +77,35 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_every_export_has_a_user_outside_the_unit_tests():
+@functools.cache
+def _names_used_outside_the_unit_tests() -> frozenset[str]:
+    """Names read by the package's modules, the benchmark, the acceptance
+    criteria and README's Python blocks."""
     sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     sources += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     texts = [path.read_text(encoding="utf-8") for path in sources]
     texts += re.findall(r"^```python\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
-    used = set().union(*(_referenced_names(ast.parse(text)) for text in texts))
-    unused = sorted(set(zen.__all__) - used)
+    return frozenset().union(*(_referenced_names(ast.parse(text)) for text in texts))
+
+
+def test_every_export_has_a_user_outside_the_unit_tests():
+    unused = sorted(set(zen.__all__) - _names_used_outside_the_unit_tests())
     assert not unused, f"exported but used only by the unit tests: {', '.join(unused)}"
+
+
+def test_every_public_member_of_an_export_has_a_user_outside_the_unit_tests():
+    # methods and properties a class defines itself; dataclass fields and
+    # enum members are data, and a name starting with _ is not public
+    kinds = (property, classmethod, staticmethod)
+    members = [f"{name}.{member}" for name in zen.__all__
+               if inspect.isclass(cls := getattr(zen, name))
+               for member, value in vars(cls).items()
+               if not member.startswith("_")
+               and (inspect.isfunction(value) or isinstance(value, kinds))]
+    assert members, "no public members found on the exported classes"
+    used = _names_used_outside_the_unit_tests()
+    unused = sorted(m for m in members if m.split(".")[1] not in used)
+    assert not unused, f"public but used only by the unit tests: {', '.join(unused)}"
 
 
 def _choices(command: str, flag: str) -> tuple:

@@ -741,6 +741,12 @@ class TestPropagationOperator:
         # slight float drift inside the tolerance is accepted
         PropagationConfig((0.1, 0.2, 0.7 + 5e-10))
 
+    def test_unknown_normalization_name(self):
+        assert NormalizationKind.from_string("row") is ROW
+        with pytest.raises(ConfigError) as info:
+            NormalizationKind.from_string("col")
+        assert str(info.value) == "unknown normalization 'col'; expected 'sym' or 'row'"
+
 
 class TestBaselineRecipes:
     def test_hgnn_triangle(self, triangle_hg):

@@ -5,10 +5,11 @@ then form class weight vectors directly from the labeled rows (class-mean
 style, column-normalized) instead of running an optimizer. Two reference
 routes exist alongside the closed form: the exact minimum-norm least-squares
 solution via pseudoinverse, and plain gradient descent on the squared error.
-They are kept separate so each can check the others. Descent runs in dual
-form, the one loop ``_descend`` that the selection screen in ``harness`` runs.
-Scoring is not here: ``harness`` takes the argmax of Z W itself, and an exact
-tie goes to the lower class id.
+They are kept separate so each can check the others. Descent from zero with
+a fixed step has a closed form too, through one eigendecomposition of the
+training Gram, so no route here iterates over epochs. Scoring is not here:
+``harness`` takes the argmax of Z W itself, and an exact tie goes to the
+lower class id.
 
 Also here: the spectral machinery that bounds how far the closed-form weights
 can drift from the exact solution in the idealized geometry (unit-length
@@ -91,7 +92,7 @@ def _train_rows(Z: np.ndarray, split: Split, labels: LabelSet) -> tuple[np.ndarr
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise SplitError(f"classes with no training node: {empty.tolist()}")
-    return Z[split.train_mask], labels.one_hot()[split.train_mask]
+    return Z[split.train_mask], np.eye(labels.num_classes)[labels.labels[split.train_mask]]
 
 
 def tcs_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
@@ -129,7 +130,7 @@ def exact_weights(Z: np.ndarray, split: Split, labels: LabelSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainingParams:
-    """Step size and iteration budget for the gradient-descent reference route.
+    """Step size and epoch count of the gradient-descent reference route.
 
     ``lr`` is a positive finite real number (a bool is not one), or None,
     which picks 1/(2 * train_rows), safe for unit-length rows because the
@@ -147,45 +148,45 @@ class TrainingParams:
         check_count("epochs", self.epochs)
 
 
-def _descend(K, Y, params: TrainingParams, limit: float = DIVERGENCE_LIMIT):
-    """Dual gradient descent C <- C - 2 lr (K C - Y) from zero on each training
-    Gram K = Z_t Z_t^T of a (g, t, t) stack; W = Z_t^T C is then the primal
-    iterate W <- W - 2 lr Z_t^T (Z_t W - Y). Returns C, and per Gram the first
-    epoch whose loss ||K C - Y||^2 was not finite or above ``limit`` (-1 if
-    none) with that loss; a Gram stops there.
-    """
-    lr = params.lr if params.lr is not None else 0.5 / max(1, Y.shape[0])
-    C = np.zeros((K.shape[0],) + Y.shape)
-    diverged, loss = np.full(K.shape[0], -1), np.zeros(K.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(params.epochs):
-            R = K @ C - Y
-            sq = np.einsum("gtc,gtc->g", R, R)
-            over = ~(sq <= limit)
-            # a stopped Gram keeps its C, so its loss stays over the limit
-            if over.any():
-                new = over & (diverged < 0)
-                diverged[new], loss[new] = epoch, sq[new]
-                if over.all():
-                    break
-                R[over] = 0.0
-            C -= (2.0 * lr) * R
-    return C, diverged, loss
+def _power_minus_one(s: np.ndarray, k: float) -> np.ndarray:
+    """(1 - s)^k - 1 for each s, through expm1 and log1p where s < 1/2: there
+    (1 - s)^k may round to 1, and the difference would lose its digits. The
+    log1p branch is not finite from s = 1 on, where it is not read."""
+    with np.errstate(all="ignore"):
+        return np.where(s < 0.5, np.expm1(k * np.log1p(-s)), (1.0 - s) ** k - 1.0)
 
 
 def _descent_weights(Zt: np.ndarray, Yt: np.ndarray, params: TrainingParams) -> np.ndarray:
     """Full-batch gradient descent on the squared error from zero initialization,
-    for training rows Zt and their one-hot labels Yt.
+    for training rows Zt and their one-hot labels Yt, in closed form.
 
-    Runs ``_descend`` on Zt Zt^T in O(t^2 (d + e c)) for t training rows, d
-    columns, e epochs and c classes. Deterministic given its inputs; raises if
-    the loss leaves the sane regime (step too large for Zt's spectrum).
+    With Zt Zt^T = V diag(lam) V^T, P = V^T Yt and s = 2 lr lam, e epochs of
+    W <- W - 2 lr Zt^T (Zt W - Yt) give W = Zt^T V (f P), where
+    f = (1 - (1 - s)^e) / lam, and 2 lr e where lam is 0. One ``eigh`` costs
+    O(t^2 (d + t)) for t training rows and d columns, whatever e. The loss
+    before epoch k's update, k = 0 .. e - 1, is sum (1 - s)^(2k) |P|^2 over
+    the modes: convex in k and |Yt|^2 = t at k = 0, so it stays within
+    ``DIVERGENCE_LIMIT`` at every epoch if it does at epoch e - 1. Otherwise
+    a bisection finds the first epoch whose loss is above the limit or not
+    finite, and a DivergenceError names it, as stepping epoch by epoch would:
+    the step is too large for Zt's spectrum.
     """
-    C, diverged, loss = _descend((Zt @ Zt.T)[None], Yt, params)
-    if diverged[0] >= 0:
-        raise DivergenceError(f"training diverged at epoch {diverged[0]} "
-                              f"(loss {float(loss[0])!r}); lower the step size")
-    return Zt.T @ C[0]
+    lr = params.lr if params.lr is not None else 0.5 / max(1, Yt.shape[0])
+    lam, V = np.linalg.eigh(Zt @ Zt.T)
+    s, P = 2.0 * lr * lam, V.T @ Yt
+    sq = np.einsum("tc,tc->t", P, P)
+    loss = lambda k: float(sq @ (_power_minus_one(s, 2.0 * k) + 1.0))
+    within, over = 0, params.epochs - 1
+    if not loss(over) <= DIVERGENCE_LIMIT:
+        while over - within > 1:
+            mid = (within + over) // 2
+            within, over = (mid, over) if loss(mid) <= DIVERGENCE_LIMIT else (within, mid)
+        raise DivergenceError(f"training diverged at epoch {over} "
+                              f"(loss {loss(over)!r}); lower the step size")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(lam == 0, 2.0 * lr * params.epochs,
+                     -_power_minus_one(s, float(params.epochs)) / lam)
+    return Zt.T @ (V @ (f[:, None] * P))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lr", type=_positive_float, default=None,
                      help="step size for gradient-descent variants")
     run.add_argument("--epochs", type=_positive_int, default=None,
-                     help="iterations for gradient-descent variants (default 500)")
+                     help="epochs for gradient-descent variants (default 500)")
     run.set_defaults(func=_cmd_run)
 
     rsi = sub.add_parser("rsi", help="self-information diagonal diagnostics")

@@ -50,4 +50,5 @@ class SplitError(ZenError):
 
 
 class DivergenceError(ZenError):
-    """Iterative training left the numerically sane regime."""
+    """Gradient descent's loss left the numerically sane regime: the step is
+    too large for the training rows' spectrum."""

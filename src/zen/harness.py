@@ -31,18 +31,19 @@ only the rows asked for, bit for bit the same rows of the whole blocks:
 each seed's labeled rows, and the test rows whose class the scores below
 cannot settle.
 
-Selection does not call ``_eval_config`` once per configuration. Once per
-seed, ``_select_config`` forms the Grams of the blocks' L labeled rows and
-screens all g grid points from them in chunks (``_gram_accuracies``). The
-closed form costs O(L^2 (d + g c)) per seed against O(g L d) for weighting
-each configuration's rows; descent with e epochs costs O(L^2 (d + g c e))
-in ``classifier._descend`` on L/2 x c dual coefficients, which trains
-the winner too. On the benchmark's Cora-shaped input L = 70, d = 1433 and
-g = 55. The Gram scores match the labeled-row scores to rounding (about
-1e-14 relative on the benchmark inputs), so they can only rank a validation
-row differently where its top two class scores nearly tie. Such a
-configuration, and one whose Gram value has cancelled or whose descent left
-the sane regime, is re-scored through ``_eval_config``, and that accuracy
+Descent weights come in closed form (``classifier._descent_weights``, one
+``eigh`` of the t x t training Gram, whatever the epoch count), so a descent
+grid is scored by ``_eval_config`` on each configuration in turn, at
+O(g L (d + L)) per seed for g grid points. The closed form of ``_tcs`` is
+cheaper still in Gram form: once per seed, ``_select_config`` forms the
+Grams of the blocks' L labeled rows and screens all g grid points from them
+in chunks (``_gram_accuracies``), at O(L^2 (d + g c)) per seed against
+O(g L d) for weighting each configuration's rows. On the benchmark's
+Cora-shaped input L = 70, d = 1433 and g = 55. The Gram scores match the
+labeled-row scores to rounding (about 1e-14 relative on the benchmark
+inputs), so they can only rank a validation row differently where its top
+two class scores nearly tie. Such a configuration, and one whose Gram value
+has cancelled, is re-scored through ``_eval_config``, and that accuracy
 replaces the Gram one. The first configuration with the highest accuracy
 wins, and its accuracy and weights are ``_eval_config``'s.
 
@@ -72,10 +73,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classifier import (
-    DIVERGENCE_LIMIT,
     Split,
     TrainingParams,
-    _descend,
     _descent_weights,
     _tcs,
     _warn_zero_rows,
@@ -416,37 +415,41 @@ def _select_config(run: _Run, split: Split) -> tuple[int, float, np.ndarray]:
     """Index in ``run.alphas``, validation accuracy and weights of one
     split's winner among the run's alpha triples; the earliest wins ties.
 
-    Two or more triples are screened in Gram form by ``_gram_accuracies``,
-    at O(L^2 (d + g c)) per seed for the closed form, which re-scores
-    through ``_eval_config`` every configuration whose Gram scores could
-    rank a validation row differently: a near tie, a cancelled sum or a
-    diverging descent. The winner is evaluated by ``_eval_config``, or taken
-    from its re-score, so its accuracy and weights are exactly those of any
-    other route through it. A single triple has nothing to screen, and its
-    blocks with a zero alpha are left out of the mix: they add only signed
-    zeros, so no accuracy changes and the weights differ at most in the sign
-    of a zero. A grid's winner mixes every block, so the weights ``zen
-    explain`` prints keep those signs. The run fixes the triples and the
-    weight route, so a seed passes only its split.
+    Descent scores each triple through ``_eval_config`` in grid order, so
+    the first ``DivergenceError`` is the one raised. Two or more triples of
+    the closed form are screened in Gram form by ``_gram_accuracies``, at
+    O(L^2 (d + g c)) per seed, which re-scores through ``_eval_config``
+    every configuration whose Gram scores could rank a validation row
+    differently: a near tie or a cancelled sum. The winner is evaluated by
+    ``_eval_config``, or taken from its re-score, so its accuracy and
+    weights are exactly those of any other route through it. A single
+    triple has nothing to screen, and its blocks with a zero alpha are left
+    out of the mix: they add only signed zeros, so no accuracy changes and
+    the weights differ at most in the sign of a zero. A grid's winner mixes
+    every block, so the weights ``zen explain`` prints keep those signs. The
+    run fixes the triples and the weight route, so a seed passes only its
+    split.
     """
     labeled, alphas, training = _labeled_rows(run, split), run.alphas, run.training
     if len(alphas) == 1:
         nonzero, blocks = zip(*[(a, B) for a, B in zip(alphas[0], labeled.blocks) if a])
         return (0, *_eval_config(replace(labeled, blocks=[*blocks]), nonzero, training))
-    accs, rescored = _gram_accuracies(labeled, alphas, training)
+    if training is not None:    # max keeps the first of equal accuracies
+        idx, (val_acc, W) = max(enumerate(_eval_config(labeled, a, training) for a in alphas),
+                                key=lambda scored: scored[1][0])
+        return idx, val_acc, W
+    accs, rescored = _gram_accuracies(labeled, alphas)
     best = int(np.argmax(accs))
     if best not in rescored:
-        rescored[best] = _eval_config(labeled, alphas[best], training)
+        rescored[best] = _eval_config(labeled, alphas[best], None)
     return (best, *rescored[best])
 
 
 def _gram_accuracies(
-    labeled: _LabeledRows,
-    alphas,
-    training: TrainingParams | None,
+    labeled: _LabeledRows, alphas
 ) -> tuple[np.ndarray, dict[int, tuple[float, np.ndarray]]]:
-    """Validation accuracy of every alpha triple's configuration, from one
-    labeled-row Gram, and what ``_eval_config`` returned for each
+    """Validation accuracy of every alpha triple's closed-form configuration,
+    from one labeled-row Gram, and what ``_eval_config`` returned for each
     configuration it re-scored.
 
     The labeled rows come training rows first, and the Grams G_jk = B_j B_k^T
@@ -454,20 +457,14 @@ def _gram_accuracies(
     row-normalized embedding is then K = D^-1 (sum_jk a_j a_k G_jk) D^-1,
     with D the square root of the diagonal and D^-1 zero where it is zero,
     and the configurations are taken in chunks whose K fits one slice. The
-    validation scores are K_vt Y / sqrt(diag(Y^T K_tt Y)) for the closed
-    form and K_vt C for descent, C from ``_descend`` on K_tt, the loop that
-    ``classifier._descent_weights`` runs on Z_t Z_t^T.
+    validation scores are K_vt Y / sqrt(diag(Y^T K_tt Y)).
 
     A configuration is re-scored through ``_eval_config`` when the Gram
     route cannot vouch for its ranks: a validation row that is not
-    structurally zero has top-two scores within ``_NEAR_TIE`` of each other;
-    a mixed labeled row or a class's sum of training rows has cancelled
-    (``_CANCELLATION``); or descent froze it because its loss left the sane
-    regime, in which case the re-score raises ``_descent_weights``'
-    ``DivergenceError``. A row is structurally zero when every block with a
-    nonzero alpha is zero on it; both routes give it class 0. Configurations
-    are settled in grid order, so the first error raised is the one that
-    scoring each configuration in turn would raise.
+    structurally zero has top-two scores within ``_NEAR_TIE`` of each other,
+    or a mixed labeled row or a class's sum of training rows has cancelled
+    (``_CANCELLATION``). A row is structurally zero when every block with a
+    nonzero alpha is zero on it; both routes give it class 0.
     """
     t, nb, L = labeled.t, len(labeled.blocks), labeled.blocks[0].shape[0]
     G = np.empty((nb, nb, L, L))
@@ -497,17 +494,12 @@ def _gram_accuracies(
         K *= inv[:, :, None]
         K *= inv[:, None, :]
         Ktt, Kvt = K[:, :t, :t], K[:, t:, :t]
-        if training is None:
-            # squared length of each class's sum of training rows, and the
-            # count of its nonzero (unit) terms
-            colsq = np.einsum("gtc,tc->gc", Ktt @ Y, Y)
-            terms = pos[:, :t] @ Y
-            unsure |= ((terms > 0) & ~(colsq > _CANCELLATION * terms)).any(axis=1)
-            scores = (Kvt @ Y) / np.sqrt(np.where(colsq > 0, colsq, 1.0))[:, None, :]
-        else:
-            C, diverged, _ = _descend(Ktt, Y, training, DIVERGENCE_LIMIT * (1.0 - _NEAR_TIE))
-            scores = Kvt @ C
-            unsure |= diverged >= 0
+        # squared length of each class's sum of training rows, and the count
+        # of its nonzero (unit) terms
+        colsq = np.einsum("gtc,tc->gc", Ktt @ Y, Y)
+        terms = pos[:, :t] @ Y
+        unsure |= ((terms > 0) & ~(colsq > _CANCELLATION * terms)).any(axis=1)
+        scores = (Kvt @ Y) / np.sqrt(np.where(colsq > 0, colsq, 1.0))[:, None, :]
         if Y.shape[1] > 1:
             ranked = np.sort(scores, axis=2)
             top, second = ranked[..., -1], ranked[..., -2]
@@ -517,7 +509,7 @@ def _gram_accuracies(
         for i in range(a.shape[0]):
             idx = start + i
             if unsure[i]:
-                rescored[idx] = _eval_config(labeled, alphas[idx], training)
+                rescored[idx] = _eval_config(labeled, alphas[idx], None)
                 accs[idx] = rescored[idx][0]
             else:
                 accs[idx] = _accuracy(hard[i], truth)

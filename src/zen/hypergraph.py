@@ -385,12 +385,6 @@ class LabelSet:
     def num_nodes(self) -> int:
         return self.labels.shape[0]
 
-    def one_hot(self) -> np.ndarray:
-        """(num_nodes, num_classes) indicator matrix, float64."""
-        Y = np.zeros((self.labels.shape[0], self.num_classes), dtype=np.float64)
-        Y[np.arange(self.labels.shape[0]), self.labels] = 1.0
-        return Y
-
 
 def _parses(conv, tok: str) -> bool:
     """True when ``conv(tok)`` accepts the token (conv is float or int)."""

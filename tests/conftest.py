@@ -310,10 +310,10 @@ def gd_reference(Z, split, labels, params):
     zero on d x c weights, with ``descent_weights``' step size, epoch count
     and divergence rule and message.
 
-    The package runs the same descent in dual form on t x c coefficients;
-    this is the form it is checked against.
+    The package computes the same descent in closed form, from one
+    eigendecomposition of Z_t Z_t^T; this is the loop it is checked against.
     """
-    Zt, Yt = Z[split.train_mask], labels.one_hot()[split.train_mask]
+    Zt, Yt = Z[split.train_mask], np.eye(labels.num_classes)[labels.labels[split.train_mask]]
     lr = params.lr if params.lr is not None else 0.5 / max(1, Zt.shape[0])
     W = np.zeros((Zt.shape[1], Yt.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):

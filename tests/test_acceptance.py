@@ -27,7 +27,7 @@ from zen import (
 from zen.classifier import (
     SpectralComponents,
     TrainingParams,
-    _descend,
+    _descent_weights,
     exact_weights,
     make_assumption_data,
     tcs_error_bound,
@@ -122,14 +122,11 @@ def test_criterion_04_gradient_matches_finite_differences():
                 R = Zt @ W - Yt
                 return float(np.sum(R * R))
 
-            K = (Zt @ Zt.T)[None]
-            lr = 0.5 / np.linalg.eigvalsh(K[0])[-1]
+            lr = 0.5 / np.linalg.eigvalsh(Zt @ Zt.T)[-1]
 
             def weights(epochs):
-                """W = Z_t^T C after ``epochs`` epochs of the dual descent."""
-                C, diverged, _ = _descend(K, Yt, TrainingParams(lr=lr, epochs=epochs))
-                assert diverged[0] < 0
-                return Zt.T @ C[0]
+                """W after ``epochs`` epochs of the descent."""
+                return _descent_weights(Zt, Yt, TrainingParams(lr=lr, epochs=epochs))
 
             # the step from W_e to W_{e+1} is lr times the gradient applied at W_e
             e = int(rng.integers(1, 20))

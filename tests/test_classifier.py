@@ -1,6 +1,7 @@
 """Embedding, weight solvers, and the idealized-geometry analysis."""
 
 import re
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,7 @@ from zen.classifier import (
 )
 from zen.harness import _test_accuracy
 
-from conftest import descent_weights, edgeless_run, gd_reference
+from conftest import descent_weights, edgeless_run, gd_reference, peak_bytes
 
 
 def toy_problem(n=40, d=6, c=3, train=30, seed=1):
@@ -155,7 +156,7 @@ class TestExactWeights:
     def test_residual_is_orthogonal_to_columns(self):
         Z, split, labels = toy_problem()
         W = exact_weights(Z, split, labels)
-        Zt, Yt = Z[split.train_mask], labels.one_hot()[split.train_mask]
+        Zt, Yt = Z[split.train_mask], np.eye(labels.num_classes)[labels.labels[split.train_mask]]
         npt.assert_allclose(Zt.T @ (Zt @ W - Yt), np.zeros_like(W), atol=1e-10)
 
     def test_interpolates_when_possible(self):
@@ -167,7 +168,7 @@ class TestExactWeights:
         train[:6] = True
         split = Split(train, np.zeros(10, bool), ~train)
         W = exact_weights(Z, split, labels)
-        assert np.sum((Z[train] @ W - labels.one_hot()[train]) ** 2) < 1e-20
+        assert np.sum((Z[train] @ W - np.eye(2)[labels.labels[train]]) ** 2) < 1e-20
 
     def test_minimum_norm_on_rank_deficient_systems(self):
         rng = np.random.default_rng(7)
@@ -178,7 +179,7 @@ class TestExactWeights:
         train[:9] = True
         split = Split(train, np.zeros(12, bool), ~train)
         W = exact_weights(Z, split, labels)
-        Y = labels.one_hot()[train]
+        Y = np.eye(labels.num_classes)[labels.labels[train]]
         ref, *_ = np.linalg.lstsq(Z[train], Y, rcond=1e-10)
         npt.assert_allclose(W, ref, atol=1e-10)
 
@@ -215,6 +216,22 @@ class TestGradientDescent:
         with pytest.raises(DivergenceError, match="step size"):
             descent_weights(Z, split, labels, TrainingParams(lr=50.0, epochs=200))
 
+    def test_cost_does_not_grow_with_the_epoch_budget(self):
+        # the closed form reads e only through powers of (1 - s), and finds the
+        # first diverging epoch by bisection: no array is e long
+        Z, split, labels = toy_problem()
+        start = time.perf_counter()
+        descent_weights(Z, split, labels, TrainingParams(epochs=10**9))
+        assert time.perf_counter() - start < 0.5
+        messages = []
+        for epochs in (200, 10**9):
+            with pytest.raises(DivergenceError) as raised:
+                descent_weights(Z, split, labels, TrainingParams(lr=50.0, epochs=epochs))
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        _, peak = peak_bytes(descent_weights, Z, split, labels, TrainingParams(epochs=10**9))
+        assert peak < 64 * 1024
+
     def test_params_validation(self):
         for lr in (0.0, -1.0, float("nan"), float("inf"), True, "0.1"):
             with pytest.raises(ConfigError, match="lr must be positive and finite"):
@@ -225,19 +242,36 @@ class TestGradientDescent:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 4), t=st.integers(4, 30),
            d=st.integers(1, 30), signed=st.booleans(), epochs=st.integers(1, 500),
-           overshoot=st.floats(2.0, 20.0))
-    @example(seed=1, c=3, t=20, d=3, signed=False, epochs=500, overshoot=2.0)
-    @example(seed=2, c=2, t=5, d=25, signed=True, epochs=500, overshoot=20.0)
+           overshoot=st.floats(2.0, 20.0), step=st.none() | st.floats(1e-12, 1.99),
+           zero_row=st.booleans())
+    @example(seed=1, c=3, t=20, d=3, signed=False, epochs=500, overshoot=2.0, step=None,
+             zero_row=False)
+    @example(seed=2, c=2, t=5, d=25, signed=True, epochs=500, overshoot=20.0, step=None,
+             zero_row=False)
+    # an all-zero training row, as an isolated node's row is at alpha_0 = 0
+    @example(seed=3, c=3, t=12, d=8, signed=False, epochs=500, overshoot=2.0, step=None,
+             zero_row=True)
+    # 1 < 2 lr lambda_max < 2: the top modes converge while oscillating
+    @example(seed=4, c=3, t=12, d=8, signed=True, epochs=300, overshoot=2.0, step=1.7,
+             zero_row=False)
+    # t > d leaves the Gram rank-deficient, and a tiny step leaves 1 - (1 - s)^e
+    # at about e s, which a direct power would round away
+    @example(seed=5, c=2, t=20, d=4, signed=False, epochs=500, overshoot=2.0, step=1e-11,
+             zero_row=False)
     def test_dual_form_matches_the_primal_reference(self, seed, c, t, d, signed, epochs,
-                                                    overshoot):
-        # t > d leaves the training Gram singular, t < d leaves Z_t wide
+                                                    overshoot, step, zero_row):
+        # t > d leaves the training Gram singular, t < d leaves Z_t wide; step
+        # is 2 lr lambda_max, or None for the default step
         rng = np.random.default_rng(seed)
         n = t + 5
         Z = normalize_rows(rng.normal(size=(n, d)) if signed else rng.random((n, d)))
+        if zero_row:
+            Z[0] = 0.0
         labels = LabelSet(np.concatenate([np.arange(c), rng.integers(0, c, n - c)]), c)
         train = np.arange(n) < t
         split = Split(train, ~train, np.zeros(n, bool))
-        params = TrainingParams(epochs=epochs)
+        lr = None if step is None else step / (2 * np.linalg.eigvalsh(Z[train] @ Z[train].T)[-1])
+        params = TrainingParams(lr=lr, epochs=epochs)
         W, ref = descent_weights(Z, split, labels, params), gd_reference(Z, split, labels, params)
         # rows whose top two reference scores tie to rounding (d = 1 makes
         # exact ties common) may rank either way; with one class, none count
@@ -245,7 +279,11 @@ class TestGradientDescent:
         clear = top2[:, -1] - top2[:, 0] > 1e-9 * np.maximum(1.0, np.abs(top2[:, -1]))
         npt.assert_array_equal(np.argmax(Z @ W, axis=1)[clear],
                                np.argmax(Z @ ref, axis=1)[clear])
-        npt.assert_allclose(W, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        # no mode gains more than 2 lr e, so with a tiny step or few epochs
+        # rounding is that much smaller too
+        gain = 2 * (0.5 / t if lr is None else lr) * epochs
+        npt.assert_allclose(W, ref, rtol=1e-9,
+                            atol=1e-12 * min(max(1.0, np.abs(ref).max()), gain))
         # With positive rows the top eigenvector of the training Gram is
         # positive, so every class's residual has a part along it, and a step
         # of overshoot / lambda_max grows that part at least 3x an epoch.

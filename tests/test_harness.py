@@ -898,8 +898,8 @@ class TestGramSelection:
         # at (1, 0, 0) to nearly 4 at (0, 0, 1), so at lr = 0.5 the configs
         # heavy in a2 diverge, the first grid point among them, while the
         # winner converges. The validation rows of block 2 are swapped, so
-        # the diverging configs' scores neither tie nor win: only the freeze
-        # flags them.
+        # the diverging configs' scores neither tie nor win: only their own
+        # weights raise.
         eye, u0, u1 = np.eye(4), [1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 0.5, 1.0]
         labels = LabelSet(labels=np.array([0, 0, 1, 1, 0, 1]), num_classes=2)
         run = StoredBlocks((np.vstack([eye, eye[0] + eye[1], eye[2] + eye[3]]),

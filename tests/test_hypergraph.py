@@ -247,12 +247,6 @@ class TestStoredForm:
 
 
 class TestLabelSet:
-    def test_one_hot(self):
-        ls = LabelSet(np.array([0, 1, 1, 2]), 3)
-        Y = ls.one_hot()
-        npt.assert_array_equal(Y.sum(axis=1), np.ones(4))
-        npt.assert_array_equal(np.argmax(Y, axis=1), ls.labels)
-
     def test_missing_class_rejected(self):
         with pytest.raises(DatasetError, match="no labeled node"):
             LabelSet(np.array([0, 0, 2]), 3)

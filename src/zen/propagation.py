@@ -67,8 +67,9 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   nonnegative and nothing cancels: where every term is zero the sum is
   exactly +0.0, as on the matrix route diag(A1* diag(m) A1*).
 * ``build_A1_star`` is the one hop built as a matrix, for callers that read
-  A1* itself: its diagonal is zeroed before the one ``compact`` drops it.
-  Every other hop, the plain forms included, goes through H.
+  A1* itself: B = H diag(w) H^T is formed once, its entries are scaled in
+  place by l of their row and r of their column, and its diagonal is zeroed
+  and dropped. Every other hop, the plain forms included, goes through H.
 
 Sparse features (bag-of-words X is often about 1% nonzero) take a sparse
 route: X is a CSR matrix, both hops are CSR times CSR products, and each
@@ -109,7 +110,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import _dense, _slice_len, _stored_features, compact
+from .sparsetools import _dense, _slice_len, _stored_features
 
 SIMPLEX_TOL = 1e-9
 
@@ -307,15 +308,21 @@ def build_A1_star(hg: Hypergraph, kind: NormalizationKind = NormalizationKind.SY
 
     Symmetric: D_v^{-1/2} (H (D_e - I)^{-1} H^T - diag) D_v^{-1/2};
     Row:       D_v^{-1}   (H (D_e - I)^{-1} H^T - diag).
-    Singleton edges and isolated nodes contribute zero rows/columns. The
-    stored diagonal is zeroed in place, so the one ``compact`` drops it.
+    Singleton edges and isolated nodes contribute zero rows/columns. B =
+    H diag(w) H^T is the one matrix formed: its entries are scaled in place,
+    each by l of its row and then by r of its column, as the two diagonal
+    products would, and its stored diagonal is zeroed and dropped.
     """
     H = incidence_matrix(hg)
     l, w, r = _scales(hg, kind, rap=True)
-    A = sp.csr_matrix(sp.diags(l) @ ((H @ sp.diags(w)) @ H.T) @ sp.diags(r))
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    A.data[A.indices == rows] = 0.0
-    return compact(A)
+    A = (H @ sp.diags(w)) @ H.T
+    counts = np.diff(A.indptr)
+    A.data *= np.repeat(l, counts)
+    A.data *= r[A.indices]
+    A.data[A.indices == np.repeat(np.arange(A.shape[0]), counts)] = 0.0
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
 
 
 # bytes of scratch per entry of one node block of B in ``rsi_diag_2``

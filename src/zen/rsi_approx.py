@@ -54,9 +54,12 @@ def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> fl
 
     All trials advance in lockstep: each step draws one uniform per trial to
     pick an incident edge and one more to pick a member of that edge, into
-    one reused buffer scaled by float64 degrees and sizes, and gathers with
-    int64 indices. Walks only visit nodes with an incident edge, so starting
-    from an isolated node is an error.
+    one reused buffer scaled by the stored degrees and sizes, and gathers
+    from H's own CSR arrays and one CSC copy of H. Numpy casts an index
+    array to intp at every gather, so each trial's edge and node, which
+    index two gathers each, are cast once when drawn. Walks only visit
+    nodes with an incident edge, so starting from an isolated node is an
+    error.
     """
     check_count("node", node, minimum=0)
     if node >= hg.num_nodes:
@@ -66,9 +69,8 @@ def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> fl
         raise IsolatedNodeError(f"node {node} has no incident hyperedge")
     H = incidence_matrix(hg)
     Hc = H.tocsc()
-    node_ptr, node_edges, edge_ptr, edge_members = (
-        a.astype(np.int64) for a in (H.indptr, H.indices, Hc.indptr, Hc.indices))
-    deg, sz = (c.astype(np.float64) for c in (prof.node_degrees, prof.edge_sizes))
+    node_ptr, node_edges, edge_ptr, edge_members = H.indptr, H.indices, Hc.indptr, Hc.indices
+    deg, sz = prof.node_degrees, prof.edge_sizes
 
     rng = _generator(params.rng_seed)
     u, at = np.empty(params.trials), np.empty(params.trials, dtype=np.int64)
@@ -78,12 +80,12 @@ def random_walk_return_prob(hg: Hypergraph, node: int, params: WalkParams) -> fl
         np.copyto(at, u, casting="unsafe")     # truncates, as astype does
         at += node_ptr[cur]
         del cur     # each del frees a trial-length array before the next is made
-        e = node_edges[at]
+        e = node_edges[at].astype(np.intp, copy=False)
         np.multiply(rng.random(out=u), sz[e], out=u)
         np.copyto(at, u, casting="unsafe")
         at += edge_ptr[e]
         del e
-        cur = edge_members[at]
+        cur = edge_members[at].astype(np.intp, copy=False)
     return float(np.count_nonzero(cur == node)) / params.trials
 
 

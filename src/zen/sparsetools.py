@@ -1,10 +1,10 @@
-"""Small helpers: canonical CSR form, the dense-size guard, the scratch
-budget of the loops that fill a large array a slice at a time, and the one
-feature contract: ``_stored_features`` checks and stores X (float64, n
-rows, finite, CSR when ``_sparse_enough``, else dense) for ``Dataset``,
-``load_features``' text route and ``propagated_basis``, and ``_dense``
-reads its rows back, bit for bit. The grid loader builds the same form
-straight from a file's bytes."""
+"""Small helpers: the dense-size guard, the scratch budget of the loops
+that fill a large array a slice at a time, and the one feature contract:
+``_stored_features`` checks and stores X (float64, n rows, finite, CSR
+when ``_sparse_enough``, else dense) for ``Dataset``, ``load_features``'
+text route and ``propagated_basis``, and ``_dense`` reads its rows back,
+bit for bit. The grid loader builds the same form straight from a file's
+bytes."""
 
 from __future__ import annotations
 
@@ -50,20 +50,6 @@ def check_guard(n: int, what: str) -> None:
             f"{what}: size {n} exceeds the dense guard ({limit}); "
             "raise ZEN_DENSE_GUARD to override"
         )
-
-
-def compact(mat) -> sp.csr_matrix:
-    """Return `mat` as a canonical CSR matrix.
-
-    Canonical means: duplicate entries summed, column indices sorted within each
-    row, and explicitly stored zeros dropped. Every matrix this package hands
-    out goes through here so equality and export are deterministic.
-    """
-    out = sp.csr_matrix(mat)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
 
 
 def _sparse_enough(n: int, d: int, nnz: int) -> bool:

@@ -67,11 +67,15 @@ def test_protocol_child_searches_two_seeds(tmp_path, monkeypatch, mode):
         assert {"harness.grid_search", "propagation.build_A1_star"} <= names
 
 
-def test_diagnostics_child_walks_from_two_starts(tmp_path, monkeypatch):
-    report = _child(_workdir(tmp_path, monkeypatch, protocol=False), "round")
+@pytest.mark.parametrize("mode", ["round", "trace"])
+def test_diagnostics_child_walks_from_two_starts(tmp_path, monkeypatch, mode):
+    report = _child(_workdir(tmp_path, monkeypatch, protocol=False), mode)
     outputs = report["outputs"]
     assert len(outputs["rsi1"]) == len(outputs["rsi2"]) == len(outputs["hutchinson"]) == 120
     assert len(outputs["walks"]) == 2 and None not in outputs["walks"]
+    if mode == "trace":
+        names = {span["name"] for span in report["spans"]}
+        assert {"propagation.build_A1_star", "rsi_approx.random_walk_return_prob"} <= names
 
 
 def test_generated_edges_and_labels_take_the_byte_routes(tmp_path, monkeypatch):

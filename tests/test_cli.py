@@ -418,18 +418,18 @@ class TestRsi:
         # propagated_basis does: the one-hop matvec is the rap hop with its
         # diagonal kept, the two-hop one multiplies by d/(d-1) between two
         # hops that each subtract their diagonal, and a walk target applies
-        # the plain row hop l times. Every hop matrix the package builds
-        # passes through ``compact``. Unequal degrees, so the sym and row
-        # forms differ.
+        # the plain row hop l times. The one hop matrix the package builds
+        # is ``build_A1_star``'s. Unequal degrees, so the sym and row forms
+        # differ.
         import zen.propagation as propagation
         import zen.rsi_approx as rsi_approx
         hg = Hypergraph(5, ((0, 1), (1, 2, 3), (0, 3), (3, 4)))
         p = tmp_path / "mixed.hg"
         p.write_text(serialize_hypergraph(hg))
         built, matvecs = [], []
-        compact, hutchinson_diag = propagation.compact, rsi_approx.hutchinson_diag
-        monkeypatch.setattr(propagation, "compact",
-                            lambda *a, **kw: built.append(a) or compact(*a, **kw))
+        build_A1_star, hutchinson_diag = propagation.build_A1_star, rsi_approx.hutchinson_diag
+        monkeypatch.setattr(propagation, "build_A1_star",
+                            lambda *a, **kw: built.append(a) or build_A1_star(*a, **kw))
         monkeypatch.setattr(rsi_approx, "hutchinson_diag",
                             lambda matvec, *a: matvecs.append(matvec) or hutchinson_diag(matvec, *a))
         code = main(["rsi", "--edges", str(p), "--node", "1",

@@ -141,10 +141,10 @@ class Dataset:
     """A hypergraph with per-node features and labels, plus printable names.
 
     ``features`` may be a dense array or a scipy sparse matrix, and X is
-    stored once, as ``sparsetools._stored_features`` gives it: a sparse
-    matrix as canonical float64 CSR, a dense array as itself, or as its CSR
-    copy (``-0.0`` entries kept) when it is sparse enough. X must have one
-    row per node and be finite. Reading ``features`` gives X as a dense
+    stored once, as ``sparsetools._stored_features`` gives it: as canonical
+    float64 CSR (``-0.0`` entries kept) when that takes at most half its
+    dense bytes, else as a dense array, the given array itself when there
+    is one. X must have one row per node and be finite. Reading ``features`` gives X as a dense
     array (see ``_Features``).
     """
 
@@ -178,7 +178,7 @@ def load_dataset(edges_path, features_path, labels_path, name: str | None = None
     Features are used exactly as stored (no scaling or binarization at
     ingestion); the classifier's row normalization after propagation is the
     only rescaling anywhere in the pipeline. X is kept in the form
-    ``load_features`` returns, so a sparse enough file is never made dense.
+    ``load_features`` returns, so a file stored as CSR is never made dense.
     ``Dataset`` checks X again, as it does any X it is given: the check
     reads a CSR X's stored values, or a dense X a row slice at a time. Its
     error, a row count other than the node count, is named with the

@@ -39,9 +39,10 @@ float64(byte - 48), a block of rows at a time, so no copy of the file is
 held. Any other layout (signs, ``.``, multi-digit fields, spaces, quotes,
 CRLF, blank or ragged rows, non-ASCII bytes in a data row, no final newline)
 is read whole, decoded and parsed by ``numpy.loadtxt``. Either way X comes
-in one stored form: CSR when it is sparse enough
-(``sparsetools._sparse_enough``), else a dense array. The grid route builds
-that form straight from the bytes, so a sparse grid is never held dense.
+in one stored form: CSR when that takes at most half the dense bytes
+(``sparsetools._csr_smaller``), else a dense array. The grid route builds
+that form straight from the bytes, so a grid stored as CSR is never held
+dense.
 
 Labels: CSV with ``node_id,label`` rows, optional header. Every node must be
 labeled exactly once. Distinct label values are mapped to class ids 0..c-1 in
@@ -74,7 +75,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetError, GuardError, HypergraphParseError
-from .sparsetools import _csr_rows, _slice_len, _sparse_enough, _stored_features
+from .sparsetools import _csr_rows, _csr_smaller, _row_nonzeros, _slice_len, _stored_features
 
 
 class Hypergraph:
@@ -451,15 +452,17 @@ def _grid_features(fh) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | No
     return, not blank) and ``_header`` finds names there. The first data row
     sets the width and the file's size the row count. The rows are then read
     a block at a time through one buffer of about ``_BLOCK_BYTES``, with the
-    same byte checks on every block. While the nonzeros counted so far leave
-    X sparse enough (``_sparse_enough``), only each block's nonzero positions
-    and digits are kept; once they do not, X is allocated dense, what was
-    kept is scattered into it and the remaining blocks are written into it.
-    So X comes in the form ``_sparse_enough`` picks for the whole file, and a
-    sparse grid is never held as an n x d array. A header of another width
-    than the grid's, a size that is not a whole number of rows, or a block
-    that fails a check returns None, so the text route reads the file and
-    raises its own errors.
+    same byte checks on every block, and each block's nonzeros are counted.
+    While the count so far leaves X small enough as CSR (``_csr_smaller``),
+    each block's int32 column indices, per-row counts and values are kept,
+    but a block too dense to be stored as CSR alone is read again only if
+    X ends CSR. Once the count does not, what was kept is dropped and every
+    block is read again into a dense X. So X comes in the form
+    ``_csr_smaller`` picks for the whole file, a grid stored as CSR is never
+    held as an n x d array, and a dense grid is never split into entries.
+    A header of another width than the grid's, a size that is not a whole
+    number of rows, or a block that fails a check returns None, so the text
+    route reads the file and raises its own errors.
     """
     size = os.fstat(fh.fileno()).st_size
     first = fh.readline()
@@ -481,47 +484,59 @@ def _grid_features(fh) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | No
             or not _digit_rows(np.frombuffer(row, dtype=np.uint8).reshape(1, width))):
         return None  # the first row turns most other layouts away
     n, d = (size - start) // width, width // 2
-    X = None
-    nnz, flat, digits = 0, [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    zeros = np.full(d, _DIGIT_COMMA, dtype="<u2")   # a row of zeros, read as digit pairs
+    zeros[-1] = _DIGIT_NEWLINE
     step = _slice_len(width)
     buf = np.empty(min(step, n) * width, dtype=np.uint8)
-    fh.seek(start)
-    for a in range(0, n, step):
+
+    def rows_at(a):
+        """The rows of the block from row a, or None when they fail a check."""
         block = buf[:min(step, n - a) * width]
+        fh.seek(start + a * width)
         rows = block.reshape(-1, width)
-        if fh.readinto(block) != block.size or not _digit_rows(rows):
+        return rows if fh.readinto(block) == block.size and _digit_rows(rows) else None
+
+    def nonzeros(rows, nonzero):
+        """A block's int32 columns, per-row counts and values."""
+        at, cols, counts = _row_nonzeros(nonzero)
+        return cols, counts, rows.reshape(-1)[2 * at] - 48.0   # entry j at byte 2 j
+
+    nnz, found = 0, {}
+    for a in range(0, n, step):
+        if (rows := rows_at(a)) is None:
             return None
-        if X is None:
-            nonzero = rows[:, ::2] != ord("0")
-            count = np.count_nonzero(nonzero)   # counted first: a dense block extracts nothing
-            if _sparse_enough(n, d, nnz + count):
-                nnz += count
-                at = np.flatnonzero(nonzero)
-                flat.append(at + a * d)
-                digits.append(block[2 * at])    # a line is 2 d bytes: entry j at byte 2 j
-                continue
-            del nonzero
-            X = np.zeros((n, d))
-            X.reshape(-1)[np.concatenate(flat)] = np.concatenate(digits) - 48.0
-            del flat, digits
-        _fill_digits(rows, X[a:a + step])
-    if X is None:
-        X = _csr_rows(n, d, np.concatenate(flat), np.concatenate(digits) - 48.0)
-    return X, names
+        nonzero = rows.view("<u2") != zeros     # the rows are checked: a pair is its digit
+        count = np.count_nonzero(nonzero)       # counted first: a dense block extracts nothing
+        nnz += count
+        if not _csr_smaller(n, d, nnz):
+            del found, nonzero
+            X = np.empty((n, d))
+            for a in range(0, n, step):         # every block again, into X
+                if (rows := rows_at(a)) is None:
+                    return None
+                _fill_digits(rows, X[a:a + step])
+            return X, names
+        if _csr_smaller(len(rows), d, count):   # one dense alone waits for X's form
+            found[a] = nonzeros(rows, nonzero)
+    for a in range(0, n, step):
+        if a not in found:
+            rows = rows_at(a)
+            found[a] = nonzeros(rows, rows.view("<u2") != zeros)
+    return _csr_rows(n, d, [found[a] for a in range(0, n, step)]), names
 
 
 def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | None]:
     """Read a feature CSV. Returns (X, feature_names or None).
 
     X is the n x d float64 feature matrix in its stored form: a CSR matrix
-    when it is sparse enough (``sparsetools._sparse_enough`` of its nonzero
-    count), else a dense array. Values are taken as-is: no scaling,
+    when that takes at most half the dense bytes
+    (``sparsetools._csr_smaller`` of its nonzero count), else a dense array. Values are taken as-is: no scaling,
     centering, or binarization happens at ingestion. Row i belongs to node
     i. A leading UTF-8 byte-order mark is skipped. When the rows after an
     optional header are a grid of single digits (``0``-``9`` joined by
     ``,``, every row ended by ``\\n``), X is read off the file's bytes in
-    row blocks, straight into its stored form, so a sparse grid is never
-    held dense. Any other layout, or a file that cannot seek, is read whole,
+    row blocks, straight into its stored form, so a grid stored as CSR is
+    never held dense. Any other layout, or a file that cannot seek, is read whole,
     decoded as UTF-8 with universal newlines, blank rows are dropped,
     ``numpy.loadtxt`` parses the numbers and ``sparsetools._stored_features``
     checks them and picks the form, ``-0.0`` entries kept, its errors named

@@ -33,11 +33,12 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   rounding, and row normalization would blow that residue up to a unit
   row; those rows are set to 0.0 (``_returning_rows``, O(nnz(H)) integer
   counts). Without ``rap`` the block is A (A X). Both feature routes run
-  one two-hop body: the first hop, the second, then rsi_2 * X. For a dense
-  X it fills the blocks in column slices of about 2 MiB of scratch, so
-  beside X only the kept blocks are allocated. Each output column of a CSR
-  times dense product is summed on its own and the elementwise steps are
-  exact, so the slices give the whole-matrix expression bit for bit.
+  one two-hop body: the first hop, the second, then rsi_2 * X. On the
+  dense route it fills the blocks in column slices of about 2 MiB of
+  scratch, so beside X only the kept blocks are allocated. Each output
+  column of a CSR times dense product is summed on its own and the
+  elementwise steps are exact, so the slices give the whole-matrix
+  expression bit for bit.
 
   Given ``rows``, the second hop is cut down to those rows and the first to
   the nodes the second reads: the members of the edges at ``rows`` (and
@@ -47,7 +48,9 @@ W = D_v^{-1} H D_e^{-1} H^T that ``zen rsi`` applies for its walk targets.
   and renumbers only the columns, so the restricted rows are those rows of
   the whole blocks bit for bit. The harness takes the labeled rows of a
   split this way; on the benchmark's Cora-shaped input the 70 labeled rows
-  read about 500 rows of A X and about 1800 of X.
+  read about 500 rows of A X and about 1800 of X. A X is kept only at
+  ``rows``: on the dense route each slice's rows of A X that the second
+  hop reads are dropped once it has read them.
 * ``_Propagation.absolute``: the same propagation with every term by its
   magnitude. It shares the scaled copies of H, whose factors l, w, r and m
   are all >= +0.0, and adds the removed diagonals instead. Applied to |V|
@@ -76,11 +79,17 @@ route: X is a CSR matrix, both hops are CSR times CSR products, and each
 removed diagonal is subtracted at the nonzeros of the V it scales. A X
 stays CSR: the second hop reads it as CSR, and only the rows of it that are
 returned are made dense, so a row set's second hop holds the rows of A X it
-reads at their nonzeros alone. ``_Propagation.basis`` takes the route its X
-is in. The layout is chosen from X's measured density alone, by the one
-feature contract (``sparsetools._stored_features``, which ``Dataset``,
-``load_features`` and ``propagated_basis`` share): a sparse enough X is
-stored as CSR, with every entry that is not +0.0, and denser X stays dense.
+reads at their nonzeros alone. How X is stored and which route it takes are
+two rules over its count of stored entries (``sparsetools``).
+``_stored_features``, which ``Dataset``, ``load_features`` and
+``propagated_basis`` share, stores X as CSR, with every entry that is not
++0.0, when that takes at most half its dense bytes (about a third
+nonzero), else dense. ``_Propagation.hop_blocks`` sends a CSR X that is
+sparse enough (``_sparse_enough``, about 2-3% nonzero) to the CSR route,
+and any other X to the dense one, which reads a dense X's own column
+slices or, for a CSR X, slices of one CSC copy of its rows that the first
+hop reads, each stored value written into a zero array. The ``wide-edges``
+X (9% nonzero) is stored as CSR and takes the dense route.
 
 Both routes give the same bits. Each entry of T = H^T (r * V) and of the hop
 of V, for V = X and then V = A X, is summed over the stored entries of one
@@ -110,7 +119,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .hypergraph import Hypergraph, degrees, incidence_matrix
-from .sparsetools import _dense, _slice_len, _stored_features
+from .sparsetools import _dense, _slice_len, _sparse_enough, _stored_features
 
 SIMPLEX_TOL = 1e-9
 
@@ -436,10 +445,12 @@ class _Propagation:
 
         The second hop is restricted to ``rows`` and the first to the nodes it
         reads, so only those rows are propagated; each is bit for bit the
-        same row of the whole blocks. A CSR X (canonical, float64) takes the
-        sparse route: A X then stays CSR through the second hop, and only
-        its rows at ``rows`` are made dense. A dense X is propagated in
-        column slices.
+        same row of the whole blocks. A CSR X (canonical, float64) that is
+        sparse enough (``_sparse_enough``) takes the sparse route: A X then
+        stays CSR through the second hop, and only its rows at ``rows`` are
+        made dense. Any other X, dense or CSR, is propagated in column
+        slices (``_columns``), and only each slice's rows of A X at ``rows``
+        are kept.
         """
         hop2, mid = self.hop2.restrict(rows)
         hop, src = self.hop.restrict(mid)
@@ -454,24 +465,35 @@ class _Propagation:
             V2 = hop2(V1)
             return V1, (V2 if rsi_2 is None else _minus_rows(V2, rsi_2, at_rows))
 
-        if sp.issparse(X):
+        keep = None if rows is None else np.searchsorted(mid, rows)
+        if sp.issparse(X) and _sparse_enough(*X.shape, X.nnz):
             X1, X2 = hops(_take(X, src))
-            X2 = X2.toarray()
+            X2 = X2.toarray()   # each CSR block is freed as its dense one is made
+            X1 = _take(X1, keep).toarray()
         else:
-            d = X.shape[1]
-            X1 = np.empty((hop.left.shape[0], d))
-            X2 = np.empty((hop2.left.shape[0], d))
+            shape = (hop2.left.shape[0], X.shape[1])
+            X1, X2 = np.empty(shape), np.empty(shape)
+            columns = _columns(X, src)
             # a slice's temporaries hold a hop's rows of V and of right V
             step = _slice_len(X1.itemsize * max(sum(h.right.shape) for h in (hop, hop2)))
-            for start in range(0, d, step):
+            for start in range(0, shape[1], step):
                 cols = slice(start, start + step)
-                X1[:, cols], X2[:, cols] = hops(_take(X[:, cols], src))
+                V1, X2[:, cols] = hops(columns(cols))
+                X1[:, cols] = _take(V1, keep)   # the second hop's rows of A X are not kept
         if self.returning is not None:
             # rounding leaves a residue where the returning walks and rsi_2 cancel
             X2[_take(self.returning, rows)] = 0.0
-        if rows is not None:
-            X1 = X1[np.searchsorted(mid, rows)]
-        return [X1.toarray() if sp.issparse(X1) else X1, X2]
+        return [X1, X2]
+
+
+def _columns(X, rows):
+    """cols -> X's rows ``rows`` (every row when None) at the column slice
+    ``cols``, as a dense array bit for bit: a dense X's own, or a CSR X's
+    from one CSC copy of those rows, its stored values written (``_dense``)."""
+    if not sp.issparse(X):
+        return lambda cols: _take(X[:, cols], rows)
+    C = _take(X, rows).tocsc()
+    return lambda cols: _dense(C[:, cols])
 
 
 def _take(V, rows):
@@ -501,13 +523,13 @@ def propagated_basis(
 
     X is a dense array or a scipy sparse matrix, as ``load_features``
     returns it, and is checked and stored as ``Dataset`` stores it
-    (``sparsetools._stored_features``): a sparse X, or a sparse enough dense
-    one, as CSR, which takes the sparse route (both hops CSR products, A X
-    CSR until its returned rows); a denser X as itself, propagated in
-    column slices. The first block is a dense X itself (its rows at
-    ``rows``) or a sparse X's rows made dense. The routes agree bit for bit
-    (see the module docstring), so a sparse X gives the blocks of its dense
-    twin. An X of the wrong shape, or with a NaN or infinite value, is a
+    (``sparsetools._stored_features``): as CSR when that takes at most half
+    its dense bytes, else dense. A CSR X that is sparse enough takes the
+    sparse route (both hops CSR products, A X CSR until its returned rows);
+    any other X is propagated in column slices. The first block is a dense
+    X itself (its rows at ``rows``) or a sparse X's rows made dense. The
+    routes agree bit for bit (see the module docstring), so a sparse X
+    gives the blocks of its dense twin. An X of the wrong shape, or with a NaN or infinite value, is a
     DatasetError, and ``rows`` other than a 1-d array of node ids in [0, n)
     a ConfigError.
     """

@@ -329,6 +329,28 @@ def gd_reference(Z, split, labels, params):
 
 
 @pytest.fixture(scope="session")
+def wide_edges_shaped():
+    """Seeded instance shaped like the benchmark's ``wide-edges``: 10 000
+    nodes in 5 classes and 3000 edges of 2-20 members, each member from the
+    edge's class with probability 0.8, else any node, and 64 binary features
+    about 9% nonzero, so X is stored as CSR and takes the dense route."""
+    rng = np.random.default_rng(10_000)
+    n, d, c = 10_000, 64, 5
+    labels = rng.permutation(np.arange(n, dtype=np.int64) % c)
+    members = [np.flatnonzero(labels == k) for k in range(c)]
+    edges = []
+    for e in range(3000):
+        size = int(rng.integers(2, 21))
+        picked = rng.choice(members[e % c], size=size, replace=False)
+        stray = rng.random(size) < 0.2
+        picked[stray] = rng.choice(n, size=int(stray.sum()))
+        edges.append(tuple(sorted(set(picked.tolist()))))
+    X = (rng.random((n, d)) < 0.089).astype(np.float64)
+    return Dataset(name="wide-edges-shaped", hypergraph=Hypergraph(n, tuple(edges)),
+                   features=X, labels=LabelSet(labels=labels, num_classes=c))
+
+
+@pytest.fixture(scope="session")
 def cora_shaped():
     """Seeded 2708 x 1433 instance with 7 classes, Cora's shape: binary
     features about 1.3% dense, 1600 edges of 2-6 members, and isolated nodes

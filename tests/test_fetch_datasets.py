@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from zen import hypergraph, load_features
+from zen.sparsetools import _csr_smaller, _dense
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fetch_datasets.py"
 
@@ -30,6 +32,14 @@ MIXED = [[0.0, -0.0, 3.0], [0.5, -2.0, 1e-310], [1e15, 1e16, -1e300],
          [0.1, 2.5e-8, 7.0], [1.0, 9.0, 10.0]]
 
 
+def assert_stored_as(X, want):
+    """X is in the form its size picks (CSR when ``_csr_smaller`` holds for
+    the entries of ``want`` that are not +0.0) and holds ``want`` bit for bit."""
+    want = np.asarray(want, dtype=np.float64)
+    assert sp.issparse(X) == _csr_smaller(*want.shape, np.count_nonzero(want.view(np.int64)))
+    npt.assert_array_equal(_dense(X).view(np.int64), want.view(np.int64))
+
+
 def convert(fetch_datasets, tmp_path, **payload):
     src = tmp_path / "dump.json"
     src.write_text(json.dumps({"edges": EDGES, "labels": LABELS, **payload}))
@@ -44,7 +54,7 @@ def test_converted_features_load_bit_for_bit(fetch_datasets, tmp_path, features,
     path = convert(fetch_datasets, tmp_path, features=features, **extra)
     X, got_names = load_features(path)
     assert got_names == (None if names is None else tuple(names))
-    npt.assert_array_equal(X.view(np.int64), np.array(features, dtype=np.float64).view(np.int64))
+    assert_stored_as(X, features)
 
 
 def test_integral_values_are_written_as_integers(fetch_datasets, tmp_path):
@@ -64,7 +74,7 @@ def test_binary_and_identity_features_load_as_a_digit_grid(fetch_datasets, tmp_p
     monkeypatch.setattr(hypergraph.np, "loadtxt", refuse)
     X, names = load_features(path)
     assert names is None
-    npt.assert_array_equal(X, payload.get("features", np.eye(len(LABELS))))
+    assert_stored_as(X, payload.get("features", np.eye(len(LABELS))))
 
 
 @pytest.mark.parametrize("name", ["x,y", "x\ny", "x\ry"])

@@ -207,19 +207,25 @@ class TestDataset:
                 feature_names=("only_one",),
             )
 
-    # 1% nonzero X is stored as CSR whichever form it comes in; 30% nonzero
-    # X stays dense when given dense and CSR when given CSR, so the two
-    # datasets then take different propagation routes
-    @pytest.mark.parametrize("density", [0.01, 0.3])
+    # X is stored as CSR when that takes at most half its dense bytes, about
+    # a third nonzero at d = 200: 1% and 30% nonzero X are stored as CSR, 50%
+    # nonzero X dense, whichever form it comes in. 1% takes the CSR hops,
+    # 30% and 50% the dense column slices, read from a CSR X at 30%
+    @pytest.mark.parametrize("density", [0.01, 0.3, 0.5])
     def test_a_csr_and_a_dense_x_give_the_same_bytes(self, density):
         X = signed_zero_features(density)
         dense, csr = (Dataset("twins", TWIN_GRAPH, F, TWIN_LABELS) for F in (X, sp.csr_matrix(X)))
-        assert sp.issparse(dense._features) == (density < 0.1)
-        assert sp.issparse(csr._features)
+        stored = sparsetools._csr_smaller(*X.shape, np.count_nonzero(X.view(np.int64)))
+        assert stored == (density < 0.4)
+        assert sp.issparse(dense._features) == stored
+        assert sp.issparse(csr._features) == sparsetools._csr_smaller(
+            *X.shape, sp.csr_matrix(X).nnz)
         for ds in (dense, csr):
             assert isinstance(ds.features, np.ndarray)
             npt.assert_array_equal(ds.features, X)
-        assert (dense.features is X) == (density > 0.1)
+        npt.assert_array_equal(sparsetools._dense(dense._features).view(np.int64),
+                               X.view(np.int64))
+        assert (dense.features is X) == (not stored)
         grid, training = simplex_grid(3), TrainingParams(epochs=40)
         for variant in VARIANTS:
             got, want = (grid_search(ds, grid, k=3, seeds=[0, 1], variant=variant,
@@ -755,6 +761,26 @@ class TestLabeledRowSearch:
             _, peak = peak_bytes(run.rows, labeled)
             assert peak <= 0.14 * ds.features.nbytes, seed
 
+
+    def test_a_labeled_row_call_keeps_the_first_hop_at_its_rows_alone(self, wide_edges_shaped):
+        # the dense route on the wide-edges graph: a half-nonzero X is stored
+        # dense and read one column a slice. The second hop reads A X at the
+        # 1970 nodes of the labeled rows' edges, 2.0 MB at 128 columns. Kept
+        # at all of them, A X took the call to 2.8 MB; kept at the 50 labeled
+        # rows alone, the call peaks at 1.1 MB
+        ds = wide_edges_shaped
+        n, ne = ds.num_nodes, ds.hypergraph.num_edges
+        X = (np.random.default_rng(0).random((n, 128)) < 0.5).astype(np.float64)
+        dense = replace(ds, features=X)
+        assert dense._features is X
+        run = _Run.prepare(dense, "full", NormalizationKind.SYMMETRIC, simplex_grid(9).alphas)
+        split = make_kshot_split(ds.labels, 5, 0)
+        labeled = np.concatenate([np.flatnonzero(split.train_mask),
+                                  np.flatnonzero(split.val_mask)])
+        mid = run.propagation.hop2.restrict(labeled)[1]
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * (n + ne)):
+            _, peak = peak_bytes(run.rows, labeled)
+        assert peak < 8 * mid.size * X.shape[1]
 
 def selection_instance(labels, roles, X, edges):
     """A dataset and a split given node by node: role t, v or x is train,

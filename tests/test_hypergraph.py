@@ -315,10 +315,11 @@ class TestLoaders:
 
     @pytest.mark.parametrize("zero, one", [("0", "1"), ("0.0", "1.0")])
     def test_features_allocation_is_a_small_multiple_of_the_matrix(self, tmp_path, zero, one):
-        # X is 8 MB and the file 2 MB (0/1) or 4 MB (0.0/1.0). A csv.reader +
-        # float() parse peaks at 49 MB on the 0/1 file (4.9x X + file). The
-        # digit grid (0/1), read in row blocks, peaks at 10.1 MB (1.01x), one
-        # loadtxt pass over the 0.0/1.0 file at 13.5 MB (1.13x).
+        # X is 8 MB dense and the file 2 MB (0/1) or 4 MB (0.0/1.0); X is 10%
+        # nonzero, so it is stored as CSR. A csv.reader + float() parse peaks
+        # at 49 MB on the 0/1 file (4.9x dense X + file). The digit grid
+        # (0/1), read in row blocks, peaked at 10.1 MB (1.01x) filling a dense
+        # X; one loadtxt pass over the 0.0/1.0 file at 13.5 MB (1.13x).
         rng = np.random.default_rng(11)
         dense = (rng.random((2000, 500)) < 0.1).astype(np.int8)
         p = tmp_path / "f.csv"
@@ -326,8 +327,10 @@ class TestLoaders:
                                for r in dense.tolist()) + "\n")
         file_bytes = p.stat().st_size
         (X, _), peak = peak_bytes(load_features, p)
-        npt.assert_array_equal(X, dense)
-        assert peak < 2 * (X.nbytes + file_bytes)
+        assert sp.issparse(X) == sparsetools._csr_smaller(*dense.shape, np.count_nonzero(dense))
+        npt.assert_array_equal(sparsetools._dense(X).view(np.int64),
+                               dense.astype(np.float64).view(np.int64))
+        assert peak < 2 * (8 * dense.size + file_bytes)
 
     def test_labels_map_strings_in_sorted_order(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -483,7 +486,19 @@ def assert_loads_like_reference(path):
     (X, names), (X_ref, names_ref) = got, want
     assert names == names_ref
     assert X.dtype == np.float64 and X.shape == X_ref.shape
-    npt.assert_array_equal(X.view(np.int64), X_ref.view(np.int64))
+    assert_stored_as(X, X_ref)
+
+
+def assert_stored_as(X, want):
+    """X is in the form its size picks, CSR exactly when ``_csr_smaller``
+    holds for the entries of ``want`` that are not +0.0, canonical and
+    holding those entries alone, and gives ``want`` bit for bit."""
+    nnz = np.count_nonzero(want.view(np.int64))
+    assert sp.issparse(X) == sparsetools._csr_smaller(*want.shape, nnz)
+    if sp.issparse(X):
+        assert isinstance(X, sp.csr_matrix) and X.has_canonical_format
+        assert X.nnz == nnz
+    npt.assert_array_equal(sparsetools._dense(X).view(np.int64), want.view(np.int64))
 
 
 def grid_block_rows(mp, rows):
@@ -608,14 +623,15 @@ def edited_digit_grids(draw):
 
 @st.composite
 def density_grids(draw):
-    """(CSV bytes, header rows, n, d, nnz) of digit grids around the density
-    cut ``_sparse_enough`` draws, 32 (n + nnz) <= n d: all-zero, at the cut,
+    """(CSV bytes, header rows, n, d, nnz) of digit grids around the storage
+    cut ``_csr_smaller`` draws, 12 nnz + 8 n <= 4 n d: all-zero, at the cut,
     one past it and full, with the nonzeros first, last (a file sparse early
-    and dense later, so the cut is crossed mid-file) or anywhere; d = 1 and
-    d = 2 can never be sparse. An optional header and byte-order mark."""
+    and dense later, so the cut is crossed mid-file) or anywhere; d = 1 is
+    never CSR and d = 2 only when all-zero. An optional header and
+    byte-order mark."""
     n = draw(st.integers(1, 12))
-    d = draw(st.sampled_from([1, 2, 32, 33, 40, 64, 70]))
-    cut = max(0, n * d // 32 - n)     # the most nonzeros a CSR X holds
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 32, 33, 64, 70]))
+    cut = max(0, (4 * n * d - 8 * n) // 12)     # the most nonzeros a CSR X holds
     nnz = draw(st.one_of(st.sampled_from([0, cut, min(cut + 1, n * d), n * d]),
                          st.integers(0, n * d)))
     order = draw(st.sampled_from(["first", "last", "anywhere"]))
@@ -719,6 +735,23 @@ class TestFeatureParser:
                                dense.astype(np.float64).view(np.int64))
         assert peak <= 0.25 * dense.size * 8
 
+    def test_a_wide_edges_shaped_grid_is_held_in_a_quarter_of_its_dense_bytes(self, tmp_path):
+        # 10 000 x 64, about 9% ones, as the benchmark's wide-edges X: 5.12 MB
+        # dense, 1.28 MB of file, and about 0.72 MB as CSR (12 bytes an entry, 4 a row)
+        rng = np.random.default_rng(64)
+        n, d = 10_000, 64
+        dense = rng.random((n, d)) < 0.089
+        grid = np.full((n, 2 * d), ord(","), dtype=np.uint8)
+        grid[:, ::2] = ord("0") + dense
+        grid[:, -1] = ord("\n")
+        p = tmp_path / "f.csv"
+        grid.tofile(p)
+        X, _ = load_features(p)
+        assert isinstance(X, sp.csr_matrix)
+        assert X.data.nbytes + X.indices.nbytes + X.indptr.nbytes < 0.25 * 8 * n * d
+        npt.assert_array_equal(sparsetools._dense(X).view(np.int64),
+                               dense.astype(np.float64).view(np.int64))
+
     # blocks of 1-5 rows put the crossing of the density cut at any row of a
     # block, and the first nonzeros in any block
     @settings(max_examples=300, deadline=None)
@@ -734,13 +767,10 @@ class TestFeatureParser:
         assert (names is None) == (skip == 0)
         want = np.loadtxt(io.StringIO(raw.decode("utf-8-sig")), delimiter=",",
                           skiprows=skip, ndmin=2, dtype=np.float64)
-        assert sp.issparse(X) == sparsetools._sparse_enough(n, d, nnz)
-        if sp.issparse(X):
-            assert isinstance(X, sp.csr_matrix) and X.has_canonical_format
-            assert X.nnz == nnz
-            X = X.toarray()
+        assert np.count_nonzero(want) == nnz
+        assert sp.issparse(X) == sparsetools._csr_smaller(n, d, nnz)
         assert X.dtype == np.float64
-        npt.assert_array_equal(X.view(np.int64), want.view(np.int64))
+        assert_stored_as(X, want)
 
     def test_the_bytes_pick_the_route(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

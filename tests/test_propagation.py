@@ -57,6 +57,15 @@ def sparse_enough(X):
     return sparsetools._sparse_enough(*X.shape, int(np.count_nonzero(X)))
 
 
+@contextlib.contextmanager
+def forced_route(csr: bool):
+    """Store every X as CSR and send it to the CSR hops when ``csr``; else
+    store every X dense, so it takes the column slices."""
+    with mock.patch.object(sparsetools, "_csr_smaller", return_value=csr), \
+            mock.patch.object(propagation, "_sparse_enough", return_value=csr):
+        yield
+
+
 def two_hop_operator(hg, kind=SYM):
     """A2* as a dense array: the two-hop block of the basis of X = I."""
     return propagated_basis(hg, np.eye(hg.num_nodes), kind)[2]
@@ -413,9 +422,8 @@ class TestPropagatedBasis:
         values = rng.standard_normal((n, width))
         X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
         X[rng.random(n) < 0.3] = -0.0
-        force = mock.patch.object(sparsetools, "_sparse_enough", return_value=True)
         with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
-                (force if forced else contextlib.nullcontext()):
+                (forced_route(True) if forced else contextlib.nullcontext()):
             basis = propagated_basis(hg, X, kind, rap)
         assert basis[0] is X
         assert_bit_identical(basis, whole_matrix_basis(hg, X, kind, rap))
@@ -493,8 +501,7 @@ class TestPropagatedBasis:
         X = np.where(rng.random((n, width)) < density, values, np.copysign(0.0, values))
         rows = np.array([i for i in picks if i < n], dtype=np.intp)
         rap = variant in ("full", "no_tcs")
-        with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), \
-                mock.patch.object(sparsetools, "_sparse_enough", return_value=csr):
+        with mock.patch.object(sparsetools, "_BLOCK_BYTES", cols * 8 * n), forced_route(csr):
             # the dataset picks X's stored form, so it is built under the patch
             ds = Dataset("rows", hg, X, LabelSet(np.zeros(n, dtype=np.int64), 1))
             whole = propagated_basis(hg, X, kind, rap)
@@ -515,6 +522,51 @@ class TestPropagatedBasis:
         X = cora_shaped.features  # 1.3% nonzero, the cut is at 3.1% for d = 1433
         assert sparse_enough(X != 0)
         assert not sparse_enough(X + 0.5 != 0)
+
+    # three bands of nonzero counts: below the route cut (CSR storage, CSR
+    # hops), between the two cuts (CSR storage, column slices read from a CSC
+    # copy) and above the storage cut (dense storage, column slices); X given
+    # as an array or as CSR, with -0.0 among its stored entries
+    @settings(max_examples=200, deadline=None)
+    @given(hg=adversarial_hypergraphs(), kind=st.sampled_from([SYM, ROW]), rap=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), d=st.sampled_from([40, 64, 96]),
+           band=st.sampled_from(["below", "between", "above"]),
+           at=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), csr=st.booleans(),
+           picks=st.lists(st.integers(0, 15)))
+    @example(hg=_DEGENERATE, kind=SYM, rap=True, seed=0, d=64, band="between", at=0.5,
+             csr=False, picks=[8, 0, 5])
+    @example(hg=_DEGENERATE, kind=ROW, rap=False, seed=1, d=40, band="above", at=0.0,
+             csr=True, picks=[])
+    def test_storage_follows_size_and_route_follows_density(
+        self, hg, kind, rap, seed, d, band, at, csr, picks
+    ):
+        rng = np.random.default_rng(seed)
+        n = hg.num_nodes
+        route_cut = max(0, n * d // 32 - n)         # the most nonzeros on the CSR hops
+        storage_cut = (4 * n * d - 8 * n) // 12     # the most nonzeros stored as CSR
+        lo, hi = {"below": (0, route_cut), "between": (route_cut + 1, storage_cut),
+                  "above": (storage_cut + 1, n * d)}[band]
+        nnz = lo + round(at * (hi - lo))
+        places = np.divmod(rng.choice(n * d, nnz, replace=False), d)
+        values = np.where(rng.random(nnz) < 0.2, -0.0, rng.standard_normal(nnz))
+        twin = np.zeros((n, d))
+        twin[places] = values
+        X = sp.csr_matrix((values, places), shape=(n, d)) if csr else twin
+        stored = sparsetools._stored_features(X, n)
+        assert sp.issparse(stored) == sparsetools._csr_smaller(n, d, nnz) == (band != "above")
+        npt.assert_array_equal(sparsetools._dense(stored).view(np.int64), twin.view(np.int64))
+        csr_hops, real = [], propagation._Hop.__call__
+
+        def spy(hop, V):
+            csr_hops.append(sp.issparse(V))
+            return real(hop, V)
+
+        rows = np.array([i for i in picks if i < n], dtype=np.intp)
+        with mock.patch.object(propagation._Hop, "__call__", spy):
+            got = propagated_basis(hg, X, kind, rap, rows)
+        assert csr_hops and set(csr_hops) == {band == "below"}
+        assert sparsetools._sparse_enough(n, d, nnz) == (band == "below")
+        assert_bit_identical(got, [block[rows] for block in whole_matrix_basis(hg, twin, kind, rap)])
 
     @pytest.mark.parametrize("kind", [SYM, ROW])
     def test_allocates_no_scratch_block(self, cora_shaped, kind):

@@ -144,8 +144,8 @@ class Dataset:
     stored once, as ``sparsetools._stored_features`` gives it: as canonical
     float64 CSR (``-0.0`` entries kept) when that takes at most half its
     dense bytes, else as a dense array, the given array itself when there
-    is one. X must have one row per node and be finite. Reading ``features`` gives X as a dense
-    array (see ``_Features``).
+    is one. X must have one row per node and be finite. Reading
+    ``features`` gives X as a dense array (see ``_Features``).
     """
 
     name: str

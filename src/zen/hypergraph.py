@@ -503,24 +503,28 @@ def _grid_features(fh) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | No
 
     nnz, found = 0, {}
     for a in range(0, n, step):
-        if (rows := rows_at(a)) is None:
+        rows = rows_at(a)
+        if rows is None:
             return None
-        nonzero = rows.view("<u2") != zeros     # the rows are checked: a pair is its digit
+        nonzero = rows.view("<u2") != zeros     # checked rows: a pair differs only in its digit
         count = np.count_nonzero(nonzero)       # counted first: a dense block extracts nothing
         nnz += count
         if not _csr_smaller(n, d, nnz):
             del found, nonzero
             X = np.empty((n, d))
             for a in range(0, n, step):         # every block again, into X
-                if (rows := rows_at(a)) is None:
+                rows = rows_at(a)
+                if rows is None:
                     return None
                 _fill_digits(rows, X[a:a + step])
             return X, names
-        if _csr_smaller(len(rows), d, count):   # one dense alone waits for X's form
+        if _csr_smaller(len(rows), d, count):   # else read again if X ends CSR
             found[a] = nonzeros(rows, nonzero)
     for a in range(0, n, step):
         if a not in found:
             rows = rows_at(a)
+            if rows is None:
+                return None
             found[a] = nonzeros(rows, rows.view("<u2") != zeros)
     return _csr_rows(n, d, [found[a] for a in range(0, n, step)]), names
 
@@ -530,13 +534,14 @@ def load_features(path) -> tuple[np.ndarray | sp.csr_matrix, tuple[str, ...] | N
 
     X is the n x d float64 feature matrix in its stored form: a CSR matrix
     when that takes at most half the dense bytes
-    (``sparsetools._csr_smaller`` of its nonzero count), else a dense array. Values are taken as-is: no scaling,
-    centering, or binarization happens at ingestion. Row i belongs to node
-    i. A leading UTF-8 byte-order mark is skipped. When the rows after an
-    optional header are a grid of single digits (``0``-``9`` joined by
-    ``,``, every row ended by ``\\n``), X is read off the file's bytes in
-    row blocks, straight into its stored form, so a grid stored as CSR is
-    never held dense. Any other layout, or a file that cannot seek, is read whole,
+    (``sparsetools._csr_smaller`` of its nonzero count), else a dense
+    array. Values are taken as-is: no scaling, centering, or binarization
+    happens at ingestion. Row i belongs to node i. A leading UTF-8
+    byte-order mark is skipped. When the rows after an optional header are
+    a grid of single digits (``0``-``9`` joined by ``,``, every row ended by
+    ``\\n``), X is read off the file's bytes in row blocks, straight into
+    its stored form, so a grid stored as CSR is never held dense. Any other
+    layout, or a file that cannot seek, is read whole,
     decoded as UTF-8 with universal newlines, blank rows are dropped,
     ``numpy.loadtxt`` parses the numbers and ``sparsetools._stored_features``
     checks them and picks the form, ``-0.0`` entries kept, its errors named

@@ -529,9 +529,9 @@ def propagated_basis(
     any other X is propagated in column slices. The first block is a dense
     X itself (its rows at ``rows``) or a sparse X's rows made dense. The
     routes agree bit for bit (see the module docstring), so a sparse X
-    gives the blocks of its dense twin. An X of the wrong shape, or with a NaN or infinite value, is a
-    DatasetError, and ``rows`` other than a 1-d array of node ids in [0, n)
-    a ConfigError.
+    gives the blocks of its dense twin. An X of the wrong shape, or with a
+    NaN or infinite value, is a DatasetError, and ``rows`` other than a 1-d
+    array of node ids in [0, n) a ConfigError.
     """
     n = hg.num_nodes
     stored = _stored_features(X, n)

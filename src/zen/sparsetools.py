@@ -90,43 +90,40 @@ def _csr_smaller(n: int, d: int, nnz: int) -> bool:
     return 12 * nnz + 8 * n <= 4 * n * d
 
 
-def _flat_nonzero(flat: np.ndarray) -> np.ndarray:
-    """``np.flatnonzero`` of the contiguous 1-d boolean ``flat``, found 8
-    entries at a time. numpy finds the set entries of a boolean array under
-    10% set by a branch per set entry, which costs most near 10%: 1.4 ms on
-    640 000 entries 9.9% set, 0.5 ms at 10.1%. Read as 8-byte words, the
-    set words are each at least 1/8 set, so the second pass always takes
-    the branch-free path."""
+def _row_nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat positions of the 2-d boolean ``mask``'s True entries in
+    row-major order, their int32 column indices and each row's count.
+
+    The positions are found 8 entries at a time. numpy finds the set
+    entries of a boolean array under 10% set by a branch per set entry,
+    which costs most near 10%: 1.4 ms on 640 000 entries 9.9% set, 0.5 ms
+    at 10.1%. Read as 8-byte words, the set words are each at least 1/8
+    set, so the second pass always takes the branch-free path.
+    """
+    r, d = mask.shape
+    flat = mask.reshape(-1)
     m = flat.size - flat.size % 8
     words = flat[:m].view(np.uint64)
     at_word = np.flatnonzero(words != 0)
     at = np.flatnonzero(words[at_word].view(np.bool_))
-    out = at_word[at >> 3]
-    out <<= 3
+    word = at_word[at >> 3]
+    word <<= 3
     at &= 7
-    out |= at
+    at |= word
     tail = np.flatnonzero(flat[m:])
-    return out if tail.size == 0 else np.concatenate([out, tail + m])
-
-
-def _row_nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat positions of the 2-d boolean ``mask``'s True entries in
-    row-major order, their int32 column indices and each row's count."""
-    r, d = mask.shape
-    at = _flat_nonzero(mask.reshape(-1))
+    if tail.size:
+        at = np.concatenate([at, tail + m])
     rows = at // d
     return at, (at - rows * d).astype(np.int32), np.bincount(rows, minlength=r)
 
 
 def _csr_rows(n: int, d: int, blocks: list) -> sp.csr_matrix:
-    """The n x d CSR matrix whose first row blocks, in order, are ``blocks``,
-    each the (int32 columns, per-row counts, float64 values) of its
-    nonzeros; the rows after them are empty."""
+    """The n x d CSR matrix whose row blocks, in order, are ``blocks``, each
+    the (int32 columns, per-row counts, float64 values) of its nonzeros."""
     empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
     cols, counts, data = (np.concatenate(part) for part in zip(empty, *blocks))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:counts.size + 1])
-    indptr[counts.size + 1:] = indptr[counts.size]
+    np.cumsum(counts, out=indptr[1:])
     return sp.csr_matrix((data, cols, indptr), shape=(n, d))
 
 

@@ -761,7 +761,6 @@ class TestLabeledRowSearch:
             _, peak = peak_bytes(run.rows, labeled)
             assert peak <= 0.14 * ds.features.nbytes, seed
 
-
     def test_a_labeled_row_call_keeps_the_first_hop_at_its_rows_alone(self, wide_edges_shaped):
         # the dense route on the wide-edges graph: a half-nonzero X is stored
         # dense and read one column a slice. The second hop reads A X at the
@@ -781,6 +780,7 @@ class TestLabeledRowSearch:
         with mock.patch.object(sparsetools, "_BLOCK_BYTES", 8 * (n + ne)):
             _, peak = peak_bytes(run.rows, labeled)
         assert peak < 8 * mid.size * X.shape[1]
+
 
 def selection_instance(labels, roles, X, edges):
     """A dataset and a split given node by node: role t, v or x is train,

@@ -737,7 +737,8 @@ class TestFeatureParser:
 
     def test_a_wide_edges_shaped_grid_is_held_in_a_quarter_of_its_dense_bytes(self, tmp_path):
         # 10 000 x 64, about 9% ones, as the benchmark's wide-edges X: 5.12 MB
-        # dense, 1.28 MB of file, and about 0.72 MB as CSR (12 bytes an entry, 4 a row)
+        # dense, 1.28 MB of file, and about 0.72 MB as CSR (12 bytes an
+        # entry, 4 a row)
         rng = np.random.default_rng(64)
         n, d = 10_000, 64
         dense = rng.random((n, d)) < 0.089

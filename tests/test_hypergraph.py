@@ -630,7 +630,7 @@ def density_grids(draw):
     never CSR and d = 2 only when all-zero. An optional header and
     byte-order mark."""
     n = draw(st.integers(1, 12))
-    d = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 32, 33, 64, 70]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 32, 33, 40, 64, 70]))
     cut = max(0, (4 * n * d - 8 * n) // 12)     # the most nonzeros a CSR X holds
     nnz = draw(st.one_of(st.sampled_from([0, cut, min(cut + 1, n * d), n * d]),
                          st.integers(0, n * d)))
